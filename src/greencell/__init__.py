@@ -9,11 +9,13 @@ vectors that maximize carbon efficiency under a success-probability floor.
 __version__ = "0.1.0"
 
 from .config import ConfigError, NetworkConfig, load_config, save_config
+from .numerics import NumericError
 from .qbd import SolverError
 
 __all__ = [
     "ConfigError",
     "NetworkConfig",
+    "NumericError",
     "SolverError",
     "load_config",
     "save_config",

@@ -24,6 +24,7 @@ from .config import ConfigError, NetworkConfig, config_hash, load_config
 from .csvio import RunManifest, header_lines, write_csv, write_manifest
 from .fixedpoint import DEFAULT_EPS, DEFAULT_MAX_SWEEPS
 from .montecarlo import estimate_success
+from .numerics import NumericError
 from .optimizer import (
     POWER_GRID_DEFAULT,
     GaConfig,
@@ -33,7 +34,6 @@ from .optimizer import (
     evaluate_bias,
     power_law_bias,
 )
-from .qbd import SolverError
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -376,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (SolverError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"numeric failure: {exc}", file=sys.stderr)
         return EXIT_NUMERIC
 

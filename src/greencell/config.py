@@ -38,7 +38,6 @@ _POSITIVE_FIELDS = (
     "p_trans",
     "lambda_b",
     "hotspot_radius",
-    "noise_power",  # checked only for >= 0 below, see _validate
     "mu",
     "omega",
     "nu",
@@ -135,29 +134,36 @@ def derived_constants(cfg: NetworkConfig) -> DerivedConstants:
     return DerivedConstants(cfg.p_t, cfg.theta, cfg.static_drain)
 
 
+def _is_int(v) -> bool:
+    # bool subclasses int, but a flag is never a valid count or rate.
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_real(v) -> bool:
+    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+
+
 def _validate(cfg: NetworkConfig) -> None:
     problems = []
     for name in _POSITIVE_FIELDS:
-        if name == "noise_power":
-            continue
         v = getattr(cfg, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v > 0):
+        if not (_is_real(v) and v > 0):
             problems.append(f"{name} must be positive, got {v!r}")
     for name in _NONNEGATIVE_FIELDS:
         v = getattr(cfg, name)
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+        if not (_is_real(v) and v >= 0):
             problems.append(f"{name} must be nonnegative, got {v!r}")
-    if not (isinstance(cfg.n_channels, int) and cfg.n_channels >= 1):
+    if not (_is_int(cfg.n_channels) and cfg.n_channels >= 1):
         problems.append(f"n_channels must be an integer >= 1, got {cfg.n_channels!r}")
-    if not (isinstance(cfg.t_levels, int) and cfg.t_levels >= 1):
+    if not (_is_int(cfg.t_levels) and cfg.t_levels >= 1):
         problems.append(f"t_levels must be an integer >= 1, got {cfg.t_levels!r}")
-    if not (isinstance(cfg.alpha, (int, float)) and math.isfinite(cfg.alpha) and cfg.alpha > 2):
+    if not (_is_real(cfg.alpha) and cfg.alpha > 2):
         problems.append(f"alpha must exceed 2, got {cfg.alpha!r}")
-    if not (0 <= cfg.p_req < 1):
+    if not (_is_real(cfg.p_req) and 0 <= cfg.p_req < 1):
         problems.append(f"p_req must lie in [0, 1), got {cfg.p_req!r}")
     if cfg.static_drain_override is not None:
         v = cfg.static_drain_override
-        if not (isinstance(v, (int, float)) and math.isfinite(v) and v >= 0):
+        if not (_is_real(v) and v >= 0):
             problems.append(f"static_drain_override must be nonnegative, got {v!r}")
     if problems:
         raise ConfigError("; ".join(problems))

@@ -15,6 +15,10 @@ _SERIES_TOL = 1e-16
 _SERIES_CAP = 400
 
 
+class NumericError(RuntimeError):
+    """A numeric kernel or solver failed on an input that passed validation."""
+
+
 def _series_one_one(c: float, x: np.ndarray) -> np.ndarray:
     """Gauss series for F(1, 1; c; x) with 0 <= x <= 0.5 and c > 0.
 
@@ -29,7 +33,7 @@ def _series_one_one(c: float, x: np.ndarray) -> np.ndarray:
         total += term
         if not (term > _SERIES_TOL * total).any():
             return total
-    raise RuntimeError("hypergeometric series failed to converge")
+    raise NumericError("hypergeometric series failed to converge")
 
 
 def hyp_one_one_neg(alpha: float, y) -> np.ndarray | float:
@@ -134,7 +138,7 @@ def integrate_decaying(f, scale: float, tol: float, tail_frac: float = 1e-12, ma
         a += width
         if k >= 1:
             width *= 2.0
-    raise RuntimeError("semi-infinite integral failed to wind down")
+    raise NumericError("semi-infinite integral failed to wind down")
 
 
 # Moments of Exp(1) needed by the small-kappa expansion of the fading

@@ -1,5 +1,9 @@
 """Bias-vector optimization: power-law sweeps and a genetic search.
 
+Every bias vector is solved through one memoizing :class:`Evaluator`, so a
+run that meets the same vector again (a power-law profile seeded into the
+GA, an unchanged offspring, a comparison row) solves it only once.
+
 The genetic algorithm maximizes carbon efficiency subject to the coverage
 floor.  Infeasible individuals carry a large penalty proportional to the
 coverage gap, and selection into the next generation ranks feasibility
@@ -18,7 +22,7 @@ import numpy as np
 from .analytics import BiasVector, NetworkMetrics, compute_metrics
 from .config import NetworkConfig
 from .fixedpoint import DEFAULT_EPS, DEFAULT_MAX_SWEEPS, FixedPointResult, solve
-from .qbd import SolverError
+from .numerics import NumericError
 
 POWER_GRID_DEFAULT = tuple(0.5 * k for k in range(9))  # 0, 0.5, ..., 4
 ETA_CAP = 1e18
@@ -44,6 +48,38 @@ def evaluate_bias(cfg: NetworkConfig, bias: BiasVector,
     return metrics, fp
 
 
+Outcome = tuple[NetworkMetrics, FixedPointResult] | NumericError | FloatingPointError
+
+
+class Evaluator:
+    """Memoized :func:`evaluate_bias` bound to one (config, eps, max_sweeps).
+
+    The first lookup of a bias vector solves it; later lookups return the
+    same objects.  A typed numeric failure is the outcome too: it is
+    returned, not raised, and returned again on every later lookup without
+    a second solve.
+    """
+
+    def __init__(self, cfg: NetworkConfig, eps: float = DEFAULT_EPS,
+                 max_sweeps: int = DEFAULT_MAX_SWEEPS) -> None:
+        self.cfg = cfg
+        self.eps = eps
+        self.max_sweeps = max_sweeps
+        self._outcomes: dict[BiasVector, Outcome] = {}
+
+    def __call__(self, bias: BiasVector) -> Outcome:
+        outcome = self._outcomes.get(bias)
+        if outcome is None:
+            try:
+                # Looked up at call time, so a patched evaluate_bias is used.
+                outcome = evaluate_bias(self.cfg, bias, eps=self.eps,
+                                        max_sweeps=self.max_sweeps)
+            except (NumericError, FloatingPointError) as exc:
+                outcome = exc
+            self._outcomes[bias] = outcome
+        return outcome
+
+
 @dataclass
 class SweepPoint:
     beta: float
@@ -66,13 +102,14 @@ def beta_sweep(cfg: NetworkConfig, betas, nus=None,
     points = []
     for nu in nus:
         cfg_nu = cfg if nu == cfg.nu else dataclasses.replace(cfg, nu=float(nu))
+        evaluator = Evaluator(cfg_nu, eps, max_sweeps)
         for beta in betas:
-            bias = power_law_bias(float(beta), cfg.t_levels)
-            try:
-                metrics, fp = evaluate_bias(cfg_nu, bias, eps=eps, max_sweeps=max_sweeps)
+            outcome = evaluator(power_law_bias(float(beta), cfg.t_levels))
+            if isinstance(outcome, Exception):
+                points.append(SweepPoint(float(beta), float(nu), None, False, str(outcome)))
+            else:
+                metrics, fp = outcome
                 points.append(SweepPoint(float(beta), float(nu), metrics, fp.converged))
-            except (SolverError, FloatingPointError) as exc:
-                points.append(SweepPoint(float(beta), float(nu), None, False, str(exc)))
     return points
 
 
@@ -135,12 +172,12 @@ def _ga_stream(seed: int, generation: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _evaluate_individual(cfg: NetworkConfig, bias: BiasVector, ga: GaConfig,
-                         eps: float, max_sweeps: int) -> Individual:
-    try:
-        metrics, fp = evaluate_bias(cfg, bias, eps=eps, max_sweeps=max_sweeps)
-    except (SolverError, FloatingPointError):
+def _evaluate_individual(evaluator: Evaluator, bias: BiasVector, ga: GaConfig) -> Individual:
+    outcome = evaluator(bias)
+    if isinstance(outcome, Exception):
         return Individual(bias, -ga.penalty, False, None, False)
+    metrics, fp = outcome
+    cfg = evaluator.cfg
     eta = min(metrics.eta_ce, ETA_CAP)
     feasible = fp.converged and metrics.p_succ > cfg.p_req
     if feasible:
@@ -217,13 +254,20 @@ def ga_optimize(cfg: NetworkConfig, ga: GaConfig | None = None,
     Elitist: parents and offspring compete jointly each generation, ranked
     feasibility-first, so the best-so-far fitness trace is nondecreasing.
     Per-generation RNG streams are counter-based, keyed by (seed, generation).
+    ``n_evaluations`` counts evaluations requested, repeats included; each
+    distinct bias vector is solved once.
     """
+    return _run_ga(Evaluator(cfg, eps, max_sweeps), ga)
+
+
+def _run_ga(evaluator: Evaluator, ga: GaConfig | None) -> GaResult:
+    """The search behind :func:`ga_optimize`, solving through ``evaluator``."""
     if ga is None:
         ga = GaConfig()
     rng0 = _ga_stream(ga.seed, 0)
     population = [
-        _evaluate_individual(cfg, b, ga, eps, max_sweeps)
-        for b in _seed_population(cfg, ga, rng0)
+        _evaluate_individual(evaluator, b, ga)
+        for b in _seed_population(evaluator.cfg, ga, rng0)
     ]
     n_evals = len(population)
     population.sort(key=_rank_key, reverse=True)
@@ -243,9 +287,7 @@ def ga_optimize(cfg: NetworkConfig, ga: GaConfig | None = None,
         if ga.pop_size % 2:
             lone = population[parents[-1]].bias
             offspring.append(_mutate(rng, lone, ga))
-        children = [
-            _evaluate_individual(cfg, b, ga, eps, max_sweeps) for b in offspring
-        ]
+        children = [_evaluate_individual(evaluator, b, ga) for b in offspring]
         n_evals += len(children)
         pool = population + children
         pool.sort(key=_rank_key, reverse=True)
@@ -330,37 +372,34 @@ def compare_schemes(cfg: NetworkConfig, ga: GaConfig | None = None,
     delta_e_tot_pct means lower energy draw than the baseline).
     """
     rows: list[SchemeRow] = []
+    evaluator = Evaluator(cfg, eps, max_sweeps)
 
-    def build_row(name: str, bias: BiasVector) -> tuple[SchemeRow, FixedPointResult | None]:
-        try:
-            metrics, fp = evaluate_bias(cfg, bias, eps=eps, max_sweeps=max_sweeps)
-        except (SolverError, FloatingPointError):
-            return SchemeRow(name, bias, None, False, False, *(math.nan,) * 3), None
+    def build_row(name: str, bias: BiasVector) -> SchemeRow:
+        outcome = evaluator(bias)
+        if isinstance(outcome, Exception):
+            return SchemeRow(name, bias, None, False, False, *(math.nan,) * 3)
+        metrics, fp = outcome
         feasible = fp.converged and metrics.p_succ > cfg.p_req
         return SchemeRow(
             name, bias, metrics, fp.converged, feasible,
             *_band_shares(cfg, metrics, fp),
-        ), fp
+        )
 
-    nearest, _ = build_row("nearest", power_law_bias(0.0, cfg.t_levels))
+    nearest = build_row("nearest", power_law_bias(0.0, cfg.t_levels))
     rows.append(nearest)
 
     best_beta, best_eta = 0.0, -math.inf
     for beta in betas:
-        try:
-            metrics, fp = evaluate_bias(
-                cfg, power_law_bias(float(beta), cfg.t_levels),
-                eps=eps, max_sweeps=max_sweeps,
-            )
-        except (SolverError, FloatingPointError):
+        outcome = evaluator(power_law_bias(float(beta), cfg.t_levels))
+        if isinstance(outcome, Exception):
             continue
+        metrics, fp = outcome
         if fp.converged and metrics.p_succ > cfg.p_req and metrics.eta_ce > best_eta:
             best_beta, best_eta = float(beta), metrics.eta_ce
-    power_row, _ = build_row(f"power_law_beta_{best_beta:g}", power_law_bias(best_beta, cfg.t_levels))
-    rows.append(power_row)
+    rows.append(build_row(f"power_law_beta_{best_beta:g}", power_law_bias(best_beta, cfg.t_levels)))
 
-    ga_result = ga_optimize(cfg, ga, eps=eps, max_sweeps=max_sweeps)
-    ga_row, _ = build_row("ga", ga_result.best.bias)
+    ga_result = _run_ga(evaluator, ga)
+    ga_row = build_row("ga", ga_result.best.bias)
     ga_row.feasible = ga_result.best.feasible
     rows.append(ga_row)
 

@@ -13,12 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .numerics import NumericError
+
 ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 DEGENERATE_LEVEL = 1e-14
 
 
-class SolverError(RuntimeError):
+class SolverError(NumericError):
     """Stationary solve failed: singular block or residual above tolerance."""
 
 
@@ -170,10 +172,22 @@ def solve_steady_state(gen: QbdGenerator) -> SteadyState:
     pi = np.clip(pi, 0.0, None)
     pi /= pi.sum()
 
-    residual = float(np.abs(pi.reshape(-1) @ gen.assemble()).max())
+    residual = float(np.abs(stationary_residual(gen, pi)).max())
     if not np.isfinite(residual) or residual > RESIDUAL_TOL:
         raise SolverError(f"stationary residual {residual:.3e} exceeds {RESIDUAL_TOL:.0e}")
     return SteadyState(pi=pi, level_marginals=pi.sum(axis=1), residual=residual)
+
+
+def stationary_residual(gen: QbdGenerator, pi: np.ndarray) -> np.ndarray:
+    """``pi @ A`` as (T+1, N+1) level slices, without assembling A.
+
+    Slice i is pi_i D_i + pi_{i-1} L_{i-1} + pi_{i+1} M_{i+1}: the dense
+    generator of a large chain would cost (T+1)^2 (N+1)^2 floats per solve.
+    """
+    out = np.einsum("ij,ijk->ik", pi, gen.d_blocks)
+    out[1:] += np.einsum("ij,ijk->ik", pi[:-1], gen.l_blocks)
+    out[:-1] += np.einsum("ij,ijk->ik", pi[1:], gen.m_blocks[1:])
+    return out
 
 
 def _null_row_vector(q0: np.ndarray) -> np.ndarray:

@@ -6,6 +6,7 @@ import pytest
 from greencell import cli
 from greencell.config import config_hash, load_config
 from greencell.csvio import read_csv
+from greencell.numerics import NumericError
 from greencell.qbd import SolverError
 
 SMALL = {
@@ -71,6 +72,15 @@ class TestErrorPaths:
         code = run(["analyze", cfg_path, "--out", str(tmp_path / "o.csv"), "--beta", "1"])
         assert code == cli.EXIT_NUMERIC
         assert "numeric failure" in capsys.readouterr().err
+
+    def test_kernel_failure_exit_code(self, cfg_path, tmp_path, monkeypatch, capsys):
+        def boom(*a, **kw):
+            raise NumericError("hypergeometric series failed to converge")
+
+        monkeypatch.setattr(cli, "evaluate_bias", boom)
+        code = run(["analyze", cfg_path, "--out", str(tmp_path / "o.csv"), "--beta", "1"])
+        assert code == cli.EXIT_NUMERIC
+        assert "numeric failure: hypergeometric" in capsys.readouterr().err
 
     def test_workers_env_validation(self, cfg_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GREENCELL_WORKERS", "many")

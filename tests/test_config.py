@@ -71,6 +71,14 @@ def test_validation_collects_all_problems():
     ("lambda_b", float("nan")),
     ("tau", -0.1),
     ("delta_t", 0.0),
+    ("n_channels", True),
+    ("t_levels", True),
+    ("mu", True),
+    ("tau", False),
+    ("static_drain_override", True),
+    ("p_req", False),
+    ("p_req", "0.9"),
+    ("p_req", None),
 ])
 def test_single_field_rejection(small_cfg, field, value):
     with pytest.raises(ConfigError, match=field):

@@ -5,6 +5,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from greencell.numerics import (
+    NumericError,
+    _series_one_one,
     exp_power_integral,
     exp_power_integral_vec,
     hyp_one_one_neg,
@@ -105,6 +107,13 @@ def test_integrate_decaying_exponentials():
     assert integrate_decaying(lambda u: u * np.exp(-u), scale=1.0, tol=1e-11) == pytest.approx(
         1.0, abs=1e-9
     )
+
+
+def test_kernel_failures_are_typed():
+    with pytest.raises(NumericError, match="failed to converge"):
+        _series_one_one(1.0, np.array([0.999]))
+    with pytest.raises(NumericError, match="failed to wind down"):
+        integrate_decaying(lambda u: np.ones_like(u), scale=1.0, tol=1e-6, max_panels=4)
 
 
 def test_exp_power_integral_closed_forms():

@@ -6,10 +6,13 @@ from hypothesis import given, strategies as st
 
 from greencell import optimizer
 from greencell.analytics import BiasVector, compute_metrics
+from greencell.numerics import NumericError
 from greencell.optimizer import (
+    Evaluator,
     GaConfig,
     POWER_GRID_DEFAULT,
     _crossover,
+    _evaluate_individual,
     _ga_stream,
     _level_bands,
     _mutate,
@@ -205,3 +208,53 @@ def test_compare_schemes_tiny(small_cfg):
     assert power.delta_e_tot_pct == pytest.approx(
         100.0 * (1.0 - power.metrics.e_tot / nearest.metrics.e_tot), rel=1e-12
     )
+
+
+def _count_calls(monkeypatch, fail_on=None):
+    """Route optimizer.evaluate_bias through a recorder; returns the bias log."""
+    calls = []
+
+    def recording(cfg, bias, **kw):
+        calls.append(bias)
+        if bias == fail_on:
+            raise NumericError("hypergeometric series failed to converge")
+        return evaluate_bias(cfg, bias, **kw)
+
+    monkeypatch.setattr(optimizer, "evaluate_bias", recording)
+    return calls
+
+
+class TestEvaluator:
+    def test_repeat_is_solved_once(self, small_cfg, monkeypatch):
+        calls = _count_calls(monkeypatch)
+        evaluator = Evaluator(small_cfg)
+        first = evaluator(power_law_bias(1.0, small_cfg.t_levels))
+        again = evaluator(power_law_bias(1.0, small_cfg.t_levels))
+        assert len(calls) == 1
+        assert again[0] is first[0] and again[1] is first[1]
+
+    def test_failure_is_cached(self, small_cfg, monkeypatch):
+        flat = power_law_bias(0.0, small_cfg.t_levels)
+        calls = _count_calls(monkeypatch, fail_on=flat)
+        evaluator = Evaluator(small_cfg)
+        first = evaluator(flat)
+        assert isinstance(first, NumericError)
+        assert evaluator(flat) is first
+        assert len(calls) == 1
+
+    def test_numeric_error_penalizes_one_individual(self, small_cfg, monkeypatch):
+        flat = power_law_bias(0.0, small_cfg.t_levels)
+        _count_calls(monkeypatch, fail_on=flat)
+        ga = GaConfig(pop_size=6, max_iters=2, seed=0)
+        ind = _evaluate_individual(Evaluator(small_cfg), flat, ga)
+        assert (ind.fitness, ind.feasible, ind.metrics) == (-ga.penalty, False, None)
+        # The flat profile is seeded into generation 0; the run still finishes.
+        res = ga_optimize(small_cfg, ga)
+        assert res.n_evaluations == 6 * 3
+        assert res.best.bias != flat
+
+    def test_compare_schemes_solves_each_bias_once(self, small_cfg, monkeypatch):
+        calls = _count_calls(monkeypatch)
+        result = compare_schemes(small_cfg, GaConfig(pop_size=6, max_iters=2, seed=0))
+        assert len(calls) == len(set(calls))
+        assert result.ga_result.n_evaluations == 6 * 3

@@ -11,6 +11,7 @@ from greencell.qbd import (
     level_metrics,
     simulate_trajectory,
     solve_steady_state,
+    stationary_residual,
 )
 
 from oracles import dense_null_pi, erlang_b
@@ -72,6 +73,21 @@ def test_backward_recursion_matches_dense_null_space():
         ss = solve_steady_state(gen)
         ref = dense_null_pi(gen.assemble())
         np.testing.assert_allclose(ss.pi.reshape(-1), ref, atol=1e-10)
+
+
+@given(
+    n_channels=st.integers(1, 4),
+    t_levels=st.integers(0, 3),
+    seed=st.integers(0, 2**31),
+)
+def test_blockwise_residual_matches_dense(n_channels, t_levels, seed):
+    rng = np.random.default_rng(seed)
+    params = ChainParams(n_channels, t_levels, *rng.uniform(0.0, 1.0, size=4))
+    gen = build_generator(params, rng.uniform(0.0, 1.0, size=t_levels + 1))
+    pi = rng.dirichlet(np.ones(gen.n_states)).reshape(t_levels + 1, n_channels + 1)
+    dense = pi.reshape(-1) @ gen.assemble()
+    np.testing.assert_allclose(stationary_residual(gen, pi).reshape(-1), dense,
+                               rtol=0, atol=1e-15)
 
 
 def test_steady_state_invariants(small_cfg):
