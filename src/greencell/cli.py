@@ -170,6 +170,9 @@ def cmd_sweep(args, command: str) -> int:
 
     rows = []
     for p in points:
+        if p.error is not None:
+            print(f"warning: sweep point beta={p.beta:g} nu={p.nu:g} failed: {p.error}",
+                  file=sys.stderr)
         m = p.metrics
         rows.append({
             "beta": p.beta,

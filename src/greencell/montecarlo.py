@@ -1,10 +1,10 @@
-"""Spatial Monte-Carlo oracle for association, user-count, and SINR formulas.
+"""Spatial Monte-Carlo oracle for the coverage (SINR) formulas.
 
-Each drop samples one snapshot of the network inside a disc window with the
-typical user at the origin: station positions and battery levels, hotspot
-centers with their clustered users, uniformly spread users.  Per-drop RNG
-streams are counter-based (Philox keyed by seed and drop index), so results
-are reproducible and independent of evaluation order.
+Each drop samples the station pattern inside a disc window around the
+typical user at the origin.  Drops are simulated in blocks of ``BLOCK``;
+block k draws from the counter-based stream keyed (seed, k), so results are
+reproducible and independent of evaluation order.  The block size is part
+of that stream layout: changing it changes every estimate.
 """
 
 from __future__ import annotations
@@ -14,12 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-_KEY_MASK = (1 << 64) - 1
+from .numerics import stream
 
-
-def _stream(seed: int, index: int) -> np.random.Generator:
-    key = np.array([seed & _KEY_MASK, index & _KEY_MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+BLOCK = 128
 
 
 def default_window(cfg) -> float:
@@ -29,74 +26,6 @@ def default_window(cfg) -> float:
 
 def min_window(cfg) -> float:
     return 10.0 / math.sqrt(math.pi * cfg.lambda_b)
-
-
-def _disc_points(rng: np.random.Generator, n: int, radius: float, center=None) -> np.ndarray:
-    r = radius * np.sqrt(rng.random(n))
-    ang = 2.0 * math.pi * rng.random(n)
-    pts = np.column_stack((r * np.cos(ang), r * np.sin(ang)))
-    if center is not None:
-        pts += center
-    return pts
-
-
-@dataclass
-class Realization:
-    """One sampled network snapshot inside the window disc."""
-
-    bs_xy: np.ndarray          # (n_bs, 2)
-    bs_levels: np.ndarray      # (n_bs,) battery level per station
-    hotspot_xy: np.ndarray     # (n_hot, 2)
-    clustered_xy: np.ndarray   # (n_cl, 2) users within hotspot radius of parent
-    cluster_parent: np.ndarray # (n_cl,) index into hotspot_xy
-    uniform_xy: np.ndarray     # (n_uni, 2)
-    window_radius: float
-
-
-def sample_realization(cfg, level_marginals, r_sim: float | None = None,
-                       seed: int = 0, rng: np.random.Generator | None = None) -> Realization:
-    """Draw one snapshot; all counts Poisson, all positions disc-uniform.
-
-    Draw order is fixed (station count, positions, levels; hotspot count,
-    positions, per-hotspot user counts, offsets; uniform count, positions),
-    which is what makes seeded runs bit-reproducible.
-    """
-    if r_sim is None:
-        r_sim = default_window(cfg)
-    if r_sim < min_window(cfg):
-        raise ValueError(
-            f"window radius {r_sim:.3f} below edge-effect guard {min_window(cfg):.3f}"
-        )
-    if rng is None:
-        rng = _stream(seed, 0)
-    pi = np.asarray(level_marginals, dtype=float)
-    area = math.pi * r_sim**2
-
-    n_bs = rng.poisson(cfg.lambda_b * area)
-    bs_xy = _disc_points(rng, n_bs, r_sim)
-    cum = np.cumsum(pi)
-    cum[-1] = 1.0
-    bs_levels = np.searchsorted(cum, rng.random(n_bs), side="right")
-
-    n_hot = rng.poisson(cfg.lambda_p * area)
-    hotspot_xy = _disc_points(rng, n_hot, r_sim)
-    per_hot = rng.poisson(cfg.mean_cluster_users, size=n_hot)
-    cluster_parent = np.repeat(np.arange(n_hot), per_hot)
-    offsets = _disc_points(rng, int(per_hot.sum()), cfg.hotspot_radius)
-    clustered_xy = hotspot_xy[cluster_parent] + offsets if n_hot else offsets
-
-    n_uni = rng.poisson(cfg.lambda_u1 * area)
-    uniform_xy = _disc_points(rng, n_uni, r_sim)
-
-    return Realization(
-        bs_xy=bs_xy,
-        bs_levels=bs_levels,
-        hotspot_xy=hotspot_xy,
-        clustered_xy=clustered_xy,
-        cluster_parent=cluster_parent,
-        uniform_xy=uniform_xy,
-        window_radius=r_sim,
-    )
 
 
 @dataclass
@@ -116,6 +45,13 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
     with its level's occupancy probability; all links fade exponentially.
     Only the station pattern matters here, so user processes are not drawn.
     A drop with an empty window counts as failure.
+
+    Stations are drawn by independent thinning: per drop, one Poisson count
+    for each (level, active/idle) class, with mean lambda_b * area * pi_i *
+    p_occu_i for active and lambda_b * area * pi_i * (1 - p_occu_i) for idle
+    stations.  That has the same law as marking each station of one Poisson
+    pattern with a level and an activity.  Fading is drawn only for the
+    links it enters: the active interferers and the serving station.
     """
     if n_drops < 1:
         raise ValueError("need at least one drop")
@@ -126,112 +62,76 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
             f"window radius {r_sim:.3f} below edge-effect guard {min_window(cfg):.3f}"
         )
     pi = np.asarray(level_marginals, dtype=float)
-    cum = np.cumsum(pi)
-    cum[-1] = 1.0
     b = np.asarray(bias.values if hasattr(bias, "values") else bias, dtype=float)
-    occ = np.asarray(p_occu, dtype=float)
+    # An occupancy a rounding error above 1 would make the idle mean negative.
+    occ = np.clip(np.asarray(p_occu, dtype=float), 0.0, 1.0)
     lam_area = cfg.lambda_b * math.pi * r_sim**2
     half_alpha = cfg.alpha / 2.0
 
-    hits = np.zeros(n_drops)
-    for d in range(n_drops):
-        rng = _stream(seed, d)
-        n = rng.poisson(lam_area)
-        if n == 0:
-            continue
-        r2 = r_sim**2 * rng.random(n)
-        levels = np.searchsorted(cum, rng.random(n), side="right")
-        path = r2 ** (-half_alpha)
-        serving = int(np.argmax(b[levels] * path))
-        fading = rng.standard_exponential(n)
-        active = rng.random(n) < occ[levels]
-        active[serving] = False
-        interference = cfg.p_t * float((fading[active] * path[active]).sum())
-        signal = cfg.p_t * fading[serving] * path[serving]
-        if signal > cfg.tau * (cfg.noise_power + interference):
-            hits[d] = 1.0
-    mean = float(hits.mean())
-    std = float(hits.std(ddof=1)) if n_drops > 1 else 0.0
+    # Class c = 2 * level + (0 active, 1 idle).  A block's stations are laid
+    # out drop by drop and, within a drop, class by class, so every
+    # (drop, class) pair is one contiguous segment.
+    class_mean = (lam_area * pi[:, None] * np.column_stack((occ, 1.0 - occ))).ravel()
+    class_bias = np.repeat(b, 2)
+    class_active = np.tile([True, False], pi.size)
+    n_class = class_mean.size
+
+    def block_hits(rng: np.random.Generator, m: int) -> int:
+        """Successes among ``m`` drops drawn from ``rng``.
+
+        A function, so that one block's arrays are freed before the next
+        block allocates its own.
+        """
+        counts = rng.poisson(class_mean, size=(m, n_class))
+        seg = counts.ravel()
+        r2 = rng.random(seg.sum())
+        r2 *= r_sim**2
+        served = np.flatnonzero(counts.sum(axis=1))
+        if served.size == 0:
+            return 0
+
+        # Serving station: the largest bias * r2^(-alpha/2) of its drop.  A
+        # class shares one bias, so only the nearest station of each segment
+        # competes; ties between classes go to the first class.
+        seg_start = np.cumsum(seg) - seg
+        filled = seg > 0
+        nearest = np.full(seg.size, np.inf)
+        nearest[filled] = np.minimum.reduceat(r2, seg_start[filled])
+        weight = class_bias * nearest.reshape(m, n_class) ** (-half_alpha)
+        serv_seg = served * n_class + weight[served].argmax(axis=1)
+        # Its index: the first station of its segment at that distance.
+        lens = seg[serv_seg]
+        offsets = np.cumsum(lens) - lens
+        idx = np.arange(lens.sum()) + np.repeat(seg_start[serv_seg] - offsets, lens)
+        match = idx[r2[idx] == np.repeat(nearest[serv_seg], lens)]
+        serving = match[np.searchsorted(match, seg_start[serv_seg])]
+
+        # Interferers: the active stations other than the serving one, kept
+        # in drop order.  Only they and the serving link draw fading.
+        interferer = np.repeat(np.tile(class_active, m), seg)
+        interferer[serving] = False
+        received = r2[interferer]
+        np.power(received, -half_alpha, out=received)
+        received *= rng.standard_exponential(received.size)
+        n_int = counts[served][:, class_active].sum(axis=1) - class_active[serv_seg % n_class]
+        some = n_int > 0
+        interference = np.zeros(served.size)
+        if some.any():
+            interference[some] = np.add.reduceat(received, (np.cumsum(n_int) - n_int)[some])
+        interference *= cfg.p_t
+        signal = (cfg.p_t * rng.standard_exponential(served.size)
+                  * nearest[serv_seg] ** (-half_alpha))
+        return int(np.count_nonzero(signal > cfg.tau * (cfg.noise_power + interference)))
+
+    hits = sum(block_hits(stream(seed, k), min(BLOCK, n_drops - first))
+               for k, first in enumerate(range(0, n_drops, BLOCK)))
+
+    mean = hits / n_drops
+    # ddof=1 standard deviation of n_drops Bernoulli outcomes with hits ones.
+    std = math.sqrt(n_drops * mean * (1.0 - mean) / (n_drops - 1)) if n_drops > 1 else 0.0
     return McEstimate(
         mean=mean,
         half_width_95=1.96 * std / math.sqrt(n_drops),
-        n_samples=n_drops,
-        seed=seed,
-    )
-
-
-@dataclass
-class SharesEstimate:
-    """Empirical association shares and users-per-station, by battery level."""
-
-    assoc_share: np.ndarray
-    assoc_share_half_width: np.ndarray
-    users_per_bs: np.ndarray
-    users_per_bs_half_width: np.ndarray
-    n_samples: int
-    seed: int
-
-
-def estimate_shares(cfg, level_marginals, bias, n_drops: int,
-                    seed: int = 0, r_sim: float | None = None) -> SharesEstimate:
-    """Empirical association split and per-station load.
-
-    Uniform users pick their own serving station; clustered users inherit
-    their hotspot center's choice, so a whole cluster lands on one station.
-    Drops with no stations or no users are skipped for the affected
-    statistic.
-    """
-    if r_sim is None:
-        r_sim = default_window(cfg)
-    pi = np.asarray(level_marginals, dtype=float)
-    n_levels = pi.size
-    b = np.asarray(bias.values if hasattr(bias, "values") else bias, dtype=float)
-    half_alpha = cfg.alpha / 2.0
-
-    share_rows = np.full((n_drops, n_levels), np.nan)
-    upb_rows = np.full((n_drops, n_levels), np.nan)
-    for d in range(n_drops):
-        rng = _stream(seed, d)
-        real = sample_realization(cfg, pi, r_sim=r_sim, rng=rng)
-        if real.bs_xy.shape[0] == 0:
-            continue
-        weights = b[real.bs_levels]
-
-        def serving_levels(points: np.ndarray) -> np.ndarray:
-            if points.shape[0] == 0:
-                return np.empty(0, dtype=int)
-            d2 = ((points[:, None, :] - real.bs_xy[None, :, :]) ** 2).sum(axis=2)
-            choice = np.argmax(weights[None, :] * d2 ** (-half_alpha), axis=1)
-            return real.bs_levels[choice]
-
-        uni_levels = serving_levels(real.uniform_xy)
-        center_levels = serving_levels(real.hotspot_xy)
-        cl_levels = center_levels[real.cluster_parent] if real.cluster_parent.size else np.empty(0, dtype=int)
-
-        counts = np.bincount(uni_levels, minlength=n_levels) + np.bincount(
-            cl_levels, minlength=n_levels
-        )
-        total_users = counts.sum()
-        if total_users > 0:
-            share_rows[d] = counts / total_users
-        bs_counts = np.bincount(real.bs_levels, minlength=n_levels)
-        present = bs_counts > 0
-        upb_rows[d, present] = counts[present] / bs_counts[present]
-
-    def reduce(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        n_valid = np.sum(~np.isnan(rows), axis=0)
-        mean = np.nanmean(rows, axis=0)
-        std = np.nanstd(rows, axis=0, ddof=1)
-        half = 1.96 * std / np.sqrt(np.maximum(n_valid, 1))
-        return mean, half
-
-    share_mean, share_half = reduce(share_rows)
-    upb_mean, upb_half = reduce(upb_rows)
-    return SharesEstimate(
-        assoc_share=share_mean,
-        assoc_share_half_width=share_half,
-        users_per_bs=upb_mean,
-        users_per_bs_half_width=upb_half,
         n_samples=n_drops,
         seed=seed,
     )

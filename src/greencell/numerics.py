@@ -2,7 +2,9 @@
 
 Everything here is plain numpy so that array-valued inputs vectorize; the
 callers in :mod:`greencell.analytics` lean on that to evaluate whole grids of
-interference terms in one shot.
+interference terms in one shot.  :func:`stream` is the one maker of
+counter-based random streams for the samplers (Monte-Carlo drops, GA
+generations, chain trajectories).
 """
 
 from __future__ import annotations
@@ -13,10 +15,23 @@ import numpy as np
 
 _SERIES_TOL = 1e-16
 _SERIES_CAP = 400
+_KEY_MASK = (1 << 64) - 1
 
 
 class NumericError(RuntimeError):
     """A numeric kernel or solver failed on an input that passed validation."""
+
+
+def stream(*words: int) -> np.random.Generator:
+    """Philox generator keyed by one or two integers, e.g. (seed, block).
+
+    The key is the words reduced mod 2**64, padded with zeros to Philox's two
+    key words, so ``stream(s)`` draws what ``Philox(key=s)`` draws.  Distinct
+    keys give independent streams whatever order they are used in, which is
+    what keeps parallel runs identical to serial ones (Salmon et al., SC'11).
+    """
+    key = [w & _KEY_MASK for w in words] + [0] * (2 - len(words))
+    return np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
 
 
 def _series_one_one(c: float, x: np.ndarray) -> np.ndarray:

@@ -22,12 +22,10 @@ import numpy as np
 from .analytics import BiasVector, NetworkMetrics, compute_metrics
 from .config import NetworkConfig
 from .fixedpoint import DEFAULT_EPS, DEFAULT_MAX_SWEEPS, FixedPointResult, solve
-from .numerics import NumericError
+from .numerics import NumericError, stream
 
 POWER_GRID_DEFAULT = tuple(0.5 * k for k in range(9))  # 0, 0.5, ..., 4
 ETA_CAP = 1e18
-
-_KEY_MASK = (1 << 64) - 1
 
 
 def power_law_bias(beta: float, t_levels: int) -> BiasVector:
@@ -167,11 +165,6 @@ class GaResult:
     n_evaluations: int
 
 
-def _ga_stream(seed: int, generation: int) -> np.random.Generator:
-    key = np.array([seed & _KEY_MASK, generation & _KEY_MASK], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
-
-
 def _evaluate_individual(evaluator: Evaluator, bias: BiasVector, ga: GaConfig) -> Individual:
     outcome = evaluator(bias)
     if isinstance(outcome, Exception):
@@ -264,7 +257,7 @@ def _run_ga(evaluator: Evaluator, ga: GaConfig | None) -> GaResult:
     """The search behind :func:`ga_optimize`, solving through ``evaluator``."""
     if ga is None:
         ga = GaConfig()
-    rng0 = _ga_stream(ga.seed, 0)
+    rng0 = stream(ga.seed, 0)
     population = [
         _evaluate_individual(evaluator, b, ga)
         for b in _seed_population(evaluator.cfg, ga, rng0)
@@ -274,7 +267,7 @@ def _run_ga(evaluator: Evaluator, ga: GaConfig | None) -> GaResult:
     history = [_stats(0, population)]
 
     for gen in range(1, ga.max_iters + 1):
-        rng = _ga_stream(ga.seed, gen)
+        rng = stream(ga.seed, gen)
         fitness = np.array([ind.fitness for ind in population])
         parents = _roulette(rng, fitness, ga.pop_size)
         offspring: list[BiasVector] = []

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericError
+from .numerics import NumericError, stream
 
 ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -275,7 +275,7 @@ def simulate_trajectory(params_or_cfg, rho, n_events: int, seed: int = 0) -> np.
             targets.append(tuple(tgt for _, tgt in moves))
             inv_rate.append(1.0 / total)
 
-    rng = np.random.Generator(np.random.Philox(key=np.uint64(seed)))
+    rng = stream(seed)
     occ = [0.0] * n_states
     state = 0
     done = 0

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from greencell import cli
+from greencell import cli, optimizer
 from greencell.config import config_hash, load_config
 from greencell.csvio import read_csv
 from greencell.numerics import NumericError
@@ -170,6 +170,26 @@ class TestSweep:
         assert fields_s == fields_p
         assert rows_s == rows_p  # identical values, digit for digit
 
+    def test_failed_point_warns(self, cfg_path, tmp_path, monkeypatch, capsys):
+        real = optimizer.evaluate_bias
+
+        def flaky(cfg, bias, **kw):
+            if bias.values[1] == 2.0:  # beta = 1
+                raise NumericError("synthetic blowup")
+            return real(cfg, bias, **kw)
+
+        monkeypatch.setattr(optimizer, "evaluate_bias", flaky)
+        monkeypatch.setenv("GREENCELL_WORKERS", "1")
+        out = str(tmp_path / "sweep.csv")
+        assert run(["sweep", cfg_path, "--out", out, "--betas", "0,1"]) == cli.EXIT_OK
+        err = capsys.readouterr().err
+        assert err == "warning: sweep point beta=1 nu=40 failed: synthetic blowup\n"
+        _, fields, rows = read_csv(out)
+        assert fields == ["beta", "nu", "p_succ", "e_tot", "eta_ee", "eta_ce",
+                          "p_grid", "converged"]
+        assert [r["converged"] for r in rows] == ["true", "false"]
+        assert rows[1]["p_succ"] == "nan"
+
 
 class TestValidate:
     def test_layout_and_agreement(self, cfg_path, tmp_path, capsys):
@@ -195,6 +215,19 @@ class TestValidate:
         first = open(out, "rb").read()
         assert run(argv) == cli.EXIT_OK
         assert open(out, "rb").read() == first
+
+    def test_parallel_matches_serial(self, cfg_path, tmp_path, monkeypatch, capsys):
+        argv_tail = ["--betas", "0,1,2", "--drops", "300", "--seed", "4"]
+        serial = str(tmp_path / "serial.csv")
+        monkeypatch.setenv("GREENCELL_WORKERS", "1")
+        assert run(["validate", cfg_path, "--out", serial] + argv_tail) == cli.EXIT_OK
+        parallel = str(tmp_path / "parallel.csv")
+        monkeypatch.setenv("GREENCELL_WORKERS", "2")
+        assert run(["validate", cfg_path, "--out", parallel] + argv_tail) == cli.EXIT_OK
+        _, fields_s, rows_s = read_csv(serial)
+        _, fields_p, rows_p = read_csv(parallel)
+        assert fields_s == fields_p
+        assert rows_s == rows_p  # identical values, digit for digit
 
 
 class TestOptimize:

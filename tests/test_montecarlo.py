@@ -5,12 +5,12 @@ import numpy as np
 import pytest
 
 from greencell.analytics import BiasVector, association_split, average_users, success_probability
-from greencell.montecarlo import (
+from greencell.montecarlo import BLOCK, default_window, estimate_success, min_window
+from oracles import (
     Realization,
-    default_window,
     estimate_shares,
-    estimate_success,
-    min_window,
+    estimate_success_blockwise,
+    estimate_success_per_drop,
     sample_realization,
 )
 
@@ -117,6 +117,54 @@ class TestEstimateSuccess:
         est = estimate_success(cfg, pi, bias, occ, 20_000, seed=0)
         _, analytic = success_probability(pi, bias, occ, cfg)
         assert abs(est.mean - analytic) < 2.0 * est.half_width_95
+
+    def test_matches_per_drop_oracle(self, small_cfg):
+        # Thinned per-class counts against explicit per-station level and
+        # activity marks: same law, independent streams.
+        cfg = dataclasses.replace(small_cfg, tau=1.0)
+        pi = np.array([0.1, 0.2, 0.3, 0.4])
+        bias = BiasVector((1.0, 2.0, 4.0, 8.0))
+        occ = np.array([0.1, 0.3, 0.5, 0.9])
+        est = estimate_success(cfg, pi, bias, occ, 6000, seed=11)
+        mean, half_width = estimate_success_per_drop(cfg, pi, bias, occ, 6000, seed=11)
+        assert 0.1 < mean < 0.9
+        assert abs(est.mean - mean) < 3.0 * math.hypot(est.half_width_95, half_width)
+
+    @pytest.mark.parametrize("bias, occ, n_drops", [
+        ((1.0, 1.0, 1.0, 1.0), (0.5, 0.5, 0.5, 0.5), 300),
+        ((1.0, 2.0, 4.0, 8.0), (0.1, 0.3, 0.5, 0.9), 2 * BLOCK + 7),
+        ((1.0, 64.0, 1.5, 3.0), (1.0, 0.0, 1.0, 0.2), BLOCK + 1),
+        ((1.0, 2.0, 4.0, 8.0), (0.0, 0.0, 0.0, 0.0), 40),
+        ((1.0, 3.0, 9.0, 27.0), (1.0, 1.0, 1.0, 1.0), 1),
+    ])
+    def test_matches_blockwise_oracle(self, small_cfg, bias, occ, n_drops):
+        # Same draws, reduced drop by drop with a plain argmax: exact match.
+        pi = np.array([0.05, 0.15, 0.3, 0.5])
+        est = estimate_success(small_cfg, pi, BiasVector(bias), np.array(occ), n_drops, seed=6)
+        assert est.mean == estimate_success_blockwise(
+            small_cfg, pi, BiasVector(bias), np.array(occ), n_drops, seed=6, block=BLOCK)
+
+    @pytest.mark.parametrize("n_drops", [1, BLOCK - 1, BLOCK, BLOCK + 1, 300])
+    def test_block_edges(self, small_cfg, n_drops):
+        pi = np.full(4, 0.25)
+        bias = BiasVector((1.0, 1.5, 2.0, 3.0))
+        occ = np.full(4, 0.5)
+        est = estimate_success(small_cfg, pi, bias, occ, n_drops, seed=3)
+        assert est.n_samples == n_drops
+        assert est == estimate_success(small_cfg, pi, bias, occ, n_drops, seed=3)
+        if n_drops == 1:
+            assert est.half_width_95 == 0.0
+        else:
+            p = est.mean
+            assert est.half_width_95 == pytest.approx(
+                1.96 * math.sqrt(p * (1 - p) / (n_drops - 1)), rel=1e-12)
+
+    def test_occupancy_rounded_above_one(self, small_cfg):
+        pi = np.full(4, 0.25)
+        bias = BiasVector.flat(3)
+        full = estimate_success(small_cfg, pi, bias, np.ones(4), 200, seed=4)
+        over = estimate_success(small_cfg, pi, bias, np.full(4, 1.0 + 4e-16), 200, seed=4)
+        assert over == full
 
     def test_rejects_empty_sample(self, small_cfg):
         with pytest.raises(ValueError):

@@ -13,6 +13,7 @@ from greencell.numerics import (
     integrate_decaying,
     interference_factor,
     simpson_adaptive,
+    stream,
 )
 
 from oracles import midpoint, z_defining_integral
@@ -157,3 +158,14 @@ def test_exp_power_integral_against_midpoint():
         hi = 60.0 / (1.0 + kappa) ** (1.0 / p)
         ref = midpoint(lambda v: np.exp(-kappa * v**p - v), 0.0, max(hi, 60.0), 400_000)
         assert exp_power_integral(kappa, p) == pytest.approx(ref, rel=1e-7)
+
+
+def test_stream_keys():
+    def philox(key):
+        return np.random.Generator(np.random.Philox(key=key)).random(4)
+
+    # One word keys like Philox(key=seed); words wrap mod 2**64.
+    np.testing.assert_array_equal(stream(7).random(4), philox(np.uint64(7)))
+    np.testing.assert_array_equal(stream(7, 3).random(4), philox([7, 3]))
+    np.testing.assert_array_equal(stream(-1, 2**64 + 5).random(4), philox(np.array([2**64 - 1, 5], dtype=np.uint64)))
+    assert not np.array_equal(stream(7, 3).random(4), stream(7, 4).random(4))

@@ -6,14 +6,13 @@ from hypothesis import given, strategies as st
 
 from greencell import optimizer
 from greencell.analytics import BiasVector, compute_metrics
-from greencell.numerics import NumericError
+from greencell.numerics import NumericError, stream
 from greencell.optimizer import (
     Evaluator,
     GaConfig,
     POWER_GRID_DEFAULT,
     _crossover,
     _evaluate_individual,
-    _ga_stream,
     _level_bands,
     _mutate,
     _roulette,
@@ -95,7 +94,7 @@ def test_ga_config_validation(kwargs):
 
 def test_seed_population_contents(small_cfg):
     ga = GaConfig(pop_size=12, b_min=1.0, b_max=64.0)
-    pop = _seed_population(small_cfg, ga, _ga_stream(0, 0))
+    pop = _seed_population(small_cfg, ga, stream(0, 0))
     assert len(pop) == 12
     assert all(b.values[0] == 1.0 for b in pop)
     assert all(ga.b_min <= g <= ga.b_max for b in pop for g in b.values[1:])
@@ -111,14 +110,14 @@ def test_seed_population_contents(small_cfg):
 def test_seed_population_tight_bounds(small_cfg):
     # Bounds that exclude every non-flat power law still fill with randoms.
     ga = GaConfig(pop_size=5, b_min=1.0, b_max=1.5)
-    pop = _seed_population(small_cfg, ga, _ga_stream(3, 0))
+    pop = _seed_population(small_cfg, ga, stream(3, 0))
     assert len(pop) == 5
     assert all(1.0 <= g <= 1.5 for b in pop for g in b.values[1:])
 
 
 @given(seed=st.integers(0, 1000))
 def test_crossover_preserves_pinned_gene_and_bounds(seed):
-    rng = _ga_stream(seed, 1)
+    rng = stream(seed, 1)
     a = BiasVector((1.0, 2.0, 3.0, 4.0))
     b = BiasVector((1.0, 20.0, 30.0, 40.0))
     c1, c2 = _crossover(rng, a, b, p_cross=1.0)
@@ -130,7 +129,7 @@ def test_crossover_preserves_pinned_gene_and_bounds(seed):
 
 @given(seed=st.integers(0, 1000))
 def test_mutation_respects_bounds(seed):
-    rng = _ga_stream(seed, 2)
+    rng = stream(seed, 2)
     ga = GaConfig(b_min=0.5, b_max=8.0, p_mutation=1.0)
     out = _mutate(rng, BiasVector((1.0, 2.0, 2.0, 2.0)), ga)
     assert out.values[0] == 1.0
@@ -140,7 +139,7 @@ def test_mutation_respects_bounds(seed):
 
 
 def test_crossover_noop_without_draw():
-    rng = _ga_stream(0, 5)
+    rng = stream(0, 5)
     a = BiasVector((1.0, 2.0))
     b = BiasVector((1.0, 3.0))
     c1, c2 = _crossover(rng, a, b, p_cross=0.0)
@@ -148,7 +147,7 @@ def test_crossover_noop_without_draw():
 
 
 def test_roulette_indices_valid_and_fallback():
-    rng = _ga_stream(1, 1)
+    rng = stream(1, 1)
     fitness = np.array([1.0, 2.0, 3.0])
     idx = _roulette(rng, fitness, 20)
     assert idx.shape == (20,)
