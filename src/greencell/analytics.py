@@ -4,30 +4,29 @@ All formulas condition on the battery-level classes of the base stations: a
 level-i station advertises bias B_i, so the plane splits into T+1 thinned
 point processes whose densities follow the battery marginals.  Success
 probabilities reduce to one semi-infinite integral per tier; throughput needs
-that integral across a whole threshold sweep, so a batched evaluation path
-shares the quadrature grid over tiers.
+that integral across a whole threshold sweep, which one fixed Gauss-Legendre
+rule evaluates for all tiers at once.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import (
-    exp_power_integral_vec,
-    hyp_one_one_neg,
-    integrate_decaying,
-    interference_factor,
-    simpson_adaptive,
-)
+from .numerics import exp_power_integral_vec, gauss_legendre_panels, hyp_one_one_neg
 
-SUCCESS_TOL = 1e-9        # absolute tolerance of the success-probability integral
-RATE_TOL = 1e-7           # tolerance of the outer throughput integral
 RATE_T_CAP = 40.0         # hard upper limit of the rate integral (threshold 2^40)
 RATE_TAIL_FRACTION = 1e-6 # stop once a panel adds less than this fraction
+
+# Panels of the threshold exponent t: graded towards t = 0, where
+# P_succ(2^t - 1) can behave like 1 - c sqrt(t) under strong biases, then
+# 2 wide up to the cap.
+_RATE_NODES, _RATE_WEIGHTS = gauss_legendre_panels(
+    np.concatenate([[0.0], 4.0 ** np.arange(-3, 1), np.arange(2.0, RATE_T_CAP + 1.0, 2.0)])
+)
 
 
 @dataclass(frozen=True)
@@ -78,51 +77,22 @@ def association_split(level_marginals, bias: BiasVector, cfg) -> TierSplit:
     return TierSplit(p_assoc=weights / weights.sum(), lambda_tier=lam)
 
 
-def interference_coefficient(i: int, level_marginals, bias: BiasVector, p_occu, cfg, tau: float | None = None) -> float:
-    """Effective interferer density seen by a user served at level i.
+def interference_factor(tau, alpha: float, bias_ratio) -> np.ndarray | float:
+    """Normalized interference weight of one base-station class.
 
-    The geometric term counts every station of each class inside the serving
-    class's distance scale; the fading term adds the classes' active-channel
-    interference weighted by their occupancy.
+    For SINR threshold ``tau`` and a class whose bias exceeds the serving
+    one's by ``bias_ratio``, this is the extra interference mass the class
+    contributes per unit density, relative to the serving-class distance
+    scale.  Broadcasts over ``tau`` and ``bias_ratio``.
     """
-    if tau is None:
-        tau = cfg.tau
-    b = bias.as_array()
-    lam = cfg.lambda_b * np.asarray(level_marginals, dtype=float)
-    ratios = b / b[i]
-    z = interference_factor(tau, cfg.alpha, ratios)
-    return float((lam * (ratios ** (2.0 / cfg.alpha) + np.asarray(p_occu, float) * z)).sum())
-
-
-def success_probability_tier(i: int, level_marginals, bias: BiasVector, p_occu, cfg, tau: float | None = None) -> float:
-    """Success probability conditioned on being served by a level-i station.
-
-    Direct adaptive quadrature of the noise-and-interference integral after
-    the u = x^2 substitution.  Empty tiers (no stations at level i) have no
-    conditional distribution; the probability is defined as 0 there.
-    """
-    if tau is None:
-        tau = cfg.tau
-    pi = np.asarray(level_marginals, dtype=float)
-    if pi[i] == 0.0:
-        return 0.0
-    b = bias.as_array()
-    lam = cfg.lambda_b * pi
-    ratios = b / b[i]
-    scale_i = float((lam * ratios ** (2.0 / cfg.alpha)).sum())
-    c_i = interference_coefficient(i, level_marginals, bias, p_occu, cfg, tau)
-    noise_coef = tau * cfg.noise_power / cfg.p_t
-    decay = math.pi * c_i
-    if noise_coef == 0.0:
-        return min(1.0, scale_i / c_i)
-    half_alpha = cfg.alpha / 2.0
-    u_scale = min(1.0 / decay, noise_coef ** (-1.0 / half_alpha))
-    integral = integrate_decaying(
-        lambda u: np.exp(-noise_coef * u**half_alpha - decay * u),
-        scale=u_scale,
-        tol=SUCCESS_TOL,
-    )
-    return float(np.clip(math.pi * scale_i * integral, 0.0, 1.0))
+    tau = np.asarray(tau, dtype=float)
+    r = np.asarray(bias_ratio, dtype=float)
+    if np.any(tau < 0.0):
+        raise ValueError("tau must be nonnegative")
+    if np.any(r <= 0.0):
+        raise ValueError("bias_ratio must be positive")
+    f = hyp_one_one_neg(alpha, tau / r)
+    return 2.0 * tau / (alpha - 2.0) * r ** (2.0 / alpha - 1.0) * f
 
 
 def _success_grid(taus: np.ndarray, level_marginals, bias: BiasVector, p_occu, cfg) -> np.ndarray:
@@ -141,15 +111,7 @@ def _success_grid(taus: np.ndarray, level_marginals, bias: BiasVector, p_occu, c
     geom = ratios ** (2.0 / cfg.alpha)
     scale = geom @ lam                          # per-tier total geometric weight
 
-    y = taus[:, None, None] / ratios[None, :, :]
-    f = hyp_one_one_neg(cfg.alpha, y.reshape(-1)).reshape(y.shape)
-    z = (
-        2.0
-        * taus[:, None, None]
-        / (cfg.alpha - 2.0)
-        * ratios[None, :, :] ** (2.0 / cfg.alpha - 1.0)
-        * f
-    )
+    z = interference_factor(taus[:, None, None], cfg.alpha, ratios[None, :, :])
     c = scale[None, :] + z @ (lam * p_occ)      # (K, T+1)
 
     noise_coef = taus * cfg.noise_power / cfg.p_t
@@ -192,89 +154,26 @@ def average_users(level_marginals, bias: BiasVector, cfg) -> np.ndarray:
     return comps.clustered + comps.uniform
 
 
-def throughput_time_integral(p_succ_fn: Callable[[float], float], tol: float = RATE_TOL,
-                             t_cap: float = RATE_T_CAP, tail_frac: float = RATE_TAIL_FRACTION) -> float:
-    """Integral of P_succ(2^t - 1) over t in [0, t_cap] with early truncation."""
-
-    def integrand(ts: np.ndarray) -> np.ndarray:
-        return np.array([p_succ_fn(2.0**t - 1.0) for t in np.atleast_1d(ts)])
-
-    total = 0.0
-    edge, width = 0.0, 2.0
-    while edge < t_cap:
-        part = simpson_adaptive(integrand, edge, min(edge + width, t_cap), tol)
-        total += part
-        edge += width
-        if part < tail_frac * total:
-            break
-    return total
-
-
-def expected_rate_tier(i: int, p_block_i: float, p_succ_fn: Callable[[float], float], cfg) -> float:
-    """Expected per-user throughput at tier i, single-tier quadrature path."""
-    admitted = 1.0 - p_block_i
-    if admitted <= 0.0:
-        return 0.0
-    base = p_succ_fn(cfg.tau)
-    if base == 0.0:
-        return 0.0
-    return cfg.rate_scale * admitted * base * throughput_time_integral(p_succ_fn)
-
-
 def expected_rates(level_marginals, bias: BiasVector, p_occu, p_block, cfg):
     """Per-tier rates plus tier/mixture success at the configured threshold.
 
-    Batched variant of :func:`expected_rate_tier`: all tiers share one
-    adaptive grid over the threshold exponent, and the per-tier Simpson
-    refinement criterion is applied to the whole vector at once.
+    The rate of tier i is rate_scale (1 - p_block_i) P_i(tau) times the
+    integral of P_i(2^t - 1) over t in [0, RATE_T_CAP], taken panel by panel
+    with the fixed rule for all tiers at once; it stops after the first panel
+    that adds less than RATE_TAIL_FRACTION to every live tier's total.
     """
-
-    def grid(ts: np.ndarray) -> np.ndarray:
-        return _success_grid(2.0 ** np.atleast_1d(ts) - 1.0, level_marginals, bias, p_occu, cfg)
-
     pi = np.asarray(level_marginals, dtype=float)
-    n_tiers = pi.size
     live = pi > 0.0
-    totals = np.zeros(n_tiers)
-    edge, width = 0.0, 2.0
-    while edge < RATE_T_CAP:
-        part = _simpson_panel_vec(grid, edge, min(edge + width, RATE_T_CAP), RATE_TOL)
+    totals = np.zeros(pi.size)
+    for ts, ws in zip(_RATE_NODES, _RATE_WEIGHTS):
+        part = ws @ _success_grid(2.0**ts - 1.0, level_marginals, bias, p_occu, cfg)
         totals += part
-        edge += width
         if live.any() and np.all(part[live] < RATE_TAIL_FRACTION * totals[live]):
             break
 
-    tier_at_tau = _success_grid(np.array([cfg.tau]), level_marginals, bias, p_occu, cfg)[0]
-    split = association_split(level_marginals, bias, cfg)
-    p_succ = float((tier_at_tau * split.p_assoc).sum())
+    tier_at_tau, p_succ = success_probability(level_marginals, bias, p_occu, cfg)
     rates = cfg.rate_scale * (1.0 - np.asarray(p_block, float)) * tier_at_tau * totals
     return rates, tier_at_tau, p_succ
-
-
-def _simpson_panel_vec(fvec, a: float, b: float, tol: float, max_depth: int = 12) -> np.ndarray:
-    """Adaptive Simpson on one panel for a vector-valued integrand."""
-    x = np.linspace(a, b, 5)
-    fx = fvec(x)
-    s_prev = _composite_vec(fx[::2], (b - a) / 2.0)
-    s = _composite_vec(fx, (b - a) / 4.0)
-    for _ in range(max_depth):
-        if np.abs(s - s_prev).max() < 15.0 * tol:
-            return s + (s - s_prev) / 15.0
-        mid = 0.5 * (x[:-1] + x[1:])
-        fmid = fvec(mid)
-        x_new = np.empty(x.size + mid.size)
-        x_new[0::2], x_new[1::2] = x, mid
-        f_new = np.empty((x_new.size,) + fx.shape[1:])
-        f_new[0::2], f_new[1::2] = fx, fmid
-        x, fx = x_new, f_new
-        s_prev, s = s, _composite_vec(fx, x[1] - x[0])
-    return s
-
-
-def _composite_vec(values: np.ndarray, h: float) -> np.ndarray:
-    return h / 3.0 * (
-        values[0] + values[-1] + 4.0 * values[1:-1:2].sum(axis=0) + 2.0 * values[2:-2:2].sum(axis=0)
-    )
 
 
 def area_throughput(users, rho, rate_tier, p_assoc, cfg) -> float:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import analytics, qbd
+from .numerics import NumericError
 
 DEFAULT_EPS = 1e-8
 DEFAULT_MAX_SWEEPS = 100
@@ -22,10 +23,14 @@ def arrival_map(users, cfg) -> np.ndarray:
     """Per-level arrival rates from mean user counts.
 
     Identity by default; the affine knobs cover units where one user does
-    not translate into exactly one call per unit time.
+    not translate into exactly one call per unit time.  Rates that overflow
+    raise :class:`NumericError`.
     """
     u = np.asarray(users, dtype=float)
-    return cfg.arrival_scale * u + cfg.arrival_offset
+    rho = cfg.arrival_scale * u + cfg.arrival_offset
+    if not np.all(np.isfinite(rho)):
+        raise NumericError("arrival rates are not finite")
+    return rho
 
 
 @dataclass

@@ -2,9 +2,11 @@
 
 Everything here is plain numpy so that array-valued inputs vectorize; the
 callers in :mod:`greencell.analytics` lean on that to evaluate whole grids of
-interference terms in one shot.  :func:`stream` is the one maker of
-counter-based random streams for the samplers (Monte-Carlo drops, GA
-generations, chain trajectories).
+interference terms in one shot.  Every integral is done by one fixed
+16-point Gauss-Legendre rule on fixed panels (:func:`gauss_legendre_panels`);
+the fading integral takes a rigorous small-kappa series instead where its
+remainder bound allows.  :func:`stream` is the one maker of counter-based
+random streams for the samplers (Monte-Carlo drops, GA generations).
 """
 
 from __future__ import annotations
@@ -16,6 +18,33 @@ import numpy as np
 _SERIES_TOL = 1e-16
 _SERIES_CAP = 400
 _KEY_MASK = (1 << 64) - 1
+_FADING_TOL = 1e-12   # relative remainder bound that admits the small-kappa series
+
+# 16-point Gauss-Legendre rule on [-1, 1]: repr of numpy's leggauss(16),
+# written out because importing numpy.polynomial costs about 1.8 MB of RSS.
+_GL_NODES = np.array([
+    -0.9894009349916499, -0.9445750230732326, -0.8656312023878318, -0.755404408355003,
+    -0.6178762444026438, -0.45801677765722737, -0.2816035507792589, -0.09501250983763744,
+    0.09501250983763744, 0.2816035507792589, 0.45801677765722737, 0.6178762444026438,
+    0.755404408355003, 0.8656312023878318, 0.9445750230732326, 0.9894009349916499,
+])
+_GL_WEIGHTS = np.array([
+    0.027152459411754176, 0.062253523938647456, 0.0951585116824926, 0.12462897125553407,
+    0.1495959888165767, 0.16915651939500265, 0.18260341504492364, 0.18945061045506864,
+    0.18945061045506864, 0.18260341504492364, 0.16915651939500265, 0.1495959888165767,
+    0.12462897125553407, 0.0951585116824926, 0.062253523938647456, 0.027152459411754176,
+])
+
+
+def gauss_legendre_panels(edges) -> tuple[np.ndarray, np.ndarray]:
+    """Nodes and weights of the 16-point rule on each panel between ``edges``.
+
+    Both arrays have shape (panels, 16); ``(weights * f(nodes)).sum()``
+    integrates f over [edges[0], edges[-1]].
+    """
+    edges = np.asarray(edges, dtype=float)
+    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
+    return lo + half * (1.0 + _GL_NODES), half * _GL_WEIGHTS
 
 
 class NumericError(RuntimeError):
@@ -85,75 +114,12 @@ def hyp_one_one_neg(alpha: float, y) -> np.ndarray | float:
     return float(out[0]) if scalar else out
 
 
-def interference_factor(tau: float, alpha: float, bias_ratio) -> np.ndarray | float:
-    """Normalized interference weight of one base-station class.
-
-    For SINR threshold ``tau`` and a class whose bias exceeds the serving
-    one's by ``bias_ratio``, this is the extra interference mass the class
-    contributes per unit density, relative to the serving-class distance
-    scale.  Vectorizes over ``bias_ratio``.
-    """
-    if tau < 0:
-        raise ValueError("tau must be nonnegative")
-    r = np.asarray(bias_ratio, dtype=float)
-    if np.any(r <= 0.0):
-        raise ValueError("bias_ratio must be positive")
-    if tau == 0.0:
-        return 0.0 if r.ndim == 0 else np.zeros_like(r)
-    f = hyp_one_one_neg(alpha, tau / r)
-    return 2.0 * tau / (alpha - 2.0) * r ** (2.0 / alpha - 1.0) * f
-
-
-def simpson_adaptive(f, a: float, b: float, tol: float, max_depth: int = 18) -> float:
-    """Composite Simpson on [a, b], doubling the node count until converged.
-
-    ``f`` must accept a numpy array of abscissae.  Refinement stops when the
-    usual |S_fine - S_coarse| < 15 tol estimate holds; the Richardson-
-    corrected fine value is returned.
-    """
-    x = np.linspace(a, b, 5)
-    fx = f(x)
-    s_prev = _composite_simpson(fx[::2], (b - a) / 2.0)
-    s = _composite_simpson(fx, (b - a) / 4.0)
-    for _ in range(max_depth):
-        if abs(s - s_prev) < 15.0 * tol:
-            return s + (s - s_prev) / 15.0
-        mid = 0.5 * (x[:-1] + x[1:])
-        fmid = f(mid)
-        x_new = np.empty(x.size + mid.size)
-        f_new = np.empty_like(x_new)
-        x_new[0::2], x_new[1::2] = x, mid
-        f_new[0::2], f_new[1::2] = fx, fmid
-        x, fx = x_new, f_new
-        s_prev, s = s, _composite_simpson(fx, x[1] - x[0])
-    return s
-
-
-def _composite_simpson(values: np.ndarray, h: float) -> float:
-    return float(h / 3.0 * (values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum()))
-
-
-def integrate_decaying(f, scale: float, tol: float, tail_frac: float = 1e-12, max_panels: int = 80) -> float:
-    """Integral of a nonnegative decaying ``f`` over [0, inf).
-
-    Panels start at width ``scale`` (roughly the decay length) and double;
-    integration stops once a panel contributes less than ``tail_frac`` of the
-    running total, which for an exponentially decaying integrand bounds the
-    discarded tail by a comparable fraction.
-    """
-    if not (scale > 0 and np.isfinite(scale)):
-        raise ValueError("decay scale must be positive and finite")
-    total = 0.0
-    a, width = 0.0, scale
-    for k in range(max_panels):
-        part = simpson_adaptive(f, a, a + width, tol)
-        total += part
-        if k >= 1 and abs(part) < tail_frac * abs(total):
-            return total
-        a += width
-        if k >= 1:
-            width *= 2.0
-    raise NumericError("semi-infinite integral failed to wind down")
+# Panels [0, 2^-10], [2^-10, 2^-9], ..., [32, 64] for the scaled fading
+# integrand: fine near u = 0, where u^power is not smooth, and wide where it
+# has decayed.
+_FADING_NODES, _FADING_WEIGHTS = (
+    a.reshape(-1) for a in gauss_legendre_panels(np.concatenate([[0.0], 2.0 ** np.arange(-10, 7)]))
+)
 
 
 # Moments of Exp(1) needed by the small-kappa expansion of the fading
@@ -173,39 +139,38 @@ def _exp_moments(power: float) -> tuple[float, float, float]:
     return got
 
 
-def exp_power_integral(kappa: float, power: float, tol_rel: float = 1e-12) -> float:
+def exp_power_integral(kappa: float, power: float) -> float:
     """G(kappa) = integral of exp(-kappa v^power - v) over v in [0, inf).
+
+    Scalar view of :func:`exp_power_integral_vec`.
+    """
+    if not kappa >= 0:
+        raise ValueError("kappa must be nonnegative")
+    return float(exp_power_integral_vec(np.array([kappa]), power)[0])
+
+
+def exp_power_integral_vec(kappa: np.ndarray, power: float) -> np.ndarray:
+    """G(kappa) elementwise; kappa = inf gives 0.
 
     For small kappa the expansion of exp(-kappa v^power) under the Exp(1)
     measure gives G = 1 - kappa m1 + kappa^2 m2 / 2 with remainder bounded by
-    kappa^3 m3 / 6 (m_k the k-th moment of V^power); the fast path is taken
-    only when that rigorous bound is below ``tol_rel`` of the value.
-    Otherwise the integral is done by panel-wise adaptive Simpson.
+    kappa^3 m3 / 6 (m_k the k-th moment of V^power); the series is taken
+    only when that rigorous bound is below ``_FADING_TOL`` of the value, which
+    needs kappa < 1.  Otherwise v = s u with s = min(1, kappa^(-1/power))
+    turns the integrand into exp(-min(kappa, 1) u^power - s u), which has
+    decayed below e^-64 by u = 64, and the fixed rule on ``_FADING_NODES``
+    integrates it.
     """
-    if kappa < 0 or not np.isfinite(kappa):
-        raise ValueError("kappa must be finite and nonnegative")
-    if kappa == 0.0:
-        return 1.0
+    k = np.asarray(kappa, dtype=float)
+    k1 = np.minimum(k, 1.0)
     m1, m2, m3 = _exp_moments(power)
-    approx = 1.0 - kappa * m1 + 0.5 * kappa * kappa * m2
-    bound = kappa**3 * m3 / 6.0
-    if approx > 0.5 and bound < tol_rel * approx:
-        return approx
-    scale = min(1.0, kappa ** (-1.0 / power)) if power > 0 else 1.0
-    return integrate_decaying(
-        lambda v: np.exp(-kappa * v**power - v), scale=scale, tol=tol_rel * 0.1
-    )
-
-
-def exp_power_integral_vec(kappa: np.ndarray, power: float, tol_rel: float = 1e-12) -> np.ndarray:
-    """Vectorized :func:`exp_power_integral` with the same error control."""
-    kappa = np.asarray(kappa, dtype=float)
-    m1, m2, m3 = _exp_moments(power)
-    approx = 1.0 - kappa * m1 + 0.5 * kappa * kappa * m2
-    bound = kappa**3 * m3 / 6.0
-    fast = (approx > 0.5) & (bound < tol_rel * approx)
+    approx = 1.0 - k1 * m1 + 0.5 * k1 * k1 * m2
+    bound = k1**3 * m3 / 6.0
+    fast = (approx > 0.5) & (bound < _FADING_TOL * approx)
     out = np.where(fast, approx, 0.0)
     slow = ~fast
     if slow.any():
-        out[slow] = [exp_power_integral(float(k), power, tol_rel) for k in kappa[slow]]
+        s = np.minimum(k[slow] ** (-1.0 / power), 1.0)
+        e = np.exp(-k1[slow, None] * _FADING_NODES**power - s[:, None] * _FADING_NODES)
+        out[slow] = s * (e @ _FADING_WEIGHTS)
     return out

@@ -8,12 +8,11 @@ gives the generator a block-tridiagonal quasi-birth-death structure.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import NumericError, stream
+from .numerics import NumericError
 
 ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
@@ -76,20 +75,6 @@ class QbdGenerator:
     @property
     def n_states(self) -> int:
         return (self.params.t_levels + 1) * (self.params.n_channels + 1)
-
-    def assemble(self) -> np.ndarray:
-        """Dense generator with states ordered (i, j) -> i * (N + 1) + j."""
-        p = self.params
-        n = p.n_channels + 1
-        full = np.zeros((self.n_states, self.n_states))
-        for i in range(p.t_levels + 1):
-            s = i * n
-            full[s : s + n, s : s + n] = self.d_blocks[i]
-            if i < p.t_levels:
-                full[s : s + n, s + n : s + 2 * n] = self.l_blocks[i]
-            if i > 0:
-                full[s : s + n, s - n : s] = self.m_blocks[i]
-        return full
 
 
 def build_generator(params_or_cfg, rho) -> QbdGenerator:
@@ -226,98 +211,3 @@ def level_metrics(ss: SteadyState, n_channels: int) -> LevelMetrics:
         p_occu=n_mean / n_channels,
         degenerate=degenerate,
     )
-
-
-def simulate_trajectory(params_or_cfg, rho, n_events: int, seed: int = 0) -> np.ndarray:
-    """Time-weighted state occupancy over ``n_events`` simulated transitions.
-
-    Straight event-by-event simulation of the same chain the analytic solver
-    handles, used as an independent check on the stationary distribution.
-    Returns a (T+1, N+1) matrix of occupancy fractions.  Deterministic for a
-    fixed seed.  If the chain hits an absorbing state the time average is a
-    point mass there, which is what the long-run limit gives.
-    """
-    p = _as_params(params_or_cfg)
-    rho = np.asarray(rho, dtype=float)
-    t, nch = p.t_levels, p.n_channels
-    if rho.shape != (t + 1,):
-        raise ValueError(f"arrival vector has shape {rho.shape}, expected ({t + 1},)")
-    n = nch + 1
-    n_states = (t + 1) * n
-
-    # Per-state transition table: up to four moves (recharge, discharge,
-    # admit, complete), folded into cumulative probability thresholds.
-    thresholds = []
-    targets = []
-    inv_rate = []
-    for i in range(t + 1):
-        for j in range(n):
-            moves = []
-            if i < t and p.nu > 0:
-                moves.append((p.nu, (i + 1) * n + j))
-            if i > 0 and p.static_drain + j * p.omega > 0:
-                moves.append((p.static_drain + j * p.omega, (i - 1) * n + j))
-            if j < nch and rho[i] > 0:
-                moves.append((rho[i], i * n + j + 1))
-            if j > 0 and p.mu > 0:
-                moves.append((j * p.mu, i * n + j - 1))
-            total = sum(r for r, _ in moves)
-            if total == 0:
-                thresholds.append(())
-                targets.append(())
-                inv_rate.append(0.0)
-                continue
-            acc, cum = 0.0, []
-            for r, _ in moves:
-                acc += r
-                cum.append(acc / total)
-            thresholds.append(tuple(cum[:-1]))
-            targets.append(tuple(tgt for _, tgt in moves))
-            inv_rate.append(1.0 / total)
-
-    rng = stream(seed)
-    occ = [0.0] * n_states
-    state = 0
-    done = 0
-    block = 1 << 15
-    while done < n_events:
-        todo = min(block, n_events - done)
-        exps = rng.standard_exponential(todo).tolist()
-        uans = rng.random(todo).tolist()
-        for k in range(todo):
-            inv = inv_rate[state]
-            if inv == 0.0:
-                # Absorbing: the long-run average collapses onto this state.
-                occ = [0.0] * n_states
-                occ[state] = 1.0
-                out = np.array(occ).reshape(t + 1, n)
-                return out
-            occ[state] += exps[k] * inv
-            u = uans[k]
-            thr = thresholds[state]
-            idx = 0
-            for c in thr:
-                if u >= c:
-                    idx += 1
-                else:
-                    break
-            state = targets[state][idx]
-        done += todo
-
-    out = np.array(occ)
-    out /= out.sum()
-    return out.reshape(t + 1, n)
-
-
-def dump_chain(gen: QbdGenerator, ss: SteadyState, path) -> None:
-    """Debug dump: one row per state with its generator row and probability."""
-    full = gen.assemble()
-    n = gen.params.n_channels + 1
-    flat = ss.pi.reshape(-1)
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["level", "channels"] + [f"rate_{k}" for k in range(gen.n_states)] + ["pi"]
-        )
-        for s in range(gen.n_states):
-            writer.writerow([s // n, s % n] + [repr(v) for v in full[s]] + [repr(flat[s])])

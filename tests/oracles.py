@@ -51,6 +51,255 @@ def z_defining_integral(tau: float, alpha: float, b_ratio: float,
     return float(2.0 * tau * c ** (2.0 - alpha) * 3.0 * integrand.sum() / n)
 
 
+def interference_weight(tau: float, alpha: float, b_ratio: float) -> float:
+    """:func:`z_defining_integral` at n = 2e4 and 4e4, Richardson-extrapolated.
+
+    The midpoint error is a series in even powers of the step, so the
+    combination (4 Z_2n - Z_n) / 3 cancels its leading term: about 1e-15
+    relative at alpha = 4, tau = 1.
+    """
+    coarse = z_defining_integral(tau, alpha, b_ratio, n=20_000)
+    fine = z_defining_integral(tau, alpha, b_ratio, n=40_000)
+    return (4.0 * fine - coarse) / 3.0
+
+
+def simpson_adaptive(f, a: float, b: float, tol: float, max_depth: int = 18) -> float:
+    """Composite Simpson on [a, b], doubling the node count until converged.
+
+    ``f`` must accept a numpy array of abscissae.  Refinement stops when the
+    usual |S_fine - S_coarse| < 15 tol estimate holds; the Richardson-
+    corrected fine value is returned.
+    """
+    x = np.linspace(a, b, 5)
+    fx = f(x)
+    s_prev = _composite_simpson(fx[::2], (b - a) / 2.0)
+    s = _composite_simpson(fx, (b - a) / 4.0)
+    for _ in range(max_depth):
+        if abs(s - s_prev) < 15.0 * tol:
+            return s + (s - s_prev) / 15.0
+        mid = 0.5 * (x[:-1] + x[1:])
+        fmid = f(mid)
+        x_new = np.empty(x.size + mid.size)
+        f_new = np.empty_like(x_new)
+        x_new[0::2], x_new[1::2] = x, mid
+        f_new[0::2], f_new[1::2] = fx, fmid
+        x, fx = x_new, f_new
+        s_prev, s = s, _composite_simpson(fx, x[1] - x[0])
+    return s
+
+
+def _composite_simpson(values: np.ndarray, h: float) -> float:
+    return float(h / 3.0 * (values[0] + values[-1] + 4.0 * values[1:-1:2].sum() + 2.0 * values[2:-2:2].sum()))
+
+
+def integrate_decaying(f, scale: float, tol: float, tail_frac: float = 1e-12, max_panels: int = 80) -> float:
+    """Integral of a nonnegative decaying ``f`` over [0, inf).
+
+    Panels start at width ``scale`` (roughly the decay length) and double;
+    integration stops once a panel contributes less than ``tail_frac`` of the
+    running total, which for an exponentially decaying integrand bounds the
+    discarded tail by a comparable fraction.
+    """
+    if not (scale > 0 and np.isfinite(scale)):
+        raise ValueError("decay scale must be positive and finite")
+    total = 0.0
+    a, width = 0.0, scale
+    for k in range(max_panels):
+        part = simpson_adaptive(f, a, a + width, tol)
+        total += part
+        if k >= 1 and abs(part) < tail_frac * abs(total):
+            return total
+        a += width
+        if k >= 1:
+            width *= 2.0
+    raise RuntimeError("semi-infinite integral failed to wind down")
+
+
+def fading_integral(kappa: float, power: float) -> float:
+    """G(kappa) = Int_0^inf exp(-kappa v^power - v) dv by adaptive Simpson."""
+    scale = 1.0 if kappa <= 1.0 else kappa ** (-1.0 / power)
+    return integrate_decaying(lambda v: np.exp(-kappa * v**power - v), scale=scale, tol=1e-15)
+
+
+SUCCESS_TOL = 1e-9        # absolute tolerance of the success-probability integral
+
+
+def _bias_array(bias) -> np.ndarray:
+    return np.asarray(bias.values if hasattr(bias, "values") else bias, dtype=float)
+
+
+def interference_coefficient(i: int, level_marginals, bias, p_occu, cfg, tau: float | None = None) -> float:
+    """Effective interferer density seen by a user served at level i.
+
+    The geometric term counts every station of each class inside the serving
+    class's distance scale; the fading term adds the classes' active-channel
+    interference weighted by their occupancy.
+    """
+    if tau is None:
+        tau = cfg.tau
+    b = _bias_array(bias)
+    lam = cfg.lambda_b * np.asarray(level_marginals, dtype=float)
+    ratios = b / b[i]
+    z = np.array([interference_weight(tau, cfg.alpha, r) for r in ratios])
+    return float((lam * (ratios ** (2.0 / cfg.alpha) + np.asarray(p_occu, float) * z)).sum())
+
+
+def success_probability_tier(i: int, level_marginals, bias, p_occu, cfg, tau: float | None = None) -> float:
+    """Success probability conditioned on being served by a level-i station.
+
+    Direct adaptive quadrature of the noise-and-interference integral after
+    the u = x^2 substitution.  Empty tiers (no stations at level i) have no
+    conditional distribution; the probability is defined as 0 there.
+    """
+    if tau is None:
+        tau = cfg.tau
+    pi = np.asarray(level_marginals, dtype=float)
+    if pi[i] == 0.0:
+        return 0.0
+    b = _bias_array(bias)
+    lam = cfg.lambda_b * pi
+    ratios = b / b[i]
+    scale_i = float((lam * ratios ** (2.0 / cfg.alpha)).sum())
+    c_i = interference_coefficient(i, level_marginals, bias, p_occu, cfg, tau)
+    noise_coef = tau * cfg.noise_power / cfg.p_t
+    decay = math.pi * c_i
+    if noise_coef == 0.0:
+        return min(1.0, scale_i / c_i)
+    half_alpha = cfg.alpha / 2.0
+    u_scale = min(1.0 / decay, noise_coef ** (-1.0 / half_alpha))
+    integral = integrate_decaying(
+        lambda u: np.exp(-noise_coef * u**half_alpha - decay * u),
+        scale=u_scale,
+        tol=SUCCESS_TOL,
+    )
+    return float(np.clip(math.pi * scale_i * integral, 0.0, 1.0))
+
+
+def throughput_time_integral(p_succ_fn, tol: float = 1e-7, t_cap: float = 40.0,
+                             tail_frac: float = 1e-6) -> float:
+    """Integral of P_succ(2^t - 1) over t in [0, t_cap] with early truncation."""
+
+    def integrand(ts: np.ndarray) -> np.ndarray:
+        return np.array([p_succ_fn(2.0**t - 1.0) for t in np.atleast_1d(ts)])
+
+    total = 0.0
+    edge, width = 0.0, 2.0
+    while edge < t_cap:
+        part = simpson_adaptive(integrand, edge, min(edge + width, t_cap), tol)
+        total += part
+        edge += width
+        if part < tail_frac * total:
+            break
+    return total
+
+
+def expected_rate_tier(i: int, p_block_i: float, p_succ_fn, cfg) -> float:
+    """Expected per-user throughput at tier i, single-tier quadrature path."""
+    admitted = 1.0 - p_block_i
+    if admitted <= 0.0:
+        return 0.0
+    base = p_succ_fn(cfg.tau)
+    if base == 0.0:
+        return 0.0
+    return cfg.rate_scale * admitted * base * throughput_time_integral(p_succ_fn)
+
+
+def assemble(gen) -> np.ndarray:
+    """Dense generator of a block QBD with states ordered (i, j) -> i * (N + 1) + j."""
+    p = gen.params
+    n = p.n_channels + 1
+    full = np.zeros((gen.n_states, gen.n_states))
+    for i in range(p.t_levels + 1):
+        s = i * n
+        full[s : s + n, s : s + n] = gen.d_blocks[i]
+        if i < p.t_levels:
+            full[s : s + n, s + n : s + 2 * n] = gen.l_blocks[i]
+        if i > 0:
+            full[s : s + n, s - n : s] = gen.m_blocks[i]
+    return full
+
+
+def simulate_trajectory(params, rho, n_events: int, seed: int = 0) -> np.ndarray:
+    """Time-weighted state occupancy over ``n_events`` simulated transitions.
+
+    Straight event-by-event simulation of the battery/channel chain of
+    ``params`` (anything with n_channels, t_levels, mu, omega, nu and
+    static_drain), an independent check on the stationary distribution.
+    Returns a (T+1, N+1) matrix of occupancy fractions.  Deterministic for a
+    fixed seed.  If the chain hits an absorbing state the time average is a
+    point mass there, which is what the long-run limit gives.
+    """
+    p = params
+    rho = np.asarray(rho, dtype=float)
+    t, nch = p.t_levels, p.n_channels
+    if rho.shape != (t + 1,):
+        raise ValueError(f"arrival vector has shape {rho.shape}, expected ({t + 1},)")
+    n = nch + 1
+    n_states = (t + 1) * n
+
+    # Per-state transition table: up to four moves (recharge, discharge,
+    # admit, complete), folded into cumulative probability thresholds.
+    thresholds = []
+    targets = []
+    inv_rate = []
+    for i in range(t + 1):
+        for j in range(n):
+            moves = []
+            if i < t and p.nu > 0:
+                moves.append((p.nu, (i + 1) * n + j))
+            if i > 0 and p.static_drain + j * p.omega > 0:
+                moves.append((p.static_drain + j * p.omega, (i - 1) * n + j))
+            if j < nch and rho[i] > 0:
+                moves.append((rho[i], i * n + j + 1))
+            if j > 0 and p.mu > 0:
+                moves.append((j * p.mu, i * n + j - 1))
+            total = sum(r for r, _ in moves)
+            if total == 0:
+                thresholds.append(())
+                targets.append(())
+                inv_rate.append(0.0)
+                continue
+            acc, cum = 0.0, []
+            for r, _ in moves:
+                acc += r
+                cum.append(acc / total)
+            thresholds.append(tuple(cum[:-1]))
+            targets.append(tuple(tgt for _, tgt in moves))
+            inv_rate.append(1.0 / total)
+
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    occ = [0.0] * n_states
+    state = 0
+    done = 0
+    block = 1 << 15
+    while done < n_events:
+        todo = min(block, n_events - done)
+        exps = rng.standard_exponential(todo).tolist()
+        uans = rng.random(todo).tolist()
+        for k in range(todo):
+            inv = inv_rate[state]
+            if inv == 0.0:
+                # Absorbing: the long-run average collapses onto this state.
+                occ = [0.0] * n_states
+                occ[state] = 1.0
+                return np.array(occ).reshape(t + 1, n)
+            occ[state] += exps[k] * inv
+            u = uans[k]
+            thr = thresholds[state]
+            idx = 0
+            for c in thr:
+                if u >= c:
+                    idx += 1
+                else:
+                    break
+            state = targets[state][idx]
+        done += todo
+
+    out = np.array(occ)
+    out /= out.sum()
+    return out.reshape(t + 1, n)
+
+
 def _philox(*words: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=list(words)))
 
@@ -79,7 +328,7 @@ def estimate_success_per_drop(cfg, level_marginals, bias, p_occu, n_drops: int,
     r_sim = _window(cfg, r_sim)
     cum = np.cumsum(np.asarray(level_marginals, dtype=float))
     cum[-1] = 1.0
-    b = np.asarray(bias.values if hasattr(bias, "values") else bias, dtype=float)
+    b = _bias_array(bias)
     occ = np.asarray(p_occu, dtype=float)
     lam_area = cfg.lambda_b * math.pi * r_sim**2
 
@@ -118,7 +367,7 @@ def estimate_success_blockwise(cfg, level_marginals, bias, p_occu, n_drops: int,
     """
     r_sim = _window(cfg, r_sim)
     pi = np.asarray(level_marginals, dtype=float)
-    b = np.asarray(bias.values if hasattr(bias, "values") else bias, dtype=float)
+    b = _bias_array(bias)
     occ = np.clip(np.asarray(p_occu, dtype=float), 0.0, 1.0)
     means = (cfg.lambda_b * math.pi * r_sim**2 * pi[:, None]
              * np.column_stack((occ, 1.0 - occ))).ravel()
@@ -234,7 +483,7 @@ def estimate_shares(cfg, level_marginals, bias, n_drops: int,
     r_sim = _window(cfg, r_sim)
     pi = np.asarray(level_marginals, dtype=float)
     n_levels = pi.size
-    b = np.asarray(bias.values if hasattr(bias, "values") else bias, dtype=float)
+    b = _bias_array(bias)
     half_alpha = cfg.alpha / 2.0
 
     share_rows = np.full((n_drops, n_levels), np.nan)

@@ -13,18 +13,20 @@ from greencell.analytics import (
     average_users,
     compute_metrics,
     efficiencies,
-    expected_rate_tier,
     expected_rates,
-    interference_coefficient,
     power_and_carbon,
     success_probability,
-    success_probability_tier,
-    throughput_time_integral,
     user_components,
     _success_grid,
 )
 
-from oracles import midpoint
+from oracles import (
+    expected_rate_tier,
+    interference_coefficient,
+    midpoint,
+    success_probability_tier,
+    throughput_time_integral,
+)
 
 
 class TestBiasVector:
@@ -123,7 +125,8 @@ class TestSuccessProbability:
             30.0 / (math.pi * c),
             400_000,
         )
-        assert success_probability_tier(i, pi, bias, occ, cfg) == pytest.approx(ref, rel=1e-6)
+        got = _success_grid(np.array([cfg.tau]), pi, bias, occ, cfg)[0, i]
+        assert got == pytest.approx(ref, rel=1e-6)
 
     def test_grid_matches_scalar_path(self, small_cfg):
         pi = np.array([0.4, 0.3, 0.2, 0.1])

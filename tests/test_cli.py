@@ -1,4 +1,5 @@
 import json
+import math
 import os
 
 import pytest
@@ -8,6 +9,8 @@ from greencell.config import config_hash, load_config
 from greencell.csvio import read_csv
 from greencell.numerics import NumericError
 from greencell.qbd import SolverError
+
+from conftest import CONFIG_PATH
 
 SMALL = {
     "p0_static": 56.0,
@@ -39,6 +42,15 @@ def cfg_path(tmp_path_factory):
 
 def run(argv):
     return cli.main(argv)
+
+
+def baseline_with(tmp_path, **overrides):
+    with open(CONFIG_PATH) as fh:
+        cfg = json.load(fh)
+    cfg.update(overrides)
+    path = tmp_path / "variant.json"
+    path.write_text(json.dumps(cfg))
+    return str(path)
 
 
 class TestErrorPaths:
@@ -81,6 +93,26 @@ class TestErrorPaths:
         code = run(["analyze", cfg_path, "--out", str(tmp_path / "o.csv"), "--beta", "1"])
         assert code == cli.EXIT_NUMERIC
         assert "numeric failure: hypergeometric" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field, value", [("p_trans", 1e-300), ("noise_power_dbm", 3000.0)])
+    def test_noise_dominated_point_is_finite_or_typed(self, field, value, tmp_path, capsys):
+        out = str(tmp_path / "o.csv")
+        code = run(["analyze", baseline_with(tmp_path, **{field: value}), "--out", out,
+                    "--beta", "1"])
+        if code == cli.EXIT_NUMERIC:
+            assert "numeric failure:" in capsys.readouterr().err
+            return
+        assert code == cli.EXIT_OK
+        _, fields, rows = read_csv(out)
+        for name in fields:
+            if name != "converged":
+                assert math.isfinite(float(rows[0][name])), name
+
+    def test_overflowing_arrival_rates_are_numeric_failures(self, tmp_path, capsys):
+        code = run(["analyze", baseline_with(tmp_path, lambda_u1=1e308), "--out",
+                    str(tmp_path / "o.csv"), "--beta", "1"])
+        assert code == cli.EXIT_NUMERIC
+        assert "numeric failure: arrival rates are not finite" in capsys.readouterr().err
 
     def test_workers_env_validation(self, cfg_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GREENCELL_WORKERS", "many")

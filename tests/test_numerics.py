@@ -4,19 +4,24 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from greencell.analytics import interference_factor
 from greencell.numerics import (
     NumericError,
     _series_one_one,
     exp_power_integral,
     exp_power_integral_vec,
     hyp_one_one_neg,
-    integrate_decaying,
-    interference_factor,
-    simpson_adaptive,
     stream,
 )
 
-from oracles import midpoint, z_defining_integral
+from oracles import (
+    fading_integral,
+    integrate_decaying,
+    interference_weight,
+    midpoint,
+    simpson_adaptive,
+    z_defining_integral,
+)
 
 
 # F(1, 1/2; 3/2; -y) = arctan(sqrt(y)) / sqrt(y), the alpha=4 reduction.
@@ -80,6 +85,16 @@ class TestInterferenceFactor:
         vec = interference_factor(0.7, 3.6, ratios)
         ref = [interference_factor(0.7, 3.6, r) for r in ratios]
         np.testing.assert_allclose(vec, ref, rtol=1e-15)
+        taus = np.array([0.0, 0.1, 2.0])
+        grid = interference_factor(taus[:, None], 3.6, ratios[None, :])
+        ref = [[interference_factor(t, 3.6, r) for r in ratios] for t in taus]
+        np.testing.assert_allclose(grid, ref, rtol=1e-15)
+
+    def test_extrapolated_oracle(self):
+        assert interference_weight(1.0, 4.0, 1.0) == pytest.approx(math.pi / 4, rel=1e-13)
+        assert interference_weight(0.7, 3.6, 3.0) == pytest.approx(
+            interference_factor(0.7, 3.6, 3.0), rel=1e-12
+        )
 
     def test_input_validation(self):
         with pytest.raises(ValueError):
@@ -90,6 +105,7 @@ class TestInterferenceFactor:
             interference_factor(0.1, 4.0, np.array([1.0, -2.0]))
 
 
+# The adaptive Simpson oracle of tests/oracles.py.
 def test_simpson_known_integrals():
     assert simpson_adaptive(np.sin, 0.0, math.pi, 1e-11) == pytest.approx(2.0, abs=1e-10)
     assert simpson_adaptive(lambda x: 4.0 / (1.0 + x**2), 0.0, 1.0, 1e-11) == pytest.approx(
@@ -108,13 +124,13 @@ def test_integrate_decaying_exponentials():
     assert integrate_decaying(lambda u: u * np.exp(-u), scale=1.0, tol=1e-11) == pytest.approx(
         1.0, abs=1e-9
     )
+    with pytest.raises(RuntimeError, match="failed to wind down"):
+        integrate_decaying(lambda u: np.ones_like(u), scale=1.0, tol=1e-6, max_panels=4)
 
 
 def test_kernel_failures_are_typed():
     with pytest.raises(NumericError, match="failed to converge"):
         _series_one_one(1.0, np.array([0.999]))
-    with pytest.raises(NumericError, match="failed to wind down"):
-        integrate_decaying(lambda u: np.ones_like(u), scale=1.0, tol=1e-6, max_panels=4)
 
 
 def test_exp_power_integral_closed_forms():
@@ -126,6 +142,25 @@ def test_exp_power_integral_closed_forms():
         z = 1.0 / (2.0 * math.sqrt(kappa))
         expected = math.sqrt(math.pi / (4.0 * kappa)) * math.exp(z * z) * math.erfc(z)
         assert exp_power_integral(kappa, 2.0) == pytest.approx(expected, rel=1e-8)
+
+
+def test_exp_power_integral_certificate():
+    # Relative accuracy out to kappa = 1e12, where G at power 1 is down to 1e-12.
+    kappas = np.geomspace(1e-3, 1e12, 61)
+    np.testing.assert_allclose(exp_power_integral_vec(kappas, 1.0), 1.0 / (1.0 + kappas),
+                               rtol=1e-12)
+    z = 1.0 / (2.0 * np.sqrt(kappas))
+    # z <= 16 here, so exp(z^2) erfc(z) neither overflows nor underflows.
+    expected = [math.sqrt(math.pi / (4.0 * k)) * math.exp(w * w) * math.erfc(w)
+                for k, w in zip(kappas, z)]
+    np.testing.assert_allclose(exp_power_integral_vec(kappas, 2.0), expected, rtol=1e-12)
+
+
+def test_exp_power_integral_limits():
+    np.testing.assert_array_equal(exp_power_integral_vec(np.array([0.0, np.inf]), 1.7), [1.0, 0.0])
+    for bad in (-1e-3, math.nan):
+        with pytest.raises(ValueError):
+            exp_power_integral(bad, 2.0)
 
 
 def test_exp_power_integral_small_kappa_series():
@@ -149,7 +184,7 @@ def test_exp_power_integral_decreasing(kappa, power):
 def test_exp_power_integral_vec_matches_scalar():
     kappas = np.concatenate([[0.0], np.geomspace(1e-12, 1e3, 40)])
     vec = exp_power_integral_vec(kappas, 2.0)
-    ref = np.array([exp_power_integral(k, 2.0) for k in kappas])
+    ref = np.array([fading_integral(k, 2.0) for k in kappas])
     np.testing.assert_allclose(vec, ref, rtol=1e-12)
 
 

@@ -7,14 +7,12 @@ from greencell.qbd import (
     LevelMetrics,
     SteadyState,
     build_generator,
-    dump_chain,
     level_metrics,
-    simulate_trajectory,
     solve_steady_state,
     stationary_residual,
 )
 
-from oracles import dense_null_pi, erlang_b
+from oracles import assemble, dense_null_pi, erlang_b, simulate_trajectory
 
 
 def test_hand_built_generator_matches():
@@ -28,13 +26,13 @@ def test_hand_built_generator_matches():
         [2.0, 0.0, -6.0, 4.0],   # discharge (static only), admit rho_1
         [0.0, 4.0, 3.0, -7.0],   # discharge (static+omega), complete
     ])
-    np.testing.assert_allclose(gen.assemble(), expected, atol=0)
+    np.testing.assert_allclose(assemble(gen), expected, atol=0)
 
 
 def test_config_and_params_build_identically(small_cfg):
     rho = np.linspace(0.5, 2.0, small_cfg.t_levels + 1)
-    a = build_generator(small_cfg, rho).assemble()
-    b = build_generator(ChainParams.from_config(small_cfg), rho).assemble()
+    a = assemble(build_generator(small_cfg, rho))
+    b = assemble(build_generator(ChainParams.from_config(small_cfg), rho))
     np.testing.assert_array_equal(a, b)
 
 
@@ -51,7 +49,7 @@ def test_generator_properties(n_channels, t_levels, mu, omega, nu, drain, seed):
     rng = np.random.default_rng(seed)
     params = ChainParams(n_channels, t_levels, mu, omega, nu, drain)
     rho = rng.uniform(0.0, 20.0, size=t_levels + 1)
-    a = build_generator(params, rho).assemble()
+    a = assemble(build_generator(params, rho))
     off = a - np.diag(np.diag(a))
     assert np.all(off >= 0)
     assert np.abs(a.sum(axis=1)).max() < 1e-12 * max(1.0, np.abs(a).max())
@@ -71,7 +69,7 @@ def test_backward_recursion_matches_dense_null_space():
         rho = rng.uniform(0.0, 15.0, size=params.t_levels + 1)
         gen = build_generator(params, rho)
         ss = solve_steady_state(gen)
-        ref = dense_null_pi(gen.assemble())
+        ref = dense_null_pi(assemble(gen))
         np.testing.assert_allclose(ss.pi.reshape(-1), ref, atol=1e-10)
 
 
@@ -85,7 +83,7 @@ def test_blockwise_residual_matches_dense(n_channels, t_levels, seed):
     params = ChainParams(n_channels, t_levels, *rng.uniform(0.0, 1.0, size=4))
     gen = build_generator(params, rng.uniform(0.0, 1.0, size=t_levels + 1))
     pi = rng.dirichlet(np.ones(gen.n_states)).reshape(t_levels + 1, n_channels + 1)
-    dense = pi.reshape(-1) @ gen.assemble()
+    dense = pi.reshape(-1) @ assemble(gen)
     np.testing.assert_allclose(stationary_residual(gen, pi).reshape(-1), dense,
                                rtol=0, atol=1e-15)
 
@@ -161,12 +159,3 @@ def test_trajectory_absorbing_chain_collapses():
     occ = simulate_trajectory(params, [0.0], 1000, seed=0)
     np.testing.assert_array_equal(occ, [[1.0, 0.0]])
 
-
-def test_dump_chain_row_count(tmp_path, small_cfg):
-    rho = np.full(small_cfg.t_levels + 1, 1.0)
-    gen = build_generator(small_cfg, rho)
-    ss = solve_steady_state(gen)
-    path = tmp_path / "chain.csv"
-    dump_chain(gen, ss, path)
-    lines = path.read_text().strip().splitlines()
-    assert len(lines) == gen.n_states + 1
