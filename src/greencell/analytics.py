@@ -114,9 +114,10 @@ def _success_grid(taus: np.ndarray, level_marginals, bias: BiasVector, p_occu, c
     z = interference_factor(taus[:, None, None], cfg.alpha, ratios[None, :, :])
     c = scale[None, :] + z @ (lam * p_occ)      # (K, T+1)
 
-    noise_coef = taus * cfg.noise_power / cfg.p_t
     half_alpha = cfg.alpha / 2.0
-    kappa = noise_coef[:, None] / (math.pi * c) ** half_alpha
+    with np.errstate(over="ignore"):  # kappa = inf is a valid input: G = 0
+        noise_coef = taus * cfg.noise_power / cfg.p_t
+        kappa = noise_coef[:, None] / (math.pi * c) ** half_alpha
     g = exp_power_integral_vec(kappa.reshape(-1), half_alpha).reshape(kappa.shape)
     p = np.clip(scale[None, :] * g / c, 0.0, 1.0)
     p[:, pi == 0.0] = 0.0
@@ -143,8 +144,9 @@ def user_components(level_marginals, bias: BiasVector, cfg) -> UserComponents:
     b = bias.as_array()
     weights = b ** (2.0 / cfg.alpha)
     denom = cfg.lambda_b * float((pi * weights).sum())
-    clustered = cfg.lambda_p * cfg.mean_cluster_users * weights / denom
-    uniform = cfg.lambda_u1 * weights / denom
+    with np.errstate(over="ignore"):  # fixedpoint.arrival_map rejects non-finite users
+        clustered = cfg.lambda_p * cfg.mean_cluster_users * weights / denom
+        uniform = cfg.lambda_u1 * weights / denom
     return UserComponents(clustered=clustered, uniform=uniform)
 
 

@@ -64,20 +64,26 @@ def stream(*words: int) -> np.random.Generator:
 
 
 def _series_one_one(c: float, x: np.ndarray) -> np.ndarray:
-    """Gauss series for F(1, 1; c; x) with 0 <= x <= 0.5 and c > 0.
+    """Gauss series for F(1, 1; c; x) with 0 <= x <= 0.5 and c >= 1.
 
-    Terms are n! / (c)_n * x^n; successive ratios are (n+1) x / (n+c), so on
-    this range the series behaves like a geometric tail and a few dozen terms
-    reach full double precision.
+    The coefficients a_n = n! / (c)_n do not increase for c >= 1, so the tail
+    after degree N is at most a_N xmax^N / (1 - xmax), and the sum is at
+    least 1.  The degree is the first N where that bound, at the largest
+    argument, falls below ``_SERIES_TOL``; the polynomial is then evaluated
+    by Horner's rule, two array passes per degree and no convergence test.
     """
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for n in range(_SERIES_CAP):
-        term = term * ((n + 1.0) / (n + c)) * x
-        total += term
-        if not (term > _SERIES_TOL * total).any():
-            return total
-    raise NumericError("hypergeometric series failed to converge")
+    xmax = float(x.max(initial=0.0))
+    coefs = [1.0]
+    while coefs[-1] * xmax ** (len(coefs) - 1) > _SERIES_TOL * (1.0 - xmax):
+        if len(coefs) > _SERIES_CAP:
+            raise NumericError("hypergeometric series failed to converge")
+        n = len(coefs) - 1
+        coefs.append(coefs[-1] * (n + 1.0) / (n + c))
+    total = np.full_like(x, coefs[-1])
+    for a in reversed(coefs[:-1]):
+        total *= x
+        total += a
+    return total
 
 
 def hyp_one_one_neg(alpha: float, y) -> np.ndarray | float:

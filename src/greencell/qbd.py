@@ -62,8 +62,9 @@ class QbdGenerator:
 
     d_blocks[i] holds the intra-level transitions plus the diagonal closing
     each global row to zero.  l_blocks[i] = nu * I moves level i -> i+1
-    (defined for i < T), m_blocks[i] moves level i -> i-1 (defined for i > 0;
-    slot 0 is kept as zeros so that index == level).
+    (defined for i < T; one read-only matrix seen at every level),
+    m_blocks[i] moves level i -> i-1 (defined for i > 0; slot 0 is kept as
+    zeros so that index == level).
     """
 
     params: ChainParams
@@ -89,26 +90,20 @@ def build_generator(params_or_cfg, rho) -> QbdGenerator:
 
     n = nch + 1
     j = np.arange(n, dtype=float)
-    d = np.zeros((t + 1, n, n))
-    l = np.zeros((max(t, 0), n, n))
-    m = np.zeros((t + 1, n, n))
-
     idx = np.arange(n)
-    for i in range(t + 1):
-        blk = np.zeros((n, n))
-        blk[idx[:-1], idx[:-1] + 1] = rho[i]          # admit a call
-        blk[idx[1:], idx[1:] - 1] = j[1:] * p.mu      # complete one
-        out_rate = np.where(j < nch, rho[i], 0.0) + j * p.mu
-        if i < t:
-            out_rate = out_rate + p.nu
-        if i > 0:
-            out_rate = out_rate + p.static_drain + j * p.omega
-        blk[idx, idx] = -out_rate
-        d[i] = blk
-        if i < t:
-            l[i] = p.nu * np.eye(n)
-        if i > 0:
-            m[i] = np.diag(p.static_drain + p.omega * j)
+    # Rates added term by term, so each diagonal rounds like the per-level
+    # reference in the tests.
+    out_rate = np.where(j < nch, rho[:, None], 0.0) + j * p.mu
+    out_rate[:t] += p.nu
+    out_rate[1:] += p.static_drain
+    out_rate[1:] += j * p.omega
+    d = np.zeros((t + 1, n, n))
+    d[:, idx[:-1], idx[:-1] + 1] = rho[:, None]    # admit a call
+    d[:, idx[1:], idx[1:] - 1] = j[1:] * p.mu      # complete one
+    d[:, idx, idx] = -out_rate
+    l = np.broadcast_to(p.nu * np.eye(n), (t, n, n))
+    m = np.zeros((t + 1, n, n))
+    m[1:, idx, idx] = p.static_drain + p.omega * j
     return QbdGenerator(params=p, rho=rho, d_blocks=d, l_blocks=l, m_blocks=m)
 
 

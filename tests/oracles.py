@@ -204,6 +204,62 @@ def expected_rate_tier(i: int, p_block_i: float, p_succ_fn, cfg) -> float:
     return cfg.rate_scale * admitted * base * throughput_time_integral(p_succ_fn)
 
 
+def series_one_one(c: float, x: np.ndarray, tol: float = 1e-16, cap: int = 400) -> np.ndarray:
+    """Gauss series for F(1, 1; c; x), summed term by term until every element converged."""
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for n in range(cap):
+        term = term * ((n + 1.0) / (n + c)) * x
+        total += term
+        if not (term > tol * total).any():
+            return total
+    raise RuntimeError("hypergeometric series failed to converge")
+
+
+def hyp_from_series(alpha: float, y: float) -> float:
+    """F(1, 1 - 2/alpha; 2 - 2/alpha; -y) from :func:`series_one_one`.
+
+    Same transforms as the package: w = y/(1+y) and a 1/(1+y) prefactor; for
+    w > 0.5 the connection formula in 1 - w = 1/(1+y).
+    """
+    c = 2.0 - 2.0 / alpha
+    om = 1.0 / (1.0 + y)
+    w = y * om
+    if w <= 0.5:
+        return float(om * series_one_one(c, np.array([w]))[0])
+    coef_a = math.gamma(c) * math.gamma(c - 2.0) / math.gamma(c - 1.0) ** 2
+    coef_b = math.gamma(c) * math.gamma(2.0 - c)
+    f = coef_a * series_one_one(3.0 - c, np.array([om]))[0] + coef_b * om ** (c - 2.0) * w ** (1.0 - c)
+    return float(f * om)
+
+
+def build_blocks_per_level(params, rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Generator blocks (d, l, m) of the battery/channel chain, one level at a time."""
+    t, nch = params.t_levels, params.n_channels
+    n = nch + 1
+    j = np.arange(n, dtype=float)
+    d = np.zeros((t + 1, n, n))
+    l = np.zeros((t, n, n))
+    m = np.zeros((t + 1, n, n))
+    idx = np.arange(n)
+    for i in range(t + 1):
+        blk = np.zeros((n, n))
+        blk[idx[:-1], idx[:-1] + 1] = rho[i]
+        blk[idx[1:], idx[1:] - 1] = j[1:] * params.mu
+        out_rate = np.where(j < nch, rho[i], 0.0) + j * params.mu
+        if i < t:
+            out_rate = out_rate + params.nu
+        if i > 0:
+            out_rate = out_rate + params.static_drain + j * params.omega
+        blk[idx, idx] = -out_rate
+        d[i] = blk
+        if i < t:
+            l[i] = params.nu * np.eye(n)
+        if i > 0:
+            m[i] = np.diag(params.static_drain + params.omega * j)
+    return d, l, m
+
+
 def assemble(gen) -> np.ndarray:
     """Dense generator of a block QBD with states ordered (i, j) -> i * (N + 1) + j."""
     p = gen.params

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import warnings
 
 import pytest
 
@@ -42,6 +43,15 @@ def cfg_path(tmp_path_factory):
 
 def run(argv):
     return cli.main(argv)
+
+
+def run_without_runtime_warnings(argv):
+    """Run the CLI, failing if numpy raised a RuntimeWarning, which would print to stderr."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run(argv)
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return code
 
 
 def baseline_with(tmp_path, **overrides):
@@ -97,10 +107,12 @@ class TestErrorPaths:
     @pytest.mark.parametrize("field, value", [("p_trans", 1e-300), ("noise_power_dbm", 3000.0)])
     def test_noise_dominated_point_is_finite_or_typed(self, field, value, tmp_path, capsys):
         out = str(tmp_path / "o.csv")
-        code = run(["analyze", baseline_with(tmp_path, **{field: value}), "--out", out,
-                    "--beta", "1"])
+        code = run_without_runtime_warnings(["analyze", baseline_with(tmp_path, **{field: value}),
+                                             "--out", out, "--beta", "1"])
+        err = capsys.readouterr().err
+        assert "RuntimeWarning" not in err
         if code == cli.EXIT_NUMERIC:
-            assert "numeric failure:" in capsys.readouterr().err
+            assert "numeric failure:" in err
             return
         assert code == cli.EXIT_OK
         _, fields, rows = read_csv(out)
@@ -109,10 +121,12 @@ class TestErrorPaths:
                 assert math.isfinite(float(rows[0][name])), name
 
     def test_overflowing_arrival_rates_are_numeric_failures(self, tmp_path, capsys):
-        code = run(["analyze", baseline_with(tmp_path, lambda_u1=1e308), "--out",
-                    str(tmp_path / "o.csv"), "--beta", "1"])
+        code = run_without_runtime_warnings(["analyze", baseline_with(tmp_path, lambda_u1=1e308),
+                                             "--out", str(tmp_path / "o.csv"), "--beta", "1"])
         assert code == cli.EXIT_NUMERIC
-        assert "numeric failure: arrival rates are not finite" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "numeric failure: arrival rates are not finite" in err
+        assert "RuntimeWarning" not in err
 
     def test_workers_env_validation(self, cfg_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GREENCELL_WORKERS", "many")

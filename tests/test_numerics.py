@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from greencell.analytics import interference_factor
 from greencell.numerics import (
@@ -16,6 +16,7 @@ from greencell.numerics import (
 
 from oracles import (
     fading_integral,
+    hyp_from_series,
     integrate_decaying,
     interference_weight,
     midpoint,
@@ -40,6 +41,20 @@ def test_hyp_at_zero_and_array_input():
     out = hyp_one_one_neg(4.0, ys)
     ref = np.array([arctan_form(v) for v in ys])
     np.testing.assert_allclose(out, ref, rtol=1e-14)
+
+
+# y = 1 is w = 0.5, where the direct and the connection branch meet; mixing
+# arguments checks that the degree picked at the largest one serves them all.
+@given(alpha=st.floats(2.2, 8.0),
+       ys=st.lists(st.one_of(st.sampled_from([0.0, 1e-12, 1.0]), st.floats(1e-12, 1e14)),
+                   min_size=1, max_size=6))
+@example(alpha=4.0, ys=[0.0, 1e-12, 1.0, 1e14])
+@example(alpha=2.2, ys=[1.0])
+@example(alpha=8.0, ys=[1.0])
+def test_hyp_matches_series_oracle(alpha, ys):
+    got = hyp_one_one_neg(alpha, np.array(ys))
+    ref = [hyp_from_series(alpha, y) for y in ys]
+    np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
 
 @given(alpha=st.floats(2.2, 8.0), y=st.floats(0, 1e6))

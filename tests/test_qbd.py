@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from greencell.qbd import (
     ChainParams,
@@ -12,7 +12,7 @@ from greencell.qbd import (
     stationary_residual,
 )
 
-from oracles import assemble, dense_null_pi, erlang_b, simulate_trajectory
+from oracles import assemble, build_blocks_per_level, dense_null_pi, erlang_b, simulate_trajectory
 
 
 def test_hand_built_generator_matches():
@@ -53,6 +53,23 @@ def test_generator_properties(n_channels, t_levels, mu, omega, nu, drain, seed):
     off = a - np.diag(np.diag(a))
     assert np.all(off >= 0)
     assert np.abs(a.sum(axis=1)).max() < 1e-12 * max(1.0, np.abs(a).max())
+
+
+@given(
+    n_channels=st.integers(1, 6),
+    t_levels=st.integers(0, 5),
+    rates=st.lists(st.floats(0.0, 50.0), min_size=4, max_size=4),
+    seed=st.integers(0, 2**31),
+)
+@example(n_channels=1, t_levels=0, rates=[2.0, 1.0, 3.0, 4.0], seed=0)
+@example(n_channels=1, t_levels=3, rates=[2.0, 1.0, 3.0, 4.0], seed=1)
+def test_generator_blocks_match_per_level_oracle(n_channels, t_levels, rates, seed):
+    params = ChainParams(n_channels, t_levels, *rates)
+    rho = np.random.default_rng(seed).uniform(0.0, 20.0, size=t_levels + 1)
+    gen = build_generator(params, rho)
+    for got, ref in zip((gen.d_blocks, gen.l_blocks, gen.m_blocks),
+                        build_blocks_per_level(params, rho)):
+        assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()
 
 
 def test_backward_recursion_matches_dense_null_space():
