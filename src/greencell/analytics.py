@@ -133,27 +133,14 @@ def success_probability(level_marginals, bias: BiasVector, p_occu, cfg, tau: flo
     return tier, float((tier * split.p_assoc).sum())
 
 
-class UserComponents(NamedTuple):
-    clustered: np.ndarray
-    uniform: np.ndarray
-
-
-def user_components(level_marginals, bias: BiasVector, cfg) -> UserComponents:
-    """Mean clustered and uniform users per level-i station, separately."""
-    pi = np.asarray(level_marginals, dtype=float)
-    b = bias.as_array()
-    weights = b ** (2.0 / cfg.alpha)
-    denom = cfg.lambda_b * float((pi * weights).sum())
-    with np.errstate(over="ignore"):  # fixedpoint.arrival_map rejects non-finite users
-        clustered = cfg.lambda_p * cfg.mean_cluster_users * weights / denom
-        uniform = cfg.lambda_u1 * weights / denom
-    return UserComponents(clustered=clustered, uniform=uniform)
-
-
 def average_users(level_marginals, bias: BiasVector, cfg) -> np.ndarray:
     """Mean number of users served by a station at each battery level."""
-    comps = user_components(level_marginals, bias, cfg)
-    return comps.clustered + comps.uniform
+    pi = np.asarray(level_marginals, dtype=float)
+    weights = bias.as_array() ** (2.0 / cfg.alpha)
+    denom = cfg.lambda_b * float((pi * weights).sum())
+    with np.errstate(over="ignore"):  # fixedpoint.arrival_map rejects non-finite users
+        # Clustered users plus uniform users; merging the terms changes the last bit.
+        return cfg.lambda_p * cfg.mean_cluster_users * weights / denom + cfg.lambda_u1 * weights / denom
 
 
 def expected_rates(level_marginals, bias: BiasVector, p_occu, p_block, cfg):

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import __version__
 from .analytics import BiasVector
-from .config import ConfigError, NetworkConfig, config_hash, load_config
+from .config import ConfigError, NetworkConfig, _is_real, config_hash, load_config
 from .csvio import RunManifest, header_lines, write_csv, write_manifest
 from .fixedpoint import DEFAULT_EPS, DEFAULT_MAX_SWEEPS
 from .montecarlo import estimate_success
@@ -77,11 +77,28 @@ def _load_bias(cfg: NetworkConfig, args) -> BiasVector:
         raise ConfigError(f"cannot read bias file: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"bias file is not valid JSON: {exc}")
-    if not isinstance(raw, list) or len(raw) != cfg.t_levels + 1:
-        raise ConfigError(
-            f"bias file must hold a JSON array of {cfg.t_levels + 1} numbers"
-        )
+    if not (isinstance(raw, list) and len(raw) == cfg.t_levels + 1 and all(map(_is_real, raw))):
+        raise ConfigError(f"bias file must hold a JSON array of {cfg.t_levels + 1} numbers")
     return BiasVector(tuple(float(v) for v in raw))
+
+
+def _map(fn, tasks) -> list:
+    """``fn`` over ``tasks`` in order, on worker processes when worth it."""
+    workers = worker_count()
+    if workers > 1 and len(tasks) > 1:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
+def _indexed(stem: str, values) -> dict:
+    """Columns ``stem_0``, ``stem_1``, ... holding ``values`` as floats."""
+    return {f"{stem}_{i}": float(v) for i, v in enumerate(values)}
+
+
+def _metric_columns(m, names) -> dict:
+    """Fields ``names`` of the metrics ``m``, each NaN when ``m`` is None."""
+    return {name: math.nan if m is None else getattr(m, name) for name in names}
 
 
 def _manifest_path(out: str) -> str:
@@ -111,34 +128,20 @@ def cmd_analyze(args, command: str) -> int:
     print(f"seed: {args.seed}")
     metrics, fp = evaluate_bias(cfg, bias, eps=args.eps, max_sweeps=args.max_sweeps)
 
-    n = cfg.t_levels + 1
-    row: dict = {}
-    for i in range(n):
-        row[f"bias_{i}"] = float(bias.values[i])
-    row.update(
-        p_succ=metrics.p_succ,
-        area_rate=metrics.area_rate,
-        p_tot=metrics.p_tot,
-        p_grid=metrics.p_grid,
-        e_tot=metrics.e_tot,
-        eta_ee=metrics.eta_ee,
-        eta_ce=metrics.eta_ce,
-        converged=fp.converged,
-        iterations=fp.iterations,
-        residual=fp.residual,
-    )
-    for i in range(n):
-        row[f"pi_{i}"] = float(fp.level_marginals[i])
-    for i in range(n):
-        row[f"users_{i}"] = float(fp.users[i])
-    for i in range(n):
-        row[f"p_block_{i}"] = float(fp.chain_metrics.p_block[i])
-    for i in range(n):
-        row[f"p_occu_{i}"] = float(fp.chain_metrics.p_occu[i])
-    for i in range(n):
-        row[f"p_succ_tier_{i}"] = float(metrics.p_succ_tier[i])
-    for i in range(n):
-        row[f"rate_tier_{i}"] = float(metrics.rate_tier[i])
+    row = {
+        **_indexed("bias", bias.values),
+        **_metric_columns(metrics, ("p_succ", "area_rate", "p_tot", "p_grid", "e_tot",
+                                    "eta_ee", "eta_ce")),
+        "converged": fp.converged,
+        "iterations": fp.iterations,
+        "residual": fp.residual,
+        **_indexed("pi", fp.level_marginals),
+        **_indexed("users", fp.users),
+        **_indexed("p_block", fp.chain_metrics.p_block),
+        **_indexed("p_occu", fp.chain_metrics.p_occu),
+        **_indexed("p_succ_tier", metrics.p_succ_tier),
+        **_indexed("rate_tier", metrics.rate_tier),
+    }
 
     h = config_hash(cfg)
     write_csv(args.out, header_lines(__version__, h, args.seed, command),
@@ -160,12 +163,7 @@ def cmd_sweep(args, command: str) -> int:
     print(f"seed: {args.seed}")
 
     tasks = [(cfg, b, nu, args.eps, args.max_sweeps) for nu in nus for b in betas]
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            points = list(pool.map(_sweep_task, tasks))
-    else:
-        points = [_sweep_task(t) for t in tasks]
+    points = _map(_sweep_task, tasks)
     points.sort(key=lambda p: (p.nu, p.beta))
 
     rows = []
@@ -173,20 +171,14 @@ def cmd_sweep(args, command: str) -> int:
         if p.error is not None:
             print(f"warning: sweep point beta={p.beta:g} nu={p.nu:g} failed: {p.error}",
                   file=sys.stderr)
-        m = p.metrics
         rows.append({
             "beta": p.beta,
             "nu": p.nu,
-            "p_succ": m.p_succ if m else math.nan,
-            "e_tot": m.e_tot if m else math.nan,
-            "eta_ee": m.eta_ee if m else math.nan,
-            "eta_ce": m.eta_ce if m else math.nan,
-            "p_grid": m.p_grid if m else math.nan,
+            **_metric_columns(p.metrics, ("p_succ", "e_tot", "eta_ee", "eta_ce", "p_grid")),
             "converged": p.converged,
         })
     h = config_hash(cfg)
-    fields = ["beta", "nu", "p_succ", "e_tot", "eta_ee", "eta_ce", "p_grid", "converged"]
-    write_csv(args.out, header_lines(__version__, h, args.seed, command), fields, rows)
+    write_csv(args.out, header_lines(__version__, h, args.seed, command), list(rows[0]), rows)
     _finish(command, h, args.seed, [args.out], t0, _manifest_path(args.out))
     return EXIT_OK
 
@@ -221,17 +213,11 @@ def cmd_validate(args, command: str) -> int:
         (cfg, b, args.drops, args.seed, args.r_sim, args.eps, args.max_sweeps)
         for b in betas
     ]
-    workers = worker_count()
-    if workers > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(_validate_task, tasks))
-    else:
-        rows = [_validate_task(t) for t in tasks]
+    rows = _map(_validate_task, tasks)
     rows.sort(key=lambda r: r["beta"])
 
     h = config_hash(cfg)
-    fields = ["beta", "analytic", "mc_mean", "ci_half_width", "n_drops", "seed"]
-    write_csv(args.out, header_lines(__version__, h, args.seed, command), fields, rows)
+    write_csv(args.out, header_lines(__version__, h, args.seed, command), list(rows[0]), rows)
     _finish(command, h, args.seed, [args.out], t0, _manifest_path(args.out))
     return EXIT_OK
 
@@ -255,7 +241,6 @@ def cmd_optimize(args, command: str) -> int:
 
     comparison = compare_schemes(cfg, ga, eps=args.eps, max_sweeps=args.max_sweeps)
     result = comparison.ga_result
-    n = cfg.t_levels + 1
     h = config_hash(cfg)
     headers = header_lines(__version__, h, args.seed, command)
 
@@ -263,49 +248,35 @@ def cmd_optimize(args, command: str) -> int:
     best_row = {
         "feasible": best.feasible,
         "fitness": best.fitness,
-        "p_succ": best.metrics.p_succ if best.metrics else math.nan,
-        "e_tot": best.metrics.e_tot if best.metrics else math.nan,
-        "eta_ce": best.metrics.eta_ce if best.metrics else math.nan,
+        **_metric_columns(best.metrics, ("p_succ", "e_tot", "eta_ce")),
         "n_evaluations": result.n_evaluations,
+        **_indexed("bias", best.bias.values),
     }
-    for i in range(n):
-        best_row[f"bias_{i}"] = float(best.bias.values[i])
     best_path = args.out + "_best.csv"
     write_csv(best_path, headers, list(best_row), [best_row])
 
-    hist_rows = []
-    for g in result.history:
-        row = {
-            "generation": g.generation,
-            "best_fitness": g.best_fitness,
-            "mean_fitness": g.mean_fitness,
-            "best_feasible": g.best_feasible,
-        }
-        for i in range(n):
-            row[f"bias_{i}"] = float(g.best_bias[i])
-        hist_rows.append(row)
+    hist_rows = [{
+        "generation": g.generation,
+        "best_fitness": g.best_fitness,
+        "mean_fitness": g.mean_fitness,
+        "best_feasible": g.best_feasible,
+        **_indexed("bias", g.best_bias),
+    } for g in result.history]
     history_path = args.out + "_history.csv"
     write_csv(history_path, headers, list(hist_rows[0]), hist_rows)
 
-    comp_rows = []
-    for r in comparison.rows:
-        m = r.metrics
-        row = {
-            "scheme": r.name,
-            "feasible": r.feasible,
-            "converged": r.converged,
-            "p_succ": m.p_succ if m else math.nan,
-            "e_tot": m.e_tot if m else math.nan,
-            "eta_ce": m.eta_ce if m else math.nan,
-            "share_low": r.share_low,
-            "share_mid": r.share_mid,
-            "share_high": r.share_high,
-            "delta_e_tot_pct": math.nan if r.delta_e_tot_pct is None else r.delta_e_tot_pct,
-            "delta_eta_ce_pct": math.nan if r.delta_eta_ce_pct is None else r.delta_eta_ce_pct,
-        }
-        for i in range(n):
-            row[f"bias_{i}"] = float(r.bias.values[i])
-        comp_rows.append(row)
+    comp_rows = [{
+        "scheme": r.name,
+        "feasible": r.feasible,
+        "converged": r.converged,
+        **_metric_columns(r.metrics, ("p_succ", "e_tot", "eta_ce")),
+        "share_low": r.share_low,
+        "share_mid": r.share_mid,
+        "share_high": r.share_high,
+        "delta_e_tot_pct": math.nan if r.delta_e_tot_pct is None else r.delta_e_tot_pct,
+        "delta_eta_ce_pct": math.nan if r.delta_eta_ce_pct is None else r.delta_eta_ce_pct,
+        **_indexed("bias", r.bias.values),
+    } for r in comparison.rows]
     comparison_path = args.out + "_comparison.csv"
     write_csv(comparison_path, headers, list(comp_rows[0]), comp_rows)
 
@@ -373,10 +344,7 @@ def main(argv: list[str] | None = None) -> int:
     command = shlex.join(["greencell"] + list(argv))
     try:
         return args.handler(args, command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except ValueError as exc:
+    except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (NumericError, FloatingPointError, np.linalg.LinAlgError) as exc:

@@ -1,4 +1,4 @@
-"""Model parameters: loading, validation, unit conversion, derived constants."""
+"""Model parameters: loading, validation, unit conversion."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import json
 import math
 import os
 from dataclasses import dataclass
-from typing import NamedTuple
 
 
 class ConfigError(ValueError):
@@ -19,16 +18,8 @@ def db_to_linear(value_db: float) -> float:
     return 10.0 ** (value_db / 10.0)
 
 
-def linear_to_db(value: float) -> float:
-    return 10.0 * math.log10(value)
-
-
 def dbm_to_watts(value_dbm: float) -> float:
     return 10.0 ** (value_dbm / 10.0) * 1e-3
-
-
-def watts_to_dbm(value_w: float) -> float:
-    return 10.0 * math.log10(value_w * 1e3)
 
 
 # Fields that must be strictly positive.
@@ -124,16 +115,6 @@ class NetworkConfig:
         return self.lambda_p * self.mean_cluster_users + self.lambda_u1
 
 
-class DerivedConstants(NamedTuple):
-    p_t: float
-    theta: float
-    static_drain: float
-
-
-def derived_constants(cfg: NetworkConfig) -> DerivedConstants:
-    return DerivedConstants(cfg.p_t, cfg.theta, cfg.static_drain)
-
-
 def _is_int(v) -> bool:
     # bool subclasses int, but a flag is never a valid count or rate.
     return isinstance(v, int) and not isinstance(v, bool)
@@ -182,7 +163,8 @@ def config_from_dict(raw: dict) -> NetworkConfig:
             if target in data:
                 raise ConfigError(f"give either {target} or {alt}, not both")
             x = data.pop(alt)
-            if not isinstance(x, (int, float)):
+            # A bool is not a level; +-inf is (-inf dBm means no noise).
+            if not (_is_int(x) or isinstance(x, float)):
                 raise ConfigError(f"{alt} must be a number, got {x!r}")
             data[target] = dbm_to_watts(x) if alt.endswith("_dbm") else db_to_linear(x)
     unknown = sorted(set(data) - _FIELD_NAMES)

@@ -2,12 +2,11 @@
 
 The battery marginals fix the association split and hence the per-level user
 counts; those user counts feed back as the chain's arrival rates.  The loop
-is closed by plain Picard iteration (optionally damped) from a uniform start.
+is closed by plain Picard iteration from a uniform start.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,8 +47,7 @@ class FixedPointResult:
 
 
 def solve(cfg, bias: analytics.BiasVector, eps: float = DEFAULT_EPS,
-          max_sweeps: int = DEFAULT_MAX_SWEEPS, damping: float = 1.0,
-          trace_path=None) -> FixedPointResult:
+          max_sweeps: int = DEFAULT_MAX_SWEEPS) -> FixedPointResult:
     """Iterate marginals -> users -> arrivals -> marginals until stationary.
 
     Non-convergence within ``max_sweeps`` is reported through the flag, not
@@ -63,23 +61,18 @@ def solve(cfg, bias: analytics.BiasVector, eps: float = DEFAULT_EPS,
         raise ValueError("eps must be positive")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
-    if not (0.0 < damping <= 1.0):
-        raise ValueError("damping must lie in (0, 1]")
 
     t = cfg.t_levels
     params = qbd.ChainParams.from_config(cfg)
     pi = np.full(t + 1, 1.0 / (t + 1))
-    trace = []
     converged = False
     iterations = 0
     for sweep in range(1, max_sweeps + 1):
         users = analytics.average_users(pi, bias, cfg)
         rho = arrival_map(users, cfg)
         ss = qbd.solve_steady_state(qbd.build_generator(params, rho))
-        pi_new = (1.0 - damping) * pi + damping * ss.level_marginals
-        diff = float(np.abs(pi_new - pi).max())
-        trace.append((sweep, diff, pi_new.copy()))
-        pi = pi_new
+        diff = float(np.abs(ss.level_marginals - pi).max())
+        pi = ss.level_marginals
         iterations = sweep
         if diff < eps:
             converged = True
@@ -99,9 +92,6 @@ def solve(cfg, bias: analytics.BiasVector, eps: float = DEFAULT_EPS,
     check = qbd.solve_steady_state(qbd.build_generator(params, rho))
     residual = float(np.abs(check.level_marginals - pi).max())
 
-    if trace_path is not None:
-        _write_trace(trace_path, trace)
-
     return FixedPointResult(
         level_marginals=pi,
         users=users,
@@ -113,11 +103,3 @@ def solve(cfg, bias: analytics.BiasVector, eps: float = DEFAULT_EPS,
         chain_metrics=lm,
     )
 
-
-def _write_trace(path, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        n_levels = len(rows[0][2]) if rows else 0
-        writer.writerow(["iteration", "residual"] + [f"pi_{i}" for i in range(n_levels)])
-        for sweep, diff, pi in rows:
-            writer.writerow([sweep, repr(float(diff))] + [repr(float(v)) for v in pi])

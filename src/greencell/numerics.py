@@ -128,23 +128,6 @@ _FADING_NODES, _FADING_WEIGHTS = (
 )
 
 
-# Moments of Exp(1) needed by the small-kappa expansion of the fading
-# integral; cached per exponent because math.gamma is not free.
-_MOMENT_CACHE: dict[float, tuple[float, float, float]] = {}
-
-
-def _exp_moments(power: float) -> tuple[float, float, float]:
-    got = _MOMENT_CACHE.get(power)
-    if got is None:
-        got = (
-            math.gamma(1.0 + power),
-            math.gamma(1.0 + 2.0 * power),
-            math.gamma(1.0 + 3.0 * power),
-        )
-        _MOMENT_CACHE[power] = got
-    return got
-
-
 def exp_power_integral(kappa: float, power: float) -> float:
     """G(kappa) = integral of exp(-kappa v^power - v) over v in [0, inf).
 
@@ -169,7 +152,7 @@ def exp_power_integral_vec(kappa: np.ndarray, power: float) -> np.ndarray:
     """
     k = np.asarray(kappa, dtype=float)
     k1 = np.minimum(k, 1.0)
-    m1, m2, m3 = _exp_moments(power)
+    m1, m2, m3 = (math.gamma(1.0 + j * power) for j in (1.0, 2.0, 3.0))
     approx = 1.0 - k1 * m1 + 0.5 * k1 * k1 * m2
     bound = k1**3 * m3 / 6.0
     fast = (approx > 0.5) & (bound < _FADING_TOL * approx)

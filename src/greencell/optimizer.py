@@ -26,13 +26,17 @@ from .numerics import NumericError, stream
 
 POWER_GRID_DEFAULT = tuple(0.5 * k for k in range(9))  # 0, 0.5, ..., 4
 ETA_CAP = 1e18
+PENALTY = 1e8  # fitness cost per unit of coverage gap below the floor
 
 
 def power_law_bias(beta: float, t_levels: int) -> BiasVector:
     """Bias (i+1)**beta for level i; beta=0 recovers nearest-station."""
     if beta < 0:
         raise ValueError("beta must be nonnegative")
-    return BiasVector(tuple(float(i + 1) ** beta for i in range(t_levels + 1)))
+    try:
+        return BiasVector(tuple(float(i + 1) ** beta for i in range(t_levels + 1)))
+    except OverflowError:
+        raise ValueError(f"beta {beta:g} overflows the bias of level {t_levels}") from None
 
 
 def evaluate_bias(cfg: NetworkConfig, bias: BiasVector,
@@ -120,7 +124,6 @@ class GaConfig:
     b_min: float = 1.0
     b_max: float = 64.0
     seed: int = 0
-    penalty: float = 1e8
 
     def __post_init__(self) -> None:
         if self.pop_size < 2:
@@ -135,8 +138,6 @@ class GaConfig:
             raise ValueError("b_min must lie in (0, 1] so the pinned first gene fits")
         if self.b_max <= self.b_min:
             raise ValueError("b_max must exceed b_min")
-        if self.penalty <= 0:
-            raise ValueError("penalty must be positive")
 
 
 @dataclass
@@ -165,20 +166,23 @@ class GaResult:
     n_evaluations: int
 
 
-def _evaluate_individual(evaluator: Evaluator, bias: BiasVector, ga: GaConfig) -> Individual:
+def _feasible(cfg: NetworkConfig, metrics: NetworkMetrics, fp: FixedPointResult) -> bool:
+    return fp.converged and metrics.p_succ > cfg.p_req
+
+
+def _evaluate_individual(evaluator: Evaluator, bias: BiasVector) -> Individual:
     outcome = evaluator(bias)
     if isinstance(outcome, Exception):
-        return Individual(bias, -ga.penalty, False, None, False)
+        return Individual(bias, -PENALTY, False, None, False)
     metrics, fp = outcome
     cfg = evaluator.cfg
     eta = min(metrics.eta_ce, ETA_CAP)
-    feasible = fp.converged and metrics.p_succ > cfg.p_req
-    if feasible:
+    if _feasible(cfg, metrics, fp):
         return Individual(bias, eta, True, metrics, True)
     gap = max(cfg.p_req - metrics.p_succ, 0.0)
     if not fp.converged:
         gap = max(gap, 1.0)
-    return Individual(bias, eta - ga.penalty * gap, False, metrics, fp.converged)
+    return Individual(bias, eta - PENALTY * gap, False, metrics, fp.converged)
 
 
 def _seed_population(cfg: NetworkConfig, ga: GaConfig,
@@ -192,9 +196,9 @@ def _seed_population(cfg: NetworkConfig, ga: GaConfig,
     for beta in POWER_GRID_DEFAULT:
         if len(population) >= ga.pop_size:
             break
-        candidate = [(i + 1) ** beta for i in range(t + 1)]
-        if all(ga.b_min <= g <= ga.b_max for g in candidate[1:]):
-            population.append(BiasVector(tuple(candidate)))
+        candidate = power_law_bias(beta, t)
+        if all(ga.b_min <= g <= ga.b_max for g in candidate.values[1:]):
+            population.append(candidate)
     while len(population) < ga.pop_size:
         genes = np.exp(rng.uniform(genes_low, genes_high, size=t))
         population.append(BiasVector((1.0,) + tuple(genes)))
@@ -259,7 +263,7 @@ def _run_ga(evaluator: Evaluator, ga: GaConfig | None) -> GaResult:
         ga = GaConfig()
     rng0 = stream(ga.seed, 0)
     population = [
-        _evaluate_individual(evaluator, b, ga)
+        _evaluate_individual(evaluator, b)
         for b in _seed_population(evaluator.cfg, ga, rng0)
     ]
     n_evals = len(population)
@@ -280,7 +284,7 @@ def _run_ga(evaluator: Evaluator, ga: GaConfig | None) -> GaResult:
         if ga.pop_size % 2:
             lone = population[parents[-1]].bias
             offspring.append(_mutate(rng, lone, ga))
-        children = [_evaluate_individual(evaluator, b, ga) for b in offspring]
+        children = [_evaluate_individual(evaluator, b) for b in offspring]
         n_evals += len(children)
         pool = population + children
         pool.sort(key=_rank_key, reverse=True)
@@ -339,10 +343,7 @@ def _level_bands(t_levels: int) -> tuple[int, int]:
     return low_end, mid_end
 
 
-def _band_shares(cfg: NetworkConfig, metrics: NetworkMetrics | None,
-                 fp: FixedPointResult | None) -> tuple[float, float, float]:
-    if fp is None:
-        return (math.nan,) * 3
+def _band_shares(cfg: NetworkConfig, fp: FixedPointResult) -> tuple[float, float, float]:
     total = fp.users.sum()
     if total <= 0:
         return (math.nan,) * 3
@@ -372,10 +373,9 @@ def compare_schemes(cfg: NetworkConfig, ga: GaConfig | None = None,
         if isinstance(outcome, Exception):
             return SchemeRow(name, bias, None, False, False, *(math.nan,) * 3)
         metrics, fp = outcome
-        feasible = fp.converged and metrics.p_succ > cfg.p_req
         return SchemeRow(
-            name, bias, metrics, fp.converged, feasible,
-            *_band_shares(cfg, metrics, fp),
+            name, bias, metrics, fp.converged, _feasible(cfg, metrics, fp),
+            *_band_shares(cfg, fp),
         )
 
     nearest = build_row("nearest", power_law_bias(0.0, cfg.t_levels))
@@ -387,14 +387,12 @@ def compare_schemes(cfg: NetworkConfig, ga: GaConfig | None = None,
         if isinstance(outcome, Exception):
             continue
         metrics, fp = outcome
-        if fp.converged and metrics.p_succ > cfg.p_req and metrics.eta_ce > best_eta:
+        if _feasible(cfg, metrics, fp) and metrics.eta_ce > best_eta:
             best_beta, best_eta = float(beta), metrics.eta_ce
     rows.append(build_row(f"power_law_beta_{best_beta:g}", power_law_bias(best_beta, cfg.t_levels)))
 
     ga_result = _run_ga(evaluator, ga)
-    ga_row = build_row("ga", ga_result.best.bias)
-    ga_row.feasible = ga_result.best.feasible
-    rows.append(ga_row)
+    rows.append(build_row("ga", ga_result.best.bias))
 
     base = nearest.metrics
     if base is not None and base.e_tot > 0:

@@ -50,12 +50,6 @@ class ChainParams:
         )
 
 
-def _as_params(params_or_cfg) -> ChainParams:
-    if isinstance(params_or_cfg, ChainParams):
-        return params_or_cfg
-    return ChainParams.from_config(params_or_cfg)
-
-
 @dataclass
 class QbdGenerator:
     """Block-tridiagonal generator.
@@ -73,14 +67,9 @@ class QbdGenerator:
     l_blocks: np.ndarray
     m_blocks: np.ndarray
 
-    @property
-    def n_states(self) -> int:
-        return (self.params.t_levels + 1) * (self.params.n_channels + 1)
 
-
-def build_generator(params_or_cfg, rho) -> QbdGenerator:
+def build_generator(p: ChainParams, rho) -> QbdGenerator:
     """Assemble the generator blocks for arrival rates ``rho`` (one per level)."""
-    p = _as_params(params_or_cfg)
     rho = np.asarray(rho, dtype=float)
     t, nch = p.t_levels, p.n_channels
     if rho.shape != (t + 1,):

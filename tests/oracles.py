@@ -264,7 +264,8 @@ def assemble(gen) -> np.ndarray:
     """Dense generator of a block QBD with states ordered (i, j) -> i * (N + 1) + j."""
     p = gen.params
     n = p.n_channels + 1
-    full = np.zeros((gen.n_states, gen.n_states))
+    size = (p.t_levels + 1) * n
+    full = np.zeros((size, size))
     for i in range(p.t_levels + 1):
         s = i * n
         full[s : s + n, s : s + n] = gen.d_blocks[i]

@@ -16,7 +16,6 @@ from greencell.analytics import (
     expected_rates,
     power_and_carbon,
     success_probability,
-    user_components,
     _success_grid,
 )
 
@@ -146,14 +145,6 @@ class TestUsers:
         pi = np.array([0.1, 0.2, 0.3, 0.4])
         users = average_users(pi, BiasVector.flat(3), small_cfg)
         np.testing.assert_allclose(users, 17.566370614359176, rtol=1e-13)
-
-    def test_components_sum(self, small_cfg):
-        pi = np.array([0.25, 0.25, 0.25, 0.25])
-        bias = BiasVector((1.0, 3.0, 9.0, 27.0))
-        comps = user_components(pi, bias, small_cfg)
-        np.testing.assert_allclose(
-            comps.clustered + comps.uniform, average_users(pi, bias, small_cfg), rtol=1e-14
-        )
 
     @given(biases=st.lists(st.floats(0.2, 20.0), min_size=3, max_size=3))
     def test_density_conservation(self, small_cfg, biases):

@@ -79,12 +79,25 @@ class TestErrorPaths:
                     "--bias-file", str(bias_file)]) == cli.EXIT_CONFIG
 
     def test_bad_bias_file_length(self, cfg_path, tmp_path, capsys):
+        # A wrong length, or an entry that is not a number (no coercion).
         bias_file = tmp_path / "bias.json"
-        bias_file.write_text("[1, 2]")
-        code = run(["analyze", cfg_path, "--out", str(tmp_path / "o.csv"),
-                    "--bias-file", str(bias_file)])
+        for text in ["[1, 2]", "[1, null, 3, 4]", '[1, "2", 3, 4]', "[1, true, 3, 4]",
+                     "[1, [2], 3, 4]"]:
+            bias_file.write_text(text)
+            code = run(["analyze", cfg_path, "--out", str(tmp_path / "o.csv"),
+                        "--bias-file", str(bias_file)])
+            assert code == cli.EXIT_CONFIG, text
+            assert "array of 4 numbers" in capsys.readouterr().err, text
+
+    @pytest.mark.parametrize("command", [["analyze", "--beta", "1000"],
+                                         ["sweep", "--betas", "0,1000"],
+                                         ["validate", "--betas", "1000", "--drops", "1"]])
+    def test_overflowing_beta_is_a_config_error(self, cfg_path, tmp_path, capsys, command):
+        code = run([command[0], cfg_path, "--out", str(tmp_path / "o.csv"), *command[1:]])
         assert code == cli.EXIT_CONFIG
-        assert "array of 4 numbers" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "config error: beta 1000 overflows the bias of level 3" in err
+        assert "Traceback" not in err
 
     def test_numeric_failure_exit_code(self, cfg_path, tmp_path, monkeypatch, capsys):
         def boom(*a, **kw):
@@ -156,9 +169,13 @@ class TestAnalyze:
         assert row["converged"] == "true"
         assert 0.0 < float(row["p_succ"]) < 1.0
         assert float(row["e_tot"]) > 0.0
-        for stem in ("pi", "users", "p_block", "p_occu", "p_succ_tier", "rate_tier"):
-            for i in range(4):
-                assert f"{stem}_{i}" in fields
+        indexed = lambda *stems: [f"{stem}_{i}" for stem in stems for i in range(4)]
+        assert fields == [
+            *indexed("bias"),
+            "p_succ", "area_rate", "p_tot", "p_grid", "e_tot", "eta_ee", "eta_ce",
+            "converged", "iterations", "residual",
+            *indexed("pi", "users", "p_block", "p_occu", "p_succ_tier", "rate_tier"),
+        ]
 
         manifest = json.loads((tmp_path / "point.manifest.json").read_text())
         assert manifest["config_hash"] == meta["config_hash"]

@@ -13,11 +13,8 @@ from greencell.config import (
     config_hash,
     db_to_linear,
     dbm_to_watts,
-    derived_constants,
-    linear_to_db,
     load_config,
     save_config,
-    watts_to_dbm,
 )
 
 
@@ -30,10 +27,9 @@ def test_baseline_file_loads_with_unit_conversion(baseline_cfg):
 
 
 def test_derived_constants(baseline_cfg):
-    d = derived_constants(baseline_cfg)
-    assert d.p_t == pytest.approx(6.3 / 20)
-    assert d.theta == pytest.approx(2.6 * 6.3 / 20)
-    assert d.static_drain == 25.0
+    assert baseline_cfg.p_t == pytest.approx(6.3 / 20)
+    assert baseline_cfg.theta == pytest.approx(2.6 * 6.3 / 20)
+    assert baseline_cfg.static_drain == 25.0
     # without the override the static drain comes from the power model
     raw = dataclasses.replace(baseline_cfg, static_drain_override=None)
     assert raw.static_drain == pytest.approx(56.0 / (2.6 * 6.3 / 20))
@@ -47,8 +43,8 @@ def test_user_density_closed_form(baseline_cfg):
 
 @given(st.floats(min_value=-80, max_value=60))
 def test_db_round_trip(x):
-    assert linear_to_db(db_to_linear(x)) == pytest.approx(x, abs=1e-9)
-    assert watts_to_dbm(dbm_to_watts(x)) == pytest.approx(x, abs=1e-9)
+    assert 10.0 * math.log10(db_to_linear(x)) == pytest.approx(x, abs=1e-9)
+    assert 10.0 * math.log10(dbm_to_watts(x) * 1e3) == pytest.approx(x, abs=1e-9)
 
 
 def test_validation_collects_all_problems():
@@ -100,6 +96,17 @@ def test_from_dict_rejects_conflicting_unit_forms(baseline_cfg):
     raw["tau_db"] = -10.0
     with pytest.raises(ConfigError, match="either tau or tau_db"):
         config_from_dict(raw)
+
+
+@pytest.mark.parametrize("alt,target", [("tau_db", "tau"), ("noise_power_dbm", "noise_power")])
+def test_db_alternatives_reject_bools_and_keep_infinity(baseline_cfg, alt, target):
+    raw = json.loads(canonical_json(baseline_cfg))
+    del raw[target]
+    for flag in (True, False):
+        with pytest.raises(ConfigError, match=f"{alt} must be a number"):
+            config_from_dict(dict(raw, **{alt: flag}))
+    # -inf on a dB scale is a linear zero, which both fields allow.
+    assert getattr(config_from_dict(dict(raw, **{alt: -math.inf})), target) == 0.0
 
 
 def test_round_trip_is_bit_exact(tmp_path, baseline_cfg):

@@ -31,6 +31,8 @@ def test_power_law_bias_values():
     assert power_law_bias(0.0, 3).values == (1.0, 1.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         power_law_bias(-0.5, 3)
+    with pytest.raises(ValueError, match="beta 400 overflows the bias of level 10"):
+        power_law_bias(400.0, 10)
 
 
 def test_evaluate_bias_consistency(small_cfg):
@@ -84,7 +86,6 @@ class TestBetaSweep:
         {"b_min": 0.0},
         {"b_min": 2.0},
         {"b_max": 0.5},
-        {"penalty": 0.0},
     ],
 )
 def test_ga_config_validation(kwargs):
@@ -245,8 +246,8 @@ class TestEvaluator:
         flat = power_law_bias(0.0, small_cfg.t_levels)
         _count_calls(monkeypatch, fail_on=flat)
         ga = GaConfig(pop_size=6, max_iters=2, seed=0)
-        ind = _evaluate_individual(Evaluator(small_cfg), flat, ga)
-        assert (ind.fitness, ind.feasible, ind.metrics) == (-ga.penalty, False, None)
+        ind = _evaluate_individual(Evaluator(small_cfg), flat)
+        assert (ind.fitness, ind.feasible, ind.metrics) == (-optimizer.PENALTY, False, None)
         # The flat profile is seeded into generation 0; the run still finishes.
         res = ga_optimize(small_cfg, ga)
         assert res.n_evaluations == 6 * 3
