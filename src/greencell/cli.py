@@ -176,6 +176,8 @@ def cmd_sweep(args, command: str) -> int:
             "nu": p.nu,
             **_metric_columns(p.metrics, ("p_succ", "e_tot", "eta_ee", "eta_ce", "p_grid")),
             "converged": p.converged,
+            "iterations": p.iterations,
+            "residual": p.residual,
         })
     h = config_hash(cfg)
     write_csv(args.out, header_lines(__version__, h, args.seed, command), list(rows[0]), rows)

@@ -166,7 +166,10 @@ def config_from_dict(raw: dict) -> NetworkConfig:
             # A bool is not a level; +-inf is (-inf dBm means no noise).
             if not (_is_int(x) or isinstance(x, float)):
                 raise ConfigError(f"{alt} must be a number, got {x!r}")
-            data[target] = dbm_to_watts(x) if alt.endswith("_dbm") else db_to_linear(x)
+            try:
+                data[target] = dbm_to_watts(x) if alt.endswith("_dbm") else db_to_linear(x)
+            except OverflowError:
+                raise ConfigError(f"{alt} = {x!r} overflows a linear {target}") from None
     unknown = sorted(set(data) - _FIELD_NAMES)
     if unknown:
         raise ConfigError("unknown config keys: " + ", ".join(unknown))

@@ -88,6 +88,8 @@ class SweepPoint:
     nu: float
     metrics: NetworkMetrics | None
     converged: bool
+    iterations: float = math.nan  # fixed-point map evaluations; NaN for a failed point
+    residual: float = math.nan
     error: str | None = None
 
 
@@ -108,10 +110,11 @@ def beta_sweep(cfg: NetworkConfig, betas, nus=None,
         for beta in betas:
             outcome = evaluator(power_law_bias(float(beta), cfg.t_levels))
             if isinstance(outcome, Exception):
-                points.append(SweepPoint(float(beta), float(nu), None, False, str(outcome)))
+                points.append(SweepPoint(float(beta), float(nu), None, False, error=str(outcome)))
             else:
                 metrics, fp = outcome
-                points.append(SweepPoint(float(beta), float(nu), metrics, fp.converged))
+                points.append(SweepPoint(float(beta), float(nu), metrics, fp.converged,
+                                         fp.iterations, fp.residual))
     return points
 
 

@@ -175,7 +175,7 @@ def success_probability_tier(i: int, level_marginals, bias, p_occu, cfg, tau: fl
     return float(np.clip(math.pi * scale_i * integral, 0.0, 1.0))
 
 
-def throughput_time_integral(p_succ_fn, tol: float = 1e-7, t_cap: float = 40.0,
+def throughput_time_integral(p_succ_fn, tol: float = 1e-7, t_cap: float = 128.0,
                              tail_frac: float = 1e-6) -> float:
     """Integral of P_succ(2^t - 1) over t in [0, t_cap] with early truncation."""
 
@@ -204,6 +204,77 @@ def expected_rate_tier(i: int, p_block_i: float, p_succ_fn, cfg) -> float:
     return cfg.rate_scale * admitted * base * throughput_time_integral(p_succ_fn)
 
 
+def success_probability_curve(i: int, level_marginals, bias, p_occu, cfg, taus) -> np.ndarray:
+    """P_succ of tier i at every threshold in ``taus``, elementwise.
+
+    The interference weights come from the hypergeometric closed form
+    (:func:`hyp_from_series`).  The fading integral
+    Int_0^inf exp(-kappa v^(alpha/2) - v) dv becomes, with v = u^2, the
+    smooth Int_0^inf 2u exp(-kappa u^alpha - u^2) du, taken by a 16-point
+    Gauss-Legendre rule on panels of width 0.4 over [0, 6.4]; that resolves
+    it to about 1e-14 while kappa <= 1.
+    """
+    pi = np.asarray(level_marginals, dtype=float)
+    taus = np.asarray(taus, dtype=float)
+    if pi[i] == 0.0:
+        return np.zeros(taus.shape)
+    b = _bias_array(bias)
+    lam = cfg.lambda_b * pi
+    ratios = b / b[i]
+    delta = 2.0 / cfg.alpha
+    scale = float((lam * ratios**delta).sum())
+    z = (2.0 * taus[:, None] / (cfg.alpha - 2.0) * ratios ** (delta - 1.0)
+         * hyp_from_series(cfg.alpha, taus[:, None] / ratios))
+    c = scale + z @ (lam * np.asarray(p_occu, dtype=float))
+    kappa = taus * cfg.noise_power / cfg.p_t / (math.pi * c) ** (cfg.alpha / 2.0)
+    if kappa.max(initial=0.0) > 1.0:
+        raise ValueError("fading rule resolves kappa <= 1 only")
+    x, w = np.polynomial.legendre.leggauss(16)
+    u = (np.arange(0.0, 6.4, 0.4)[:, None] + 0.2 * (1.0 + x)).ravel()
+    g = np.exp(-kappa[:, None] * u**cfg.alpha - u * u) @ (np.tile(0.2 * w, 16) * 2.0 * u)
+    return np.clip(scale * g / c, 0.0, 1.0)
+
+
+def rate_tier_untruncated(i: int, level_marginals, bias, p_occu, p_block_i: float, cfg,
+                          t_max: float = 200.0) -> float:
+    """Per-user rate of tier i with no tail stop, the integral taken to ``t_max``.
+
+    rate_scale (1 - p_block_i) P_i(tau) Int_0^t_max P_i(2^t - 1) dt, by a
+    16-point Gauss-Legendre rule on 409 panels: eleven graded geometrically
+    from 4^-10 up to 1, where P_i(2^t - 1) can behave like 1 - c sqrt(t),
+    then 398 of width 0.5.
+    """
+    edges = np.concatenate([[0.0], 4.0 ** np.arange(-10, 0), np.linspace(1.0, t_max, 399)])
+    x, w = np.polynomial.legendre.leggauss(16)
+    half = 0.5 * np.diff(edges)[:, None]
+    ts = (edges[:-1, None] + half * (1.0 + x)).ravel()
+    curve = success_probability_curve(i, level_marginals, bias, p_occu, cfg,
+                                      np.concatenate([[cfg.tau], 2.0**ts - 1.0]))
+    return cfg.rate_scale * (1.0 - p_block_i) * curve[0] * float((half * w).ravel() @ curve[1:])
+
+
+def picard_fixed_point(image, x0, eps: float, max_sweeps: int):
+    """Plain Picard iteration x <- G(x) for the chain/load coupling.
+
+    Stops once max |G(x) - x| < eps and takes the image; then applies G once
+    more to settle, and reports how far one further application moves the
+    result.  Returns (marginals, iterations, converged, residual).
+    """
+    x = np.asarray(x0, dtype=float)
+    converged = False
+    iterations = 0
+    for sweep in range(1, max_sweeps + 1):
+        g = image(x)
+        diff = float(np.abs(g - x).max())
+        x = g
+        iterations = sweep
+        if diff < eps:
+            converged = True
+            break
+    pi = image(x)
+    return pi, iterations, converged, float(np.abs(image(pi) - pi).max())
+
+
 def series_one_one(c: float, x: np.ndarray, tol: float = 1e-16, cap: int = 400) -> np.ndarray:
     """Gauss series for F(1, 1; c; x), summed term by term until every element converged."""
     term = np.ones_like(x)
@@ -216,21 +287,27 @@ def series_one_one(c: float, x: np.ndarray, tol: float = 1e-16, cap: int = 400) 
     raise RuntimeError("hypergeometric series failed to converge")
 
 
-def hyp_from_series(alpha: float, y: float) -> float:
+def hyp_from_series(alpha: float, y):
     """F(1, 1 - 2/alpha; 2 - 2/alpha; -y) from :func:`series_one_one`.
 
     Same transforms as the package: w = y/(1+y) and a 1/(1+y) prefactor; for
-    w > 0.5 the connection formula in 1 - w = 1/(1+y).
+    w > 0.5 the connection formula in 1 - w = 1/(1+y).  Elementwise over an
+    array ``y``; a scalar ``y`` gives a float.
     """
     c = 2.0 - 2.0 / alpha
-    om = 1.0 / (1.0 + y)
-    w = y * om
-    if w <= 0.5:
-        return float(om * series_one_one(c, np.array([w]))[0])
+    y = np.asarray(y, dtype=float)
+    om = 1.0 / (1.0 + y.reshape(-1))
+    w = y.reshape(-1) * om
+    low = w <= 0.5
     coef_a = math.gamma(c) * math.gamma(c - 2.0) / math.gamma(c - 1.0) ** 2
     coef_b = math.gamma(c) * math.gamma(2.0 - c)
-    f = coef_a * series_one_one(3.0 - c, np.array([om]))[0] + coef_b * om ** (c - 2.0) * w ** (1.0 - c)
-    return float(f * om)
+    f = np.empty_like(w)
+    f[low] = series_one_one(c, w[low])
+    high = ~low
+    f[high] = (coef_a * series_one_one(3.0 - c, om[high])
+               + coef_b * om[high] ** (c - 2.0) * w[high] ** (1.0 - c))
+    out = (f * om).reshape(y.shape)
+    return out if out.ndim else float(out)
 
 
 def build_blocks_per_level(params, rho) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -383,16 +383,19 @@ def test_criterion_10_quadrature_oracles(baseline_cfg, fp_by_beta):
     err_succ = abs(got - ref) / ref
 
     # Throughput integral: the fixed rule vs a fine fixed midpoint grid
-    # over the same integrand, at the calibrated beta = 1 operating point.
+    # over the same integrand and domain, t in [0, 128], at the calibrated
+    # beta = 1 operating point; the grid is evaluated in chunks.
     bias1, metrics, fp = fp_by_beta[1.0]
     lm = fp.chain_metrics
     rates, tier, _ = expected_rates(fp.level_marginals, bias1, lm.p_occu, lm.p_block,
                                     baseline_cfg)
-    k = 40_000
-    ts = (np.arange(k) + 0.5) * (40.0 / k)
-    grid = _success_grid(2.0 ** ts - 1.0, fp.level_marginals, bias1, lm.p_occu,
-                         baseline_cfg)
-    totals_ref = grid.sum(axis=0) * (40.0 / k)
+    totals_ref = np.zeros(baseline_cfg.t_levels + 1)
+    for lo, hi, k in ((0.0, 40.0, 40_000), (40.0, 128.0, 8_800)):
+        ts = lo + (np.arange(k) + 0.5) * ((hi - lo) / k)
+        for chunk in np.array_split(ts, 10):
+            grid = _success_grid(2.0 ** chunk - 1.0, fp.level_marginals, bias1,
+                                 lm.p_occu, baseline_cfg)
+            totals_ref += grid.sum(axis=0) * ((hi - lo) / k)
     rates_ref = baseline_cfg.rate_scale * (1.0 - lm.p_block) * tier * totals_ref
     live = rates_ref > 1e-12
     err_rate = float(np.abs(rates[live] - rates_ref[live]).max()

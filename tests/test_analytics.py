@@ -19,10 +19,13 @@ from greencell.analytics import (
     _success_grid,
 )
 
+from greencell.optimizer import evaluate_bias, power_law_bias
+
 from oracles import (
     expected_rate_tier,
     interference_coefficient,
     midpoint,
+    rate_tier_untruncated,
     success_probability_tier,
     throughput_time_integral,
 )
@@ -183,6 +186,24 @@ class TestExpectedRates:
         pi = np.full(4, 0.25)
         rates, _, _ = expected_rates(pi, BiasVector.flat(3), np.full(4, 0.3), np.ones(4), small_cfg)
         np.testing.assert_array_equal(rates, np.zeros(4))
+
+    @pytest.mark.parametrize("beta, overrides", [
+        (0.0, {}), (1.0, {}), (3.0, {}),
+        (1.0, {"t_levels": 40, "n_channels": 100}),
+        (1.0, {"alpha": 3.0}), (1.0, {"alpha": 6.0}),
+    ])
+    def test_rate_domain_is_certified(self, baseline_cfg, beta, overrides):
+        # The tail beyond the last panel, and the panels the stop rule skips,
+        # must stay below 1e-9 of the rate at operating points of the model.
+        cfg = dataclasses.replace(baseline_cfg, **overrides)
+        bias = power_law_bias(beta, cfg.t_levels)
+        metrics, fp = evaluate_bias(cfg, bias)
+        lm = fp.chain_metrics
+        tiers = range(cfg.t_levels + 1) if cfg.t_levels <= 10 else (0, 20, 40)
+        for i in tiers:
+            ref = rate_tier_untruncated(i, fp.level_marginals, bias, lm.p_occu,
+                                        float(lm.p_block[i]), cfg)
+            assert metrics.rate_tier[i] == pytest.approx(ref, rel=1e-9, abs=0), i
 
     def test_rate_scale_is_linear(self, small_cfg):
         pi = np.full(4, 0.25)

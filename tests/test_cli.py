@@ -99,6 +99,15 @@ class TestErrorPaths:
         assert "config error: beta 1000 overflows the bias of level 3" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field, value", [("noise_power_dbm", 3100.0), ("tau_db", 3090.0)])
+    def test_overflowing_db_value_is_a_config_error(self, field, value, tmp_path, capsys):
+        code = run(["analyze", baseline_with(tmp_path, **{field: value}),
+                    "--out", str(tmp_path / "o.csv"), "--beta", "1"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {field} = {value!r} overflows" in err
+        assert "Traceback" not in err
+
     def test_numeric_failure_exit_code(self, cfg_path, tmp_path, monkeypatch, capsys):
         def boom(*a, **kw):
             raise SolverError("synthetic blowup")
@@ -208,7 +217,7 @@ class TestSweep:
                     "--betas", "0,1", "--nus", "36,40"]) == cli.EXIT_OK
         _, fields, rows = read_csv(out)
         assert fields == ["beta", "nu", "p_succ", "e_tot", "eta_ee", "eta_ce",
-                          "p_grid", "converged"]
+                          "p_grid", "converged", "iterations", "residual"]
         assert [(r["beta"], r["nu"]) for r in rows] == [
             ("0.0", "36.0"), ("1.0", "36.0"), ("0.0", "40.0"), ("1.0", "40.0")
         ]
@@ -249,9 +258,29 @@ class TestSweep:
         assert err == "warning: sweep point beta=1 nu=40 failed: synthetic blowup\n"
         _, fields, rows = read_csv(out)
         assert fields == ["beta", "nu", "p_succ", "e_tot", "eta_ee", "eta_ce",
-                          "p_grid", "converged"]
+                          "p_grid", "converged", "iterations", "residual"]
         assert [r["converged"] for r in rows] == ["true", "false"]
         assert rows[1]["p_succ"] == "nan"
+
+
+    def test_fixed_point_columns(self, cfg_path, tmp_path, monkeypatch, capsys):
+        # The sweep reports what analyze reports; a failed point has none.
+        real = optimizer.evaluate_bias
+
+        def flaky(cfg, bias, **kw):
+            if bias.values[1] == 2.0:  # beta = 1
+                raise NumericError("synthetic blowup")
+            return real(cfg, bias, **kw)
+
+        monkeypatch.setattr(optimizer, "evaluate_bias", flaky)
+        monkeypatch.setenv("GREENCELL_WORKERS", "1")
+        out = str(tmp_path / "sweep.csv")
+        assert run(["sweep", cfg_path, "--out", out, "--betas", "0,1"]) == cli.EXIT_OK
+        _, _, rows = read_csv(out)
+        _, fp = real(load_config(cfg_path), optimizer.power_law_bias(0.0, 3))
+        assert rows[0]["iterations"] == str(fp.iterations)
+        assert float(rows[0]["residual"]) == fp.residual
+        assert (rows[1]["iterations"], rows[1]["residual"]) == ("nan", "nan")
 
 
 class TestValidate:

@@ -109,6 +109,17 @@ def test_db_alternatives_reject_bools_and_keep_infinity(baseline_cfg, alt, targe
     assert getattr(config_from_dict(dict(raw, **{alt: -math.inf})), target) == 0.0
 
 
+@pytest.mark.parametrize("alt,target,value", [("tau_db", "tau", 3090.0),
+                                              ("noise_power_dbm", "noise_power", 3100.0),
+                                              pytest.param("tau_db", "tau", 10**400,
+                                                           id="tau_db-tau-int1e400")])
+def test_db_alternatives_reject_overflow(baseline_cfg, alt, target, value):
+    raw = json.loads(canonical_json(baseline_cfg))
+    del raw[target]
+    with pytest.raises(ConfigError, match=f"{alt} = .* overflows"):
+        config_from_dict(dict(raw, **{alt: value}))
+
+
 def test_round_trip_is_bit_exact(tmp_path, baseline_cfg):
     path = tmp_path / "cfg.json"
     save_config(baseline_cfg, path)

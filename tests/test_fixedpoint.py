@@ -1,12 +1,22 @@
 import dataclasses
+import math
+import sys
 
 import numpy as np
 import pytest
 
 from greencell import qbd
 from greencell.analytics import BiasVector, average_users
-from greencell.fixedpoint import arrival_map, solve
+from greencell.fixedpoint import (
+    DEFAULT_EPS,
+    DEFAULT_MAX_SWEEPS,
+    _mixed_step,
+    arrival_map,
+    solve,
+)
 from greencell.optimizer import power_law_bias
+
+from oracles import picard_fixed_point
 
 
 def test_baseline_beta_one_converges(baseline_cfg):
@@ -62,3 +72,77 @@ def test_parameter_validation(small_cfg, kwargs):
 def test_bias_length_must_match_levels(small_cfg):
     with pytest.raises(ValueError):
         solve(small_cfg, BiasVector.flat(small_cfg.t_levels + 2))
+
+
+def _chain_image(cfg, bias):
+    """The coupling map G: marginals -> users -> arrivals -> chain marginals."""
+    params = qbd.ChainParams.from_config(cfg)
+
+    def image(x):
+        rho = arrival_map(average_users(x, bias, cfg), cfg)
+        return qbd.solve_steady_state(qbd.build_generator(params, rho)).level_marginals
+
+    return image
+
+
+def _picard(cfg, bias):
+    start = np.full(cfg.t_levels + 1, 1.0 / (cfg.t_levels + 1))
+    return picard_fixed_point(_chain_image(cfg, bias), start, DEFAULT_EPS, DEFAULT_MAX_SWEEPS)
+
+
+def _ga_like_biases(t_levels, n, seed):
+    """Random bias vectors as the GA draws them: B_0 = 1, the rest in [1, 64]."""
+    rng = np.random.default_rng(seed)
+    return [BiasVector((1.0, *np.exp(rng.uniform(0.0, math.log(64.0), t_levels))))
+            for _ in range(n)]
+
+
+@pytest.mark.parametrize("cfg_name", ["small_cfg", "baseline_cfg"])
+def test_mixing_matches_picard(cfg_name, request):
+    cfg = request.getfixturevalue(cfg_name)
+    for bias in _ga_like_biases(cfg.t_levels, 12, seed=5):
+        res = solve(cfg, bias)
+        pi, iterations, converged, _ = _picard(cfg, bias)
+        assert res.converged == converged
+        assert np.abs(res.level_marginals - pi).max() <= DEFAULT_EPS
+        assert res.iterations <= iterations
+
+
+def test_mixed_step_falls_back_to_plain_step():
+    # Secant extrapolation of a slowly shrinking residual leaves the simplex:
+    # 4 G(x_1) - 3 G(x_0) = (-0.3, 1.3).
+    xs = [np.array([0.5, 0.5]), np.array([0.3, 0.7])]
+    gs = [np.array([0.9, 0.1]), np.array([0.6, 0.4])]
+    assert _mixed_step(xs, gs) is gs[-1]
+    # A repeated iterate makes dF^T dF exactly singular.
+    xs = [np.array([0.5, 0.5]), np.array([0.7, 0.3]), np.array([0.7, 0.3])]
+    gs = [np.array([0.7, 0.3]), np.array([0.8, 0.2]), np.array([0.8, 0.2])]
+    assert _mixed_step(xs, gs) is gs[-1]
+    # A single iterate has nothing to mix.
+    assert _mixed_step(xs[:1], gs[:1]) is gs[0]
+
+
+@pytest.mark.parametrize("forced", ["singular", "negative"])
+def test_forced_fallback_is_picard(small_cfg, monkeypatch, forced):
+    """With every mixing step rejected, solve() is plain Picard iteration."""
+    real_solve = np.linalg.solve
+    calls = []
+
+    def rigged(a, b):
+        if sys._getframe(1).f_code is not _mixed_step.__code__:
+            return real_solve(a, b)
+        calls.append(a.shape)
+        if forced == "singular":
+            raise np.linalg.LinAlgError("Singular matrix")
+        # dG gamma sums to zero, so scaled this far it drives some entry of
+        # the candidate to about -1e300.
+        return 1e300 * real_solve(a, b)
+
+    monkeypatch.setattr(np.linalg, "solve", rigged)
+    bias = power_law_bias(2.0, small_cfg.t_levels)
+    res = solve(small_cfg, bias)
+    pi, iterations, converged, residual = _picard(small_cfg, bias)
+    assert calls and res.converged and converged
+    assert res.iterations == iterations
+    np.testing.assert_array_equal(res.level_marginals, pi)
+    assert res.residual == residual
