@@ -19,15 +19,15 @@ import numpy as np
 
 from .numerics import exp_power_integral_vec, gauss_legendre_panels, hyp_one_one_neg
 
-RATE_TAIL_FRACTION = 1e-6 # stop once a panel adds less than this fraction
+GRID_ELEMENTS = 1 << 15  # (tau, i, j) terms per success-grid call; bounds its temporaries
 
 # Panels of the threshold exponent t: graded towards t = 0, where
 # P_succ(2^t - 1) can behave like 1 - c sqrt(t) under strong biases, then
 # doubling in width out to t = 128, where the integrand has decayed like
 # 2^(-2t/alpha) or faster.
-_RATE_NODES, _RATE_WEIGHTS = gauss_legendre_panels(
+_RATE_NODES, _RATE_WEIGHTS = (a.reshape(-1) for a in gauss_legendre_panels(
     np.concatenate([[0.0], 4.0 ** np.arange(-3, 0), 2.0 ** np.arange(0, 8)])
-)
+))
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,8 @@ class BiasVector:
             raise ValueError(f"bias of the reference level must be exactly 1, got {vals[0]!r}")
         if not all(math.isfinite(v) and v > 0 for v in vals):
             raise ValueError("biases must be finite and positive")
+        if not math.isfinite(max(vals) / min(vals)):
+            raise ValueError(f"bias ratio max/min = {max(vals):g}/{min(vals):g} overflows a float")
         object.__setattr__(self, "values", vals)
 
     @classmethod
@@ -125,15 +127,6 @@ def _success_grid(taus: np.ndarray, level_marginals, bias: BiasVector, p_occu, c
     return p
 
 
-def success_probability(level_marginals, bias: BiasVector, p_occu, cfg, tau: float | None = None):
-    """Per-tier success probabilities and their association-weighted mixture."""
-    if tau is None:
-        tau = cfg.tau
-    tier = _success_grid(np.array([tau]), level_marginals, bias, p_occu, cfg)[0]
-    split = association_split(level_marginals, bias, cfg)
-    return tier, float((tier * split.p_assoc).sum())
-
-
 def average_users(level_marginals, bias: BiasVector, cfg) -> np.ndarray:
     """Mean number of users served by a station at each battery level."""
     pi = np.asarray(level_marginals, dtype=float)
@@ -148,25 +141,23 @@ def expected_rates(level_marginals, bias: BiasVector, p_occu, p_block, cfg):
     """Per-tier rates plus tier/mixture success at the configured threshold.
 
     The rate of tier i is rate_scale (1 - p_block_i) P_i(tau) times the
-    integral of P_i(2^t - 1) over t >= 0, taken panel by panel out to t = 128
-    with the fixed rule for all tiers at once; it stops after the first panel
-    that adds less than RATE_TAIL_FRACTION to every live tier's total.  Where
-    interference dominates, P_i(2^t - 1) ~ K 2^(-2t/alpha), so the tail left
-    beyond t = 128 is K alpha / (2 ln 2) 2^(-256/alpha): below 1e-18 K at
-    alpha = 4, 1e-12 K at alpha = 6 and 2e-9 K at alpha = 8.  Noise only
-    makes the integrand decay faster.
+    integral of P_i(2^t - 1) over t in [0, 128] by the fixed rule.  The 176
+    rule nodes and tau itself make one success grid, evaluated in chunks of
+    at most GRID_ELEMENTS (tau, i, j) terms: one call at T = 10, ten at
+    T = 40.  Where interference dominates, P_i(2^t - 1) ~ K 2^(-2t/alpha), so
+    the tail left beyond t = 128 is K alpha / (2 ln 2) 2^(-256/alpha): below
+    1e-18 K at alpha = 4, 1e-12 K at alpha = 6 and 2e-9 K at alpha = 8.
+    Noise only makes the integrand decay faster.
     """
-    pi = np.asarray(level_marginals, dtype=float)
-    live = pi > 0.0
-    totals = np.zeros(pi.size)
-    for ts, ws in zip(_RATE_NODES, _RATE_WEIGHTS):
-        part = ws @ _success_grid(2.0**ts - 1.0, level_marginals, bias, p_occu, cfg)
-        totals += part
-        if live.any() and np.all(part[live] < RATE_TAIL_FRACTION * totals[live]):
-            break
-
-    tier_at_tau, p_succ = success_probability(level_marginals, bias, p_occu, cfg)
-    rates = cfg.rate_scale * (1.0 - np.asarray(p_block, float)) * tier_at_tau * totals
+    taus = np.append(2.0**_RATE_NODES - 1.0, cfg.tau)
+    step = max(1, GRID_ELEMENTS // len(bias) ** 2)
+    grid = np.concatenate([
+        _success_grid(taus[k:k + step], level_marginals, bias, p_occu, cfg)
+        for k in range(0, taus.size, step)
+    ])
+    tier_at_tau = grid[-1]
+    p_succ = float((tier_at_tau * association_split(level_marginals, bias, cfg).p_assoc).sum())
+    rates = cfg.rate_scale * (1.0 - np.asarray(p_block, float)) * tier_at_tau * (_RATE_WEIGHTS @ grid[:-1])
     return rates, tier_at_tau, p_succ
 
 

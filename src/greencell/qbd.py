@@ -110,32 +110,52 @@ class SteadyState:
 
 
 def solve_steady_state(gen: QbdGenerator) -> SteadyState:
-    """Stationary solve by backward block recursion.
+    """Stationary solve by backward block recursion, one inverse per level.
 
-    Folds levels T..1 into level 0 one inverse at a time, solves the reduced
-    level-0 generator for its null vector, then unrolls the recursion to
-    recover the remaining level slices.
+    Censoring levels i..T onto level i leaves the block
+    Q_i = D_i + L_i (-Q_{i+1})^-1 M_{i+1}.  With L = nu I and M diagonal that
+    is D_i - nu R_{i+1} diag(m_{i+1}) for R = Q^-1, so each level costs one
+    explicit inverse and no solve.  R is entrywise nonpositive in exact
+    arithmetic, so entries that rounding pushes above zero are clamped to
+    zero; the off-diagonal entries of Q_i are then sums of nonnegative terms,
+    and its diagonal is reset to minus the off-diagonal row sum and the
+    downward rate, which keeps the censored generator conservative however
+    small a level's mass is (Grassmann, Taksar & Heyman, Oper. Res. 1985).
+    The head is the null vector of Q_0 normalized to sum one, from one solve
+    with the last column of Q_0 replaced by ones; the levels above unroll as
+    pi_{i+1} = -nu pi_i R_{i+1}.
     """
     p = gen.params
     t = p.t_levels
     n = p.n_channels + 1
+    m = np.diagonal(gen.m_blocks, axis1=1, axis2=2)
+    nu_m, neg_m = p.nu * m, -m
+    ones = np.ones(n)
+    unit = np.zeros(n)
+    unit[-1] = 1.0
 
-    try:
-        q = np.empty_like(gen.d_blocks)
-        q[t] = gen.d_blocks[t]
-        for i in range(t - 1, -1, -1):
-            q[i] = gen.d_blocks[i] - gen.l_blocks[i] @ np.linalg.solve(q[i + 1], gen.m_blocks[i + 1])
+    with np.errstate(all="ignore"):  # a near-singular chain is caught by the checks below
+        try:
+            r = [None] * (t + 1)
+            q = gen.d_blocks[t]
+            for i in range(t, 0, -1):
+                r[i] = np.minimum(np.linalg.inv(q), 0.0)
+                q = gen.d_blocks[i - 1] - r[i] * nu_m[i]
+                diag = q.reshape(-1)[:: n + 1]  # a writable view of the diagonal
+                diag[:] = 0.0
+                np.subtract(neg_m[i - 1], q @ ones, out=diag)
+            head = q.copy()
+            head[:, -1] = 1.0
+            pi = np.empty((t + 1, n))
+            pi[0] = np.linalg.solve(head.T, unit)
+        except np.linalg.LinAlgError as exc:
+            raise SolverError(f"singular block during stationary solve: {exc}") from exc
+        for i in range(1, t + 1):
+            np.matmul(pi[i - 1], r[i], out=pi[i])
+            pi[i] *= -p.nu
 
-        head = _null_row_vector(q[0])
-        slices = [head]
-        for i in range(t):
-            # pi_{i+1} = -pi_i L_i inv(Q_{i+1})
-            rhs = -(slices[i] @ gen.l_blocks[i])
-            slices.append(np.linalg.solve(q[i + 1].T, rhs))
-    except np.linalg.LinAlgError as exc:
-        raise SolverError(f"singular block during stationary solve: {exc}") from exc
-
-    pi = np.vstack(slices)
+    if not np.isfinite(pi).all():
+        raise SolverError("stationary solve overflowed the float range")
     if np.any(pi < -1e-9 * max(pi.max(), 1.0)):
         raise SolverError("stationary solve produced significantly negative mass")
     pi = np.clip(pi, 0.0, None)
@@ -157,18 +177,6 @@ def stationary_residual(gen: QbdGenerator, pi: np.ndarray) -> np.ndarray:
     out[1:] += np.einsum("ij,ijk->ik", pi[:-1], gen.l_blocks)
     out[:-1] += np.einsum("ij,ijk->ik", pi[1:], gen.m_blocks[1:])
     return out
-
-
-def _null_row_vector(q0: np.ndarray) -> np.ndarray:
-    """Row vector x with x @ q0 = 0, first component pinned to 1."""
-    a = q0.T
-    n = a.shape[0]
-    if n == 1:
-        return np.ones(1)
-    x = np.empty(n)
-    x[0] = 1.0
-    x[1:] = np.linalg.solve(a[1:, 1:], -a[1:, 0])
-    return x
 
 
 @dataclass

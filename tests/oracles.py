@@ -2,7 +2,9 @@
 
 Everything here is deliberately written from first principles (recursions,
 dense linear algebra, brute-force quadrature) without importing the package
-under test, so agreement is meaningful.
+under test, so agreement is meaningful.  The one exception is
+:func:`success_probability`, which reads the package's own success grid at a
+single threshold so that tests can pin it against closed forms.
 """
 
 from __future__ import annotations
@@ -27,6 +29,26 @@ def dense_null_pi(a: np.ndarray) -> np.ndarray:
     null = vt[np.argmin(s)]
     pi = null / null.sum()
     return np.where(np.abs(pi) < 1e-15, 0.0, pi)
+
+
+def gth_stationary(a: np.ndarray) -> np.ndarray:
+    """Stationary row vector of an irreducible generator by GTH state reduction.
+
+    Grassmann, Taksar & Heyman (Oper. Res. 1985): states are censored out
+    one at a time from the last, each exit rate taken as the sum of the
+    off-diagonal rates to the states left, so no step subtracts and every
+    entry keeps its relative accuracy however small it is.
+    """
+    a = np.array(a, dtype=float)
+    n = a.shape[0]
+    for k in range(n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    pi = np.zeros(n)
+    pi[0] = 1.0
+    for k in range(1, n):
+        pi[k] = pi[:k] @ a[:k, k]
+    return pi / pi.sum()
 
 
 def midpoint(f, lo: float, hi: float, n: int) -> float:
@@ -202,6 +224,21 @@ def expected_rate_tier(i: int, p_block_i: float, p_succ_fn, cfg) -> float:
     if base == 0.0:
         return 0.0
     return cfg.rate_scale * admitted * base * throughput_time_integral(p_succ_fn)
+
+
+def success_probability(level_marginals, bias, p_occu, cfg, tau: float | None = None):
+    """Per-tier success probabilities at one threshold and their association mixture.
+
+    A one-row call of the package's success grid, mixed by its association
+    split; the package itself evaluates the threshold inside the rate grid.
+    """
+    from greencell.analytics import _success_grid, association_split
+
+    if tau is None:
+        tau = cfg.tau
+    tier = _success_grid(np.array([tau]), level_marginals, bias, p_occu, cfg)[0]
+    split = association_split(level_marginals, bias, cfg)
+    return tier, float((tier * split.p_assoc).sum())
 
 
 def success_probability_curve(i: int, level_marginals, bias, p_occu, cfg, taus) -> np.ndarray:

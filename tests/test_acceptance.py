@@ -22,7 +22,6 @@ from greencell.analytics import (
     average_users,
     expected_rates,
     interference_factor,
-    success_probability,
 )
 from greencell.csvio import read_csv
 from greencell.montecarlo import estimate_success
@@ -45,6 +44,7 @@ from oracles import (
     interference_coefficient,
     midpoint,
     simulate_trajectory,
+    success_probability,
     z_defining_integral,
 )
 

@@ -15,7 +15,6 @@ from greencell.analytics import (
     efficiencies,
     expected_rates,
     power_and_carbon,
-    success_probability,
     _success_grid,
 )
 
@@ -26,6 +25,7 @@ from oracles import (
     interference_coefficient,
     midpoint,
     rate_tier_untruncated,
+    success_probability,
     success_probability_tier,
     throughput_time_integral,
 )

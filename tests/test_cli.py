@@ -89,6 +89,16 @@ class TestErrorPaths:
             assert code == cli.EXIT_CONFIG, text
             assert "array of 4 numbers" in capsys.readouterr().err, text
 
+    def test_overflowing_bias_ratio_is_a_config_error(self, tmp_path, capsys):
+        bias_file = tmp_path / "bias.json"
+        bias_file.write_text(json.dumps([1.0, 1e300, 1e-300] + [1.0] * 8))
+        code = run_without_runtime_warnings(["analyze", str(CONFIG_PATH), "--out",
+                                             str(tmp_path / "o.csv"), "--bias-file", str(bias_file)])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: bias ratio max/min = 1e+300/1e-300 overflows a float" in err
+        assert "RuntimeWarning" not in err
+
     @pytest.mark.parametrize("command", [["analyze", "--beta", "1000"],
                                          ["sweep", "--betas", "0,1000"],
                                          ["validate", "--betas", "1000", "--drops", "1"]])

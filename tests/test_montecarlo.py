@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from greencell.analytics import BiasVector, association_split, average_users, success_probability
+from greencell.analytics import BiasVector, association_split, average_users
 from greencell.montecarlo import BLOCK, default_window, estimate_success, min_window
 from oracles import (
     Realization,
@@ -12,6 +12,7 @@ from oracles import (
     estimate_success_blockwise,
     estimate_success_per_drop,
     sample_realization,
+    success_probability,
 )
 
 

@@ -1,10 +1,18 @@
+import dataclasses
+import math
+import warnings
+
 import numpy as np
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from greencell.fixedpoint import solve
+from greencell.optimizer import evaluate_bias, power_law_bias
 from greencell.qbd import (
+    RESIDUAL_TOL,
     ChainParams,
     LevelMetrics,
+    SolverError,
     SteadyState,
     build_generator,
     level_metrics,
@@ -12,7 +20,21 @@ from greencell.qbd import (
     stationary_residual,
 )
 
-from oracles import assemble, build_blocks_per_level, dense_null_pi, erlang_b, simulate_trajectory
+from oracles import (
+    assemble,
+    build_blocks_per_level,
+    dense_null_pi,
+    erlang_b,
+    gth_stationary,
+    simulate_trajectory,
+)
+
+CORNERS = {
+    "no_users": {"lambda_u1": 0.0, "lambda_u2": 0.0},
+    "t40_n100": {"t_levels": 40, "n_channels": 100},
+    "nu_1e6": {"nu": 1e6},
+    "lambda_u1=500": {"lambda_u1": 500.0},
+}
 
 
 def test_hand_built_generator_matches():
@@ -81,6 +103,69 @@ def test_backward_recursion_matches_dense_null_space():
         ss = solve_steady_state(gen)
         ref = dense_null_pi(assemble(gen))
         np.testing.assert_allclose(ss.pi.reshape(-1), ref, atol=1e-10)
+
+
+@pytest.mark.parametrize("beta", [0.0, 1.0, 3.0])
+@pytest.mark.parametrize("corner", list(CORNERS))
+def test_corner_points_complete(baseline_cfg, corner, beta):
+    # Level 0 of these chains carries almost no mass or an overloaded cell;
+    # a recursion that subtracts to form the censored blocks loses it.
+    cfg = dataclasses.replace(baseline_cfg, **CORNERS[corner])
+    metrics, fp = evaluate_bias(cfg, power_law_bias(beta, cfg.t_levels))
+    assert fp.converged
+    assert fp.chain_state.pi.sum() == pytest.approx(1.0, abs=1e-12)
+    assert fp.chain_state.residual <= 1e-10
+    values = [getattr(metrics, f.name) for f in dataclasses.fields(metrics)]
+    assert all(np.all(np.isfinite(v)) for v in values)
+
+
+def test_high_recharge_matches_gth_oracle(baseline_cfg):
+    # At nu = 1e6 level 0 holds about 3e-45 of the mass, and p_grid scales
+    # with it; every level marginal must keep its relative accuracy.
+    cfg = dataclasses.replace(baseline_cfg, nu=1e6)
+    fp = solve(cfg, power_law_bias(0.0, cfg.t_levels))
+    gen = build_generator(ChainParams.from_config(cfg), fp.rho)
+    got = solve_steady_state(gen).level_marginals
+    ref = gth_stationary(assemble(gen)).reshape(got.size, -1).sum(axis=1)
+    assert ref[0] < 1e-40
+    np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0)
+
+
+def test_inverse_rounding_is_clamped():
+    # Recharge 1e8 times the static drain: rounding gives the level inverses
+    # entries of the wrong sign, which then read as negative mass unless
+    # they are clamped to zero.
+    gen = build_generator(ChainParams(4, 3, 0.02, 600.0, 7e4, 1e-3), [0.03, 0.0, 0.0, 0.0])
+    ss = solve_steady_state(gen)
+    ref = gth_stationary(assemble(gen)).reshape(ss.pi.shape)
+    np.testing.assert_allclose(ss.pi, ref, rtol=0, atol=1e-15)
+
+
+_DECADES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
+
+
+@settings(max_examples=200)
+@given(
+    n_channels=st.integers(1, 60),
+    t_levels=st.integers(1, 20),
+    mu=_DECADES,
+    omega=st.one_of(st.just(0.0), _DECADES),
+    nu=st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
+    drain=st.one_of(st.just(0.0), _DECADES),
+    rho=st.lists(st.one_of(st.just(0.0), _DECADES), min_size=21, max_size=21),
+)
+def test_solve_is_finite_or_typed(n_channels, t_levels, mu, omega, nu, drain, rho):
+    gen = build_generator(ChainParams(n_channels, t_levels, mu, omega, nu, drain),
+                          rho[: t_levels + 1])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        try:
+            ss = solve_steady_state(gen)
+        except SolverError:
+            return
+    assert np.all(np.isfinite(ss.pi)) and np.all(ss.pi >= 0.0)
+    assert math.isclose(ss.pi.sum(), 1.0, abs_tol=1e-12)
+    assert ss.residual <= RESIDUAL_TOL
 
 
 @given(
