@@ -17,7 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .numerics import exp_power_integral_vec, gauss_legendre_panels, hyp_one_one_neg
+from .numerics import NumericError, exp_power_integral_vec, gauss_legendre_panels, hyp_one_one_neg
 
 GRID_ELEMENTS = 1 << 15  # (tau, i, j) terms per success-grid call; bounds its temporaries
 
@@ -94,7 +94,11 @@ def interference_factor(tau, alpha: float, bias_ratio) -> np.ndarray | float:
         raise ValueError("tau must be nonnegative")
     if np.any(r <= 0.0):
         raise ValueError("bias_ratio must be positive")
-    f = hyp_one_one_neg(alpha, tau / r)
+    with np.errstate(over="ignore"):  # an overflow is raised below as a typed failure
+        x = tau / r
+    if not np.isfinite(x).all():
+        raise NumericError("interference argument tau / bias_ratio overflows a float")
+    f = hyp_one_one_neg(alpha, x)
     return 2.0 * tau / (alpha - 2.0) * r ** (2.0 / alpha - 1.0) * f
 
 

@@ -150,9 +150,9 @@ def cmd_analyze(args, command: str) -> int:
     return EXIT_OK
 
 
-def _sweep_task(task) -> SweepPoint:
-    cfg, beta, nu, eps, max_sweeps = task
-    return beta_sweep(cfg, [beta], [nu], eps=eps, max_sweeps=max_sweeps)[0]
+def _sweep_task(task) -> list[SweepPoint]:
+    cfg, betas, nu, eps, max_sweeps = task
+    return beta_sweep(cfg, betas, [nu], eps=eps, max_sweeps=max_sweeps)
 
 
 def cmd_sweep(args, command: str) -> int:
@@ -162,8 +162,12 @@ def cmd_sweep(args, command: str) -> int:
     nus = _parse_floats(args.nus, "--nus") if args.nus else [cfg.nu]
     print(f"seed: {args.seed}")
 
-    tasks = [(cfg, b, nu, args.eps, args.max_sweeps) for nu in nus for b in betas]
-    points = _map(_sweep_task, tasks)
+    # One task per contiguous run of betas, at most one run per worker and nu,
+    # so each task solves its betas in lockstep.
+    runs = min(worker_count(), len(betas))
+    chunks = [betas[k * len(betas) // runs:(k + 1) * len(betas) // runs] for k in range(runs)]
+    tasks = [(cfg, chunk, nu, args.eps, args.max_sweeps) for nu in nus for chunk in chunks]
+    points = [p for chunk in _map(_sweep_task, tasks) for p in chunk]
     points.sort(key=lambda p: (p.nu, p.beta))
 
     rows = []

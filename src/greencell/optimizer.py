@@ -2,7 +2,10 @@
 
 Every bias vector is solved through one memoizing :class:`Evaluator`, so a
 run that meets the same vector again (a power-law profile seeded into the
-GA, an unchanged offspring, a comparison row) solves it only once.
+GA, an unchanged offspring, a comparison row) solves it only once.  A
+request for many vectors (the betas of a sweep, a GA generation, the
+power-law grid of a comparison) solves its new vectors together, in one
+lockstep fixed-point run (:func:`fixedpoint.solve_batch`).
 
 The genetic algorithm maximizes carbon efficiency subject to the coverage
 floor.  Infeasible individuals carry a large penalty proportional to the
@@ -21,7 +24,8 @@ import numpy as np
 
 from .analytics import BiasVector, NetworkMetrics, compute_metrics
 from .config import NetworkConfig
-from .fixedpoint import DEFAULT_EPS, DEFAULT_MAX_SWEEPS, FixedPointResult, solve
+from .fixedpoint import DEFAULT_EPS, DEFAULT_MAX_SWEEPS, FixedPointResult, solve_batch
+from .fixedpoint import solve  # noqa: F401  (perfbench/tracer.py wraps optimizer.solve)
 from .numerics import NumericError, stream
 
 POWER_GRID_DEFAULT = tuple(0.5 * k for k in range(9))  # 0, 0.5, ..., 4
@@ -39,27 +43,43 @@ def power_law_bias(beta: float, t_levels: int) -> BiasVector:
         raise ValueError(f"beta {beta:g} overflows the bias of level {t_levels}") from None
 
 
-def evaluate_bias(cfg: NetworkConfig, bias: BiasVector,
-                  eps: float = DEFAULT_EPS,
-                  max_sweeps: int = DEFAULT_MAX_SWEEPS) -> tuple[NetworkMetrics, FixedPointResult]:
-    """Solve the coupled system under `bias` and report network metrics."""
-    fp = solve(cfg, bias, eps=eps, max_sweeps=max_sweeps)
-    metrics = compute_metrics(
-        cfg, bias, fp.level_marginals, fp.rho, fp.chain_metrics
-    )
-    return metrics, fp
-
-
 Outcome = tuple[NetworkMetrics, FixedPointResult] | NumericError | FloatingPointError
 
 
+def evaluate_biases(cfg: NetworkConfig, biases: list[BiasVector],
+                    eps: float = DEFAULT_EPS,
+                    max_sweeps: int = DEFAULT_MAX_SWEEPS) -> list[Outcome]:
+    """Solve the coupled system under each bias, in lockstep, and report
+    network metrics; a typed numeric failure is that bias's outcome."""
+    outcomes: list[Outcome] = []
+    for bias, fp in zip(biases, solve_batch(cfg, biases, eps=eps, max_sweeps=max_sweeps)):
+        if not isinstance(fp, Exception):
+            try:
+                fp = compute_metrics(cfg, bias, fp.level_marginals, fp.rho, fp.chain_metrics), fp
+            except (NumericError, FloatingPointError) as exc:
+                fp = exc
+        outcomes.append(fp)
+    return outcomes
+
+
+def evaluate_bias(cfg: NetworkConfig, bias: BiasVector,
+                  eps: float = DEFAULT_EPS,
+                  max_sweeps: int = DEFAULT_MAX_SWEEPS) -> tuple[NetworkMetrics, FixedPointResult]:
+    """:func:`evaluate_biases` for one bias; a typed failure is raised."""
+    (outcome,) = evaluate_biases(cfg, [bias], eps=eps, max_sweeps=max_sweeps)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
 class Evaluator:
-    """Memoized :func:`evaluate_bias` bound to one (config, eps, max_sweeps).
+    """Memoized :func:`evaluate_biases` bound to one (config, eps, max_sweeps).
 
     The first lookup of a bias vector solves it; later lookups return the
-    same objects.  A typed numeric failure is the outcome too: it is
-    returned, not raised, and returned again on every later lookup without
-    a second solve.
+    same objects.  :meth:`many` solves all the vectors of one request that
+    are not yet known in one call, and a single lookup is a request of one.
+    A typed numeric failure is the outcome too: it is returned, not raised,
+    and returned again on every later lookup without a second solve.
     """
 
     def __init__(self, cfg: NetworkConfig, eps: float = DEFAULT_EPS,
@@ -70,16 +90,15 @@ class Evaluator:
         self._outcomes: dict[BiasVector, Outcome] = {}
 
     def __call__(self, bias: BiasVector) -> Outcome:
-        outcome = self._outcomes.get(bias)
-        if outcome is None:
-            try:
-                # Looked up at call time, so a patched evaluate_bias is used.
-                outcome = evaluate_bias(self.cfg, bias, eps=self.eps,
-                                        max_sweeps=self.max_sweeps)
-            except (NumericError, FloatingPointError) as exc:
-                outcome = exc
-            self._outcomes[bias] = outcome
-        return outcome
+        return self.many([bias])[0]
+
+    def many(self, biases) -> list[Outcome]:
+        misses = list(dict.fromkeys(b for b in biases if b not in self._outcomes))
+        if misses:
+            # Looked up at call time, so a patched evaluate_biases is used.
+            self._outcomes.update(zip(misses, evaluate_biases(
+                self.cfg, misses, eps=self.eps, max_sweeps=self.max_sweeps)))
+        return [self._outcomes[b] for b in biases]
 
 
 @dataclass
@@ -99,16 +118,15 @@ def beta_sweep(cfg: NetworkConfig, betas, nus=None,
     """Grid evaluation over bias exponents and recharge rates.
 
     Solver failures at a grid point are captured in the point instead of
-    aborting the sweep.
+    aborting the sweep.  The betas of one recharge rate are solved together.
     """
     if nus is None:
         nus = (cfg.nu,)
     points = []
     for nu in nus:
         cfg_nu = cfg if nu == cfg.nu else dataclasses.replace(cfg, nu=float(nu))
-        evaluator = Evaluator(cfg_nu, eps, max_sweeps)
-        for beta in betas:
-            outcome = evaluator(power_law_bias(float(beta), cfg.t_levels))
+        biases = [power_law_bias(float(beta), cfg.t_levels) for beta in betas]
+        for beta, outcome in zip(betas, Evaluator(cfg_nu, eps, max_sweeps).many(biases)):
             if isinstance(outcome, Exception):
                 points.append(SweepPoint(float(beta), float(nu), None, False, error=str(outcome)))
             else:
@@ -173,12 +191,10 @@ def _feasible(cfg: NetworkConfig, metrics: NetworkMetrics, fp: FixedPointResult)
     return fp.converged and metrics.p_succ > cfg.p_req
 
 
-def _evaluate_individual(evaluator: Evaluator, bias: BiasVector) -> Individual:
-    outcome = evaluator(bias)
+def _individual(cfg: NetworkConfig, bias: BiasVector, outcome: Outcome) -> Individual:
     if isinstance(outcome, Exception):
         return Individual(bias, -PENALTY, False, None, False)
     metrics, fp = outcome
-    cfg = evaluator.cfg
     eta = min(metrics.eta_ce, ETA_CAP)
     if _feasible(cfg, metrics, fp):
         return Individual(bias, eta, True, metrics, True)
@@ -186,6 +202,11 @@ def _evaluate_individual(evaluator: Evaluator, bias: BiasVector) -> Individual:
     if not fp.converged:
         gap = max(gap, 1.0)
     return Individual(bias, eta - PENALTY * gap, False, metrics, fp.converged)
+
+
+def _evaluate_individuals(evaluator: Evaluator, biases: list[BiasVector]) -> list[Individual]:
+    """One ranked individual per bias, the unknown biases solved together."""
+    return [_individual(evaluator.cfg, b, o) for b, o in zip(biases, evaluator.many(biases))]
 
 
 def _seed_population(cfg: NetworkConfig, ga: GaConfig,
@@ -265,10 +286,7 @@ def _run_ga(evaluator: Evaluator, ga: GaConfig | None) -> GaResult:
     if ga is None:
         ga = GaConfig()
     rng0 = stream(ga.seed, 0)
-    population = [
-        _evaluate_individual(evaluator, b)
-        for b in _seed_population(evaluator.cfg, ga, rng0)
-    ]
+    population = _evaluate_individuals(evaluator, _seed_population(evaluator.cfg, ga, rng0))
     n_evals = len(population)
     population.sort(key=_rank_key, reverse=True)
     history = [_stats(0, population)]
@@ -287,7 +305,7 @@ def _run_ga(evaluator: Evaluator, ga: GaConfig | None) -> GaResult:
         if ga.pop_size % 2:
             lone = population[parents[-1]].bias
             offspring.append(_mutate(rng, lone, ga))
-        children = [_evaluate_individual(evaluator, b) for b in offspring]
+        children = _evaluate_individuals(evaluator, offspring)
         n_evals += len(children)
         pool = population + children
         pool.sort(key=_rank_key, reverse=True)
@@ -381,12 +399,14 @@ def compare_schemes(cfg: NetworkConfig, ga: GaConfig | None = None,
             *_band_shares(cfg, fp),
         )
 
-    nearest = build_row("nearest", power_law_bias(0.0, cfg.t_levels))
+    flat = power_law_bias(0.0, cfg.t_levels)
+    grid = [power_law_bias(float(beta), cfg.t_levels) for beta in betas]
+    outcomes = evaluator.many([flat, *grid])[1:]
+    nearest = build_row("nearest", flat)
     rows.append(nearest)
 
     best_beta, best_eta = 0.0, -math.inf
-    for beta in betas:
-        outcome = evaluator(power_law_bias(float(beta), cfg.t_levels))
+    for beta, outcome in zip(betas, outcomes):
         if isinstance(outcome, Exception):
             continue
         metrics, fp = outcome

@@ -99,6 +99,17 @@ class TestErrorPaths:
         assert "config error: bias ratio max/min = 1e+300/1e-300 overflows a float" in err
         assert "RuntimeWarning" not in err
 
+    def test_overflowing_interference_argument_is_a_numeric_failure(self, tmp_path, capsys):
+        # max/min = 1e300 passes validation, but tau / (B_j / B_i) overflows.
+        bias_file = tmp_path / "bias.json"
+        bias_file.write_text(json.dumps([1.0] + [1e-300] * 10))
+        code = run_without_runtime_warnings(["analyze", str(CONFIG_PATH), "--out",
+                                             str(tmp_path / "o.csv"), "--bias-file", str(bias_file)])
+        assert code == cli.EXIT_NUMERIC
+        err = capsys.readouterr().err
+        assert "numeric failure: interference argument tau / bias_ratio overflows a float" in err
+        assert "RuntimeWarning" not in err
+
     @pytest.mark.parametrize("command", [["analyze", "--beta", "1000"],
                                          ["sweep", "--betas", "0,1000"],
                                          ["validate", "--betas", "1000", "--drops", "1"]])
@@ -253,14 +264,13 @@ class TestSweep:
         assert rows_s == rows_p  # identical values, digit for digit
 
     def test_failed_point_warns(self, cfg_path, tmp_path, monkeypatch, capsys):
-        real = optimizer.evaluate_bias
+        real = optimizer.evaluate_biases
 
-        def flaky(cfg, bias, **kw):
-            if bias.values[1] == 2.0:  # beta = 1
-                raise NumericError("synthetic blowup")
-            return real(cfg, bias, **kw)
+        def flaky(cfg, biases, **kw):
+            return [NumericError("synthetic blowup") if bias.values[1] == 2.0  # beta = 1
+                    else outcome for bias, outcome in zip(biases, real(cfg, biases, **kw))]
 
-        monkeypatch.setattr(optimizer, "evaluate_bias", flaky)
+        monkeypatch.setattr(optimizer, "evaluate_biases", flaky)
         monkeypatch.setenv("GREENCELL_WORKERS", "1")
         out = str(tmp_path / "sweep.csv")
         assert run(["sweep", cfg_path, "--out", out, "--betas", "0,1"]) == cli.EXIT_OK
@@ -275,19 +285,18 @@ class TestSweep:
 
     def test_fixed_point_columns(self, cfg_path, tmp_path, monkeypatch, capsys):
         # The sweep reports what analyze reports; a failed point has none.
-        real = optimizer.evaluate_bias
+        real = optimizer.evaluate_biases
 
-        def flaky(cfg, bias, **kw):
-            if bias.values[1] == 2.0:  # beta = 1
-                raise NumericError("synthetic blowup")
-            return real(cfg, bias, **kw)
+        def flaky(cfg, biases, **kw):
+            return [NumericError("synthetic blowup") if bias.values[1] == 2.0  # beta = 1
+                    else outcome for bias, outcome in zip(biases, real(cfg, biases, **kw))]
 
-        monkeypatch.setattr(optimizer, "evaluate_bias", flaky)
+        monkeypatch.setattr(optimizer, "evaluate_biases", flaky)
         monkeypatch.setenv("GREENCELL_WORKERS", "1")
         out = str(tmp_path / "sweep.csv")
         assert run(["sweep", cfg_path, "--out", out, "--betas", "0,1"]) == cli.EXIT_OK
         _, _, rows = read_csv(out)
-        _, fp = real(load_config(cfg_path), optimizer.power_law_bias(0.0, 3))
+        ((_, fp),) = real(load_config(cfg_path), [optimizer.power_law_bias(0.0, 3)])
         assert rows[0]["iterations"] == str(fp.iterations)
         assert float(rows[0]["residual"]) == fp.residual
         assert (rows[1]["iterations"], rows[1]["residual"]) == ("nan", "nan")

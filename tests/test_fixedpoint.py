@@ -4,17 +4,21 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greencell import qbd
-from greencell.analytics import BiasVector, average_users
+from greencell.analytics import BiasVector, average_users, compute_metrics
 from greencell.fixedpoint import (
+    CHAIN_ELEMENTS,
     DEFAULT_EPS,
     DEFAULT_MAX_SWEEPS,
     _mixed_step,
     arrival_map,
     solve,
+    solve_batch,
 )
 from greencell.optimizer import power_law_bias
+from greencell.qbd import SolverError
 
 from oracles import picard_fixed_point
 
@@ -146,3 +150,71 @@ def test_forced_fallback_is_picard(small_cfg, monkeypatch, forced):
     assert res.iterations == iterations
     np.testing.assert_array_equal(res.level_marginals, pi)
     assert res.residual == residual
+
+
+def _bias_from_spec(spec, t_levels):
+    """A power law for a float spec, a GA-like random vector for an integer seed."""
+    if isinstance(spec, float):
+        return power_law_bias(spec, t_levels)
+    return _ga_like_biases(t_levels, 1, seed=spec)[0]
+
+
+def _assert_same_point(cfg, bias, got, ref):
+    """Batched and batch-of-one results agree bit for bit, metrics included."""
+    assert (got.iterations, got.converged, got.residual) == (
+        ref.iterations, ref.converged, ref.residual)
+    for name in ("level_marginals", "users", "rho"):
+        assert np.array_equal(getattr(got, name), getattr(ref, name)), name
+    assert np.array_equal(got.chain_state.pi, ref.chain_state.pi)
+    assert got.chain_state.residual == ref.chain_state.residual
+    metrics = [compute_metrics(cfg, bias, r.level_marginals, r.rho, r.chain_metrics)
+               for r in (got, ref)]
+    for field in dataclasses.fields(metrics[0]):
+        assert np.array_equal(*(getattr(m, field.name) for m in metrics), equal_nan=True), field.name
+
+
+@pytest.mark.parametrize("cfg_name", ["small", "baseline"])
+@settings(max_examples=20)
+@given(specs=st.lists(st.one_of(st.floats(0.0, 4.0), st.integers(0, 2**32 - 1)),
+                      min_size=1, max_size=12))
+def test_batch_matches_batch_of_one(small_cfg, baseline_cfg, cfg_name, specs):
+    cfg = small_cfg if cfg_name == "small" else baseline_cfg
+    biases = [_bias_from_spec(spec, cfg.t_levels) for spec in specs]
+    for bias, got in zip(biases, solve_batch(cfg, biases)):
+        (ref,) = solve_batch(cfg, [bias])
+        _assert_same_point(cfg, bias, got, ref)
+
+
+def test_failing_item_leaves_others_unchanged(baseline_cfg):
+    # With every bias but B_0 tiny, the first sweep loads level 0 only; the
+    # other 56 levels then recharge 1e6 times faster than they drain, and
+    # the level masses overflow a float, a failure the chain fuzz in
+    # test_qbd accepts as typed.  The other biases spread the load.
+    cfg = dataclasses.replace(baseline_cfg, t_levels=56, n_channels=4, nu=1e6,
+                              static_drain_override=1.0)
+    starve = BiasVector((1.0,) + (1e-12,) * 56)
+    biases = [power_law_bias(0.0, 56), starve, power_law_bias(2.0, 56)]
+    results = solve_batch(cfg, biases)
+    with pytest.raises(SolverError) as alone:
+        solve(cfg, starve)
+    assert type(results[1]) is SolverError
+    assert str(results[1]) == str(alone.value) == "stationary solve overflowed the float range"
+    for bias, got in zip(biases[::2], results[::2]):
+        _assert_same_point(cfg, bias, got, solve(cfg, bias))
+
+
+def test_stacks_hold_at_most_chain_elements(baseline_cfg, monkeypatch):
+    sizes = []
+    real = qbd.solve_steady_state
+
+    def recording(gen):
+        sizes.append(gen.d_blocks.size)
+        return real(gen)
+
+    monkeypatch.setattr(qbd, "solve_steady_state", recording)
+    per_item = (baseline_cfg.t_levels + 1) * (baseline_cfg.n_channels + 1) ** 2
+    group = CHAIN_ELEMENTS // per_item
+    biases = _ga_like_biases(baseline_cfg.t_levels, group + 3, seed=9)
+    assert all(not isinstance(r, Exception) for r in solve_batch(baseline_cfg, biases))
+    assert max(sizes) == group * per_item <= CHAIN_ELEMENTS
+    assert sizes[0] == group * per_item and per_item * 3 in sizes

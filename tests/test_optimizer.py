@@ -12,7 +12,7 @@ from greencell.optimizer import (
     GaConfig,
     POWER_GRID_DEFAULT,
     _crossover,
-    _evaluate_individual,
+    _evaluate_individuals,
     _level_bands,
     _mutate,
     _roulette,
@@ -20,6 +20,7 @@ from greencell.optimizer import (
     beta_sweep,
     compare_schemes,
     evaluate_bias,
+    evaluate_biases,
     ga_optimize,
     power_law_bias,
 )
@@ -62,14 +63,11 @@ class TestBetaSweep:
         assert point.nu == small_cfg.nu
 
     def test_solver_failure_is_captured(self, small_cfg, monkeypatch):
-        real = evaluate_bias
+        def flaky(cfg, biases, **kw):
+            return [SolverError("synthetic failure") if bias.values[-1] > 1.0 else outcome
+                    for bias, outcome in zip(biases, evaluate_biases(cfg, biases, **kw))]
 
-        def flaky(cfg, bias, **kw):
-            if bias.values[-1] > 1.0:
-                raise SolverError("synthetic failure")
-            return real(cfg, bias, **kw)
-
-        monkeypatch.setattr(optimizer, "evaluate_bias", flaky)
+        monkeypatch.setattr(optimizer, "evaluate_biases", flaky)
         ok, bad = beta_sweep(small_cfg, betas=[0.0, 1.0])
         assert ok.metrics is not None and ok.error is None
         assert bad.metrics is None and not bad.converged
@@ -211,17 +209,25 @@ def test_compare_schemes_tiny(small_cfg):
 
 
 def _count_calls(monkeypatch, fail_on=None):
-    """Route optimizer.evaluate_bias through a recorder; returns the bias log."""
+    """Route optimizer.evaluate_biases through a recorder; returns the log of
+    every bias of every call."""
     calls = []
 
-    def recording(cfg, bias, **kw):
-        calls.append(bias)
-        if bias == fail_on:
-            raise NumericError("hypergeometric series failed to converge")
-        return evaluate_bias(cfg, bias, **kw)
+    def recording(cfg, biases, **kw):
+        calls.extend(biases)
+        return [NumericError("hypergeometric series failed to converge") if bias == fail_on
+                else outcome for bias, outcome in zip(biases, evaluate_biases(cfg, biases, **kw))]
 
-    monkeypatch.setattr(optimizer, "evaluate_bias", recording)
+    monkeypatch.setattr(optimizer, "evaluate_biases", recording)
     return calls
+
+
+def _assert_same_outcome(got, ref):
+    (metrics, fp), (ref_metrics, ref_fp) = got, ref
+    for name in vars(ref_metrics):
+        assert np.array_equal(getattr(metrics, name), getattr(ref_metrics, name)), name
+    assert np.array_equal(fp.chain_state.pi, ref_fp.chain_state.pi)
+    assert (fp.iterations, fp.residual) == (ref_fp.iterations, ref_fp.residual)
 
 
 class TestEvaluator:
@@ -246,12 +252,54 @@ class TestEvaluator:
         flat = power_law_bias(0.0, small_cfg.t_levels)
         _count_calls(monkeypatch, fail_on=flat)
         ga = GaConfig(pop_size=6, max_iters=2, seed=0)
-        ind = _evaluate_individual(Evaluator(small_cfg), flat)
+        (ind,) = _evaluate_individuals(Evaluator(small_cfg), [flat])
         assert (ind.fitness, ind.feasible, ind.metrics) == (-optimizer.PENALTY, False, None)
         # The flat profile is seeded into generation 0; the run still finishes.
         res = ga_optimize(small_cfg, ga)
         assert res.n_evaluations == 6 * 3
         assert res.best.bias != flat
+
+    def test_many_solves_the_misses_in_one_call(self, small_cfg, monkeypatch):
+        evaluator = Evaluator(small_cfg)
+        known = power_law_bias(1.0, small_cfg.t_levels)
+        evaluator(known)
+        batches = []
+        real = optimizer.evaluate_biases
+        monkeypatch.setattr(optimizer, "evaluate_biases",
+                            lambda cfg, biases, **kw: batches.append(biases) or real(cfg, biases, **kw))
+        request = [power_law_bias(b, small_cfg.t_levels) for b in (0.0, 1.0, 2.0, 0.0)]
+        outcomes = evaluator.many(request)
+        assert batches == [[request[0], request[2]]]
+        assert outcomes[0] is outcomes[3] and outcomes[1] is evaluator(known)
+
+    def test_hook_failure_is_one_outcome(self, small_cfg, monkeypatch):
+        biases = [power_law_bias(b, small_cfg.t_levels) for b in (0.0, 1.0, 2.0)]
+        calls = _count_calls(monkeypatch, fail_on=biases[1])
+        together = Evaluator(small_cfg).many(biases)
+        alone = [Evaluator(small_cfg)(b) for b in biases]
+        assert calls == biases + biases
+        assert type(together[1]) is type(alone[1]) is NumericError
+        assert str(together[1]) == str(alone[1])
+        for got, ref in zip(together[::2], alone[::2]):
+            _assert_same_outcome(got, ref)
+
+    def test_metrics_failure_leaves_the_others_unchanged(self, small_cfg, monkeypatch):
+        biases = [power_law_bias(b, small_cfg.t_levels) for b in (0.0, 1.0, 2.0)]
+        real = optimizer.compute_metrics
+
+        def flaky(cfg, bias, *args):
+            if bias == biases[1]:
+                raise NumericError("synthetic kernel failure")
+            return real(cfg, bias, *args)
+
+        monkeypatch.setattr(optimizer, "compute_metrics", flaky)
+        together = evaluate_biases(small_cfg, biases)
+        with pytest.raises(NumericError) as alone:
+            evaluate_bias(small_cfg, biases[1])
+        assert type(together[1]) is NumericError
+        assert str(together[1]) == str(alone.value) == "synthetic kernel failure"
+        for bias, got in zip(biases[::2], together[::2]):
+            _assert_same_outcome(got, evaluate_bias(small_cfg, bias))
 
     def test_compare_schemes_solves_each_bias_once(self, small_cfg, monkeypatch):
         calls = _count_calls(monkeypatch)
