@@ -24,10 +24,12 @@ GRID_ELEMENTS = 1 << 15  # (tau, i, j) terms per success-grid call; bounds its t
 # Panels of the threshold exponent t: graded towards t = 0, where
 # P_succ(2^t - 1) can behave like 1 - c sqrt(t) under strong biases, then
 # doubling in width out to t = 128, where the integrand has decayed like
-# 2^(-2t/alpha) or faster.
+# 2^(-2t/alpha) or faster.  The first panel, [0, 4^-3], is taken in
+# u = sqrt(t) (nodes u^2, weights w 2u), in which 1 - c sqrt(t) is smooth.
 _RATE_NODES, _RATE_WEIGHTS = (a.reshape(-1) for a in gauss_legendre_panels(
-    np.concatenate([[0.0], 4.0 ** np.arange(-3, 0), 2.0 ** np.arange(0, 8)])
-))
+    np.concatenate([[0.0], 4.0 ** np.arange(-3, 0), 2.0 ** np.arange(0, 8)])))
+_u, _w = gauss_legendre_panels([0.0, 0.125])
+_RATE_NODES[:_u.size], _RATE_WEIGHTS[:_u.size] = _u * _u, _w * 2.0 * _u
 
 
 @dataclass(frozen=True)
@@ -131,11 +133,15 @@ def _success_grid(taus: np.ndarray, level_marginals, bias: BiasVector, p_occu, c
     return p
 
 
-def average_users(level_marginals, bias: BiasVector, cfg) -> np.ndarray:
-    """Mean number of users served by a station at each battery level."""
+def average_users(level_marginals, bias, cfg) -> np.ndarray:
+    """Mean number of users served by a station at each battery level.
+
+    ``bias`` is a BiasVector or an array of bias values; marginals and bias
+    values stacked to (B, T+1) give B points, each row summed as if alone.
+    """
     pi = np.asarray(level_marginals, dtype=float)
-    weights = bias.as_array() ** (2.0 / cfg.alpha)
-    denom = cfg.lambda_b * float((pi * weights).sum())
+    weights = (bias.as_array() if isinstance(bias, BiasVector) else bias) ** (2.0 / cfg.alpha)
+    denom = cfg.lambda_b * (pi * weights).sum(axis=-1, keepdims=True)
     with np.errstate(over="ignore"):  # fixedpoint.arrival_map rejects non-finite users
         # Clustered users plus uniform users; merging the terms changes the last bit.
         return cfg.lambda_p * cfg.mean_cluster_users * weights / denom + cfg.lambda_u1 * weights / denom

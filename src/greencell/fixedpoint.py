@@ -183,8 +183,8 @@ def _chain_images(cfg, params, biases, xs) -> list[qbd.SteadyState | NumericErro
     if not biases:
         return []
     try:
-        rho = np.stack([arrival_map(analytics.average_users(x, bias, cfg), cfg)
-                        for x, bias in zip(xs, biases)])
+        rho = arrival_map(analytics.average_users(
+            np.stack(xs), np.array([bias.values for bias in biases]), cfg), cfg)
         if len(biases) == 1:  # unstacked: the batch axis adds ~10% to a small solve
             return [qbd.solve_steady_state(qbd.build_generator(params, rho[0]))]
         ss = qbd.solve_steady_state(qbd.build_generator(params, rho))

@@ -76,6 +76,15 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
     class_active = np.tile([True, False], pi.size)
     n_class = class_mean.size
 
+    # A block's station-sized arrays reuse buffers kept for the call: freed per
+    # block, they were faulted in again or not depending on the heap's history.
+    buffers = {}
+
+    def buffer(name: str, size: int) -> np.ndarray:
+        if name not in buffers or buffers[name].size < size:
+            buffers[name] = np.empty(size + size // 4)
+        return buffers[name][:size]
+
     def block_hits(rng: np.random.Generator, m: int) -> int:
         """Successes among ``m`` drops drawn from ``rng``.
 
@@ -84,7 +93,7 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
         """
         counts = rng.poisson(class_mean, size=(m, n_class))
         seg = counts.ravel()
-        r2 = rng.random(seg.sum())
+        r2 = rng.random(out=buffer("r2", int(seg.sum())))
         r2 *= r_sim**2
         served = np.flatnonzero(counts.sum(axis=1))
         if served.size == 0:
@@ -110,9 +119,10 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
         # in drop order.  Only they and the serving link draw fading.
         interferer = np.repeat(np.tile(class_active, m), seg)
         interferer[serving] = False
-        received = r2[interferer]
+        n_rec = int(np.count_nonzero(interferer))
+        received = np.compress(interferer, r2, out=buffer("received", n_rec))
         np.power(received, -half_alpha, out=received)
-        received *= rng.standard_exponential(received.size)
+        received *= rng.standard_exponential(out=buffer("fading", n_rec))
         n_int = counts[served][:, class_active].sum(axis=1) - class_active[serv_seg % n_class]
         some = n_int > 0
         interference = np.zeros(served.size)

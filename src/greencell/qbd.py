@@ -3,7 +3,10 @@
 State (i, j): battery holds i of T energy units, j of N channels busy.
 Within a battery level the channel count behaves like an Erlang loss system;
 levels are coupled by recharge (up) and consumption (down) transitions, which
-gives the generator a block-tridiagonal quasi-birth-death structure.
+gives the generator a block-tridiagonal quasi-birth-death structure.  Each
+level's block is tridiagonal and the couplings are diagonal, so the generator
+is kept as rate vectors; only the stationary solve forms dense blocks, the
+folded ones, one level at a time.
 """
 
 from __future__ import annotations
@@ -14,9 +17,9 @@ import numpy as np
 
 from .numerics import NumericError
 
-ROW_SUM_TOL = 1e-12
 RESIDUAL_TOL = 1e-10
 DEGENERATE_LEVEL = 1e-14
+SPLIT_ABOVE = 64  # states per block above which Schur halves beat np.linalg.inv
 
 
 class SolverError(NumericError):
@@ -52,26 +55,25 @@ class ChainParams:
 
 @dataclass
 class QbdGenerator:
-    """Block-tridiagonal generator.
+    """Block-tridiagonal generator, stored as its rate vectors.
 
-    d_blocks[..., i, :, :] holds the intra-level transitions plus the
-    diagonal closing each global row to zero; a leading batch axis carries
-    one chain per row of ``rho``.  l_blocks[i] = nu * I moves level
-    i -> i+1 (defined for i < T; one read-only matrix seen at every level),
-    m_blocks[i] moves level i -> i-1 (defined for i > 0; slot 0 is kept as
-    zeros so that index == level).  L and M do not depend on the arrival
-    rates, so one copy serves the whole batch.
+    Level i's block D_i admits calls at rate rho[..., i] (j -> j+1, j < N),
+    completes them at j mu (j -> j-1) and has the diagonal diag[..., i, :]
+    that closes each global row to zero; a leading batch axis carries one
+    chain per row of ``rho``.  Level i moves to i+1 at rate nu (params.nu,
+    for i < T) and to i-1 at rate m[i, j] (for i > 0; m[0] is zero so that
+    index == level).  m does not depend on the arrival rates, so one copy
+    serves the whole batch.
     """
 
     params: ChainParams
     rho: np.ndarray
-    d_blocks: np.ndarray
-    l_blocks: np.ndarray
-    m_blocks: np.ndarray
+    diag: np.ndarray
+    m: np.ndarray
 
 
 def build_generator(p: ChainParams, rho) -> QbdGenerator:
-    """Assemble the generator blocks for arrival rates ``rho`` (one per level).
+    """Assemble the generator's rate vectors for arrival rates ``rho`` (one per level).
 
     ``rho`` of shape (..., T+1) gives a stack of chains sharing ``p``.
     """
@@ -82,23 +84,16 @@ def build_generator(p: ChainParams, rho) -> QbdGenerator:
     if not np.all(np.isfinite(rho)) or np.any(rho < 0):
         raise ValueError("arrival rates must be finite and nonnegative")
 
-    n = nch + 1
-    j = np.arange(n, dtype=float)
-    idx = np.arange(n)
+    j = np.arange(nch + 1, dtype=float)
     # Rates added term by term, so each diagonal rounds like the per-level
     # reference in the tests.
     out_rate = np.where(j < nch, rho[..., None], 0.0) + j * p.mu
     out_rate[..., :t, :] += p.nu
     out_rate[..., 1:, :] += p.static_drain
     out_rate[..., 1:, :] += j * p.omega
-    d = np.zeros(rho.shape + (n, n))
-    d[..., idx[:-1], idx[:-1] + 1] = rho[..., None]    # admit a call
-    d[..., idx[1:], idx[1:] - 1] = j[1:] * p.mu        # complete one
-    d[..., idx, idx] = -out_rate
-    l = np.broadcast_to(p.nu * np.eye(n), (t, n, n))
-    m = np.zeros((t + 1, n, n))
-    m[1:, idx, idx] = p.static_drain + p.omega * j
-    return QbdGenerator(params=p, rho=rho, d_blocks=d, l_blocks=l, m_blocks=m)
+    m = np.zeros((t + 1, nch + 1))
+    m[1:] = p.static_drain + p.omega * j
+    return QbdGenerator(params=p, rho=rho, diag=-out_rate, m=m)
 
 
 @dataclass
@@ -116,21 +111,48 @@ class SteadyState:
     residual: float | np.ndarray
 
 
+def _inverse(q: np.ndarray) -> np.ndarray:
+    """Inverse of each block of the stack ``q``, by 2x2 Schur halves above SPLIT_ABOVE.
+
+    With q = [[A, B], [C, D]] and S = D - C A^-1 B, the inverse is
+    [[A^-1 + A^-1 B S^-1 C A^-1, -A^-1 B S^-1], [-S^-1 C A^-1, S^-1]]: two
+    half-size inverses (recursing the same way) and six matrix products,
+    which run several times faster per flop than ``np.linalg.inv``.  -q is
+    a nonsingular M-matrix, and so are its leading blocks and their Schur
+    complements, so the split needs no pivoting.
+    """
+    n = q.shape[-1]
+    if n <= SPLIT_ABOVE:
+        return np.linalg.inv(q)
+    h = n // 2
+    a_inv = _inverse(q[..., :h, :h])
+    a_inv_b = a_inv @ q[..., :h, h:]
+    c_a_inv = q[..., h:, :h] @ a_inv
+    out = np.empty_like(q)
+    s_inv = out[..., h:, h:]
+    s_inv[...] = _inverse(q[..., h:, h:] - q[..., h:, :h] @ a_inv_b)
+    np.negative(a_inv_b @ s_inv, out=out[..., :h, h:])
+    np.negative(s_inv @ c_a_inv, out=out[..., h:, :h])
+    np.subtract(a_inv, out[..., :h, h:] @ c_a_inv, out=out[..., :h, :h])
+    return out
+
+
 def solve_steady_state(gen: QbdGenerator) -> SteadyState:
     """Stationary solve by backward block recursion, one inverse per level.
 
     Censoring levels i..T onto level i leaves the block
-    Q_i = D_i + L_i (-Q_{i+1})^-1 M_{i+1}.  With L = nu I and M diagonal that
-    is D_i - nu R_{i+1} diag(m_{i+1}) for R = Q^-1, so each level costs one
-    explicit inverse and no solve.  R is entrywise nonpositive in exact
-    arithmetic, so entries that rounding pushes above zero are clamped to
-    zero; the off-diagonal entries of Q_i are then sums of nonnegative terms,
-    and its diagonal is reset to minus the off-diagonal row sum and the
-    downward rate, which keeps the censored generator conservative however
-    small a level's mass is (Grassmann, Taksar & Heyman, Oper. Res. 1985).
-    The head is the null vector of Q_0 normalized to sum one, from one solve
-    with the last column of Q_0 replaced by ones; the levels above unroll as
-    pi_{i+1} = -nu pi_i R_{i+1}.
+    Q_i = D_i + L_i (-Q_{i+1})^-1 M_{i+1}.  With L = nu I and M = diag(m)
+    that is D_i - nu R_{i+1} diag(m_{i+1}) for R = Q^-1 (the off-diagonals
+    of D_i added through strided views), so each level costs one explicit
+    inverse (:func:`_inverse`), the only dense blocks kept.  R is entrywise
+    nonpositive in exact arithmetic, so entries that rounding pushes above
+    zero are clamped to zero; the off-diagonal entries of Q_i are then sums
+    of nonnegative terms, and its diagonal is reset to minus the
+    off-diagonal row sum and the downward rate, which keeps the censored
+    generator conservative however small a level's mass is (Grassmann,
+    Taksar & Heyman, Oper. Res. 1985).  The head is the null vector of Q_0
+    normalized to sum one, from one solve with the last column of Q_0
+    replaced by ones; the levels above unroll as pi_{i+1} = -nu pi_i R_{i+1}.
 
     A stacked generator runs the recursion once for the whole stack: the
     inverses, the solve and the products broadcast over the batch axis and
@@ -141,10 +163,9 @@ def solve_steady_state(gen: QbdGenerator) -> SteadyState:
     p = gen.params
     t = p.t_levels
     n = p.n_channels + 1
-    d = gen.d_blocks
-    batch = d.shape[:-3]
-    m = np.diagonal(gen.m_blocks, axis1=1, axis2=2)
-    nu_m, neg_m = p.nu * m, -m
+    batch = gen.rho.shape[:-1]
+    served = np.arange(1, n) * p.mu
+    neg_m, neg_nu_m = -gen.m, -p.nu * gen.m
     ones = np.ones(n)
     unit = np.zeros(batch + (n, 1))
     unit[..., -1, :] = 1.0
@@ -152,17 +173,19 @@ def solve_steady_state(gen: QbdGenerator) -> SteadyState:
     with np.errstate(all="ignore"):  # a near-singular chain is caught by the checks below
         try:
             r = [None] * (t + 1)
-            q = d[..., t, :, :]
-            for i in range(t, 0, -1):
-                r[i] = np.minimum(np.linalg.inv(q), 0.0)
-                q = d[..., i - 1, :, :] - r[i] * nu_m[i]
-                diag = q.reshape(batch + (n * n,))[..., :: n + 1]  # a writable view
-                diag[...] = 0.0
-                np.subtract(neg_m[i - 1], q @ ones, out=diag)
-            head = q.copy()
-            head[..., -1] = 1.0
+            q = np.zeros(batch + (n, n))
+            for i in range(t, -1, -1):
+                flat = q.reshape(batch + (n * n,))  # writable views of the diagonals
+                flat[..., 1::n + 1] += gen.rho[..., i, None]  # admit a call
+                flat[..., n::n + 1] += served                  # complete one
+                flat[..., ::n + 1] = 0.0
+                np.subtract(neg_m[i], q @ ones, out=flat[..., ::n + 1])
+                if i:
+                    r[i] = np.minimum(_inverse(q), 0.0)
+                    q = r[i] * neg_nu_m[i]
+            q[..., -1] = 1.0
             pi = np.empty(batch + (t + 1, n))
-            pi[..., 0, :] = np.linalg.solve(np.swapaxes(head, -1, -2), unit)[..., 0]
+            pi[..., 0, :] = np.linalg.solve(np.swapaxes(q, -1, -2), unit)[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular block during stationary solve: {exc}") from exc
         for i in range(1, t + 1):
@@ -186,14 +209,13 @@ def solve_steady_state(gen: QbdGenerator) -> SteadyState:
 
 
 def stationary_residual(gen: QbdGenerator, pi: np.ndarray) -> np.ndarray:
-    """``pi @ A`` as (T+1, N+1) level slices, without assembling A.
-
-    Slice i is pi_i D_i + pi_{i-1} L_{i-1} + pi_{i+1} M_{i+1}: the dense
-    generator of a large chain would cost (T+1)^2 (N+1)^2 floats per solve.
-    """
-    out = np.einsum("...ij,...ijk->...ik", pi, gen.d_blocks)
-    out[..., 1:, :] += np.einsum("...ij,ijk->...ik", pi[..., :-1, :], gen.l_blocks)
-    out[..., :-1, :] += np.einsum("...ij,ijk->...ik", pi[..., 1:, :], gen.m_blocks[1:])
+    """``pi @ A`` as (T+1, N+1) level slices, elementwise from the rate vectors."""
+    p = gen.params
+    out = pi * gen.diag
+    out[..., 1:] += pi[..., :-1] * gen.rho[..., None]                # admitted calls
+    out[..., :-1] += pi[..., 1:] * (np.arange(1, p.n_channels + 1) * p.mu)  # completions
+    out[..., 1:, :] += p.nu * pi[..., :-1, :]                          # recharge
+    out[..., :-1, :] += pi[..., 1:, :] * gen.m[1:]                     # drain
     return out
 
 

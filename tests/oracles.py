@@ -375,18 +375,26 @@ def build_blocks_per_level(params, rho) -> tuple[np.ndarray, np.ndarray, np.ndar
 
 
 def assemble(gen) -> np.ndarray:
-    """Dense generator of a block QBD with states ordered (i, j) -> i * (N + 1) + j."""
+    """Dense generator of a block QBD with states ordered (i, j) -> i * (N + 1) + j.
+
+    Reads the generator's rate vectors: rho admits a call, j mu completes one,
+    nu moves a level up and m[i] moves level i down; ``diag`` is the diagonal.
+    """
     p = gen.params
     n = p.n_channels + 1
     size = (p.t_levels + 1) * n
+    idx = np.arange(n)
     full = np.zeros((size, size))
     for i in range(p.t_levels + 1):
         s = i * n
-        full[s : s + n, s : s + n] = gen.d_blocks[i]
+        blk = full[s : s + n, s : s + n]
+        blk[idx[:-1], idx[:-1] + 1] = gen.rho[i]
+        blk[idx[1:], idx[1:] - 1] = idx[1:].astype(float) * p.mu
+        blk[idx, idx] = gen.diag[i]
         if i < p.t_levels:
-            full[s : s + n, s + n : s + 2 * n] = gen.l_blocks[i]
+            full[s + idx, s + n + idx] = p.nu
         if i > 0:
-            full[s : s + n, s - n : s] = gen.m_blocks[i]
+            full[s + idx, s - n + idx] = gen.m[i]
     return full
 
 

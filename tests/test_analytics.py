@@ -157,6 +157,16 @@ class TestUsers:
         served = (small_cfg.lambda_b * pi * users).sum()
         assert served == pytest.approx(small_cfg.user_arrival_density, rel=1e-12)
 
+    @pytest.mark.parametrize("levels", [4, 11, 41])
+    def test_stacked_rows_match_single_points(self, small_cfg, levels):
+        # Each row of a stacked call is bit for bit the user vector of its point alone.
+        rng = np.random.default_rng(levels)
+        pis = rng.dirichlet(np.ones(levels), size=5)
+        biases = [BiasVector((1.0, *rng.uniform(0.1, 10.0, levels - 1))) for _ in range(5)]
+        stacked = average_users(pis, np.array([b.values for b in biases]), small_cfg)
+        for row, pi, bias in zip(stacked, pis, biases):
+            assert np.array_equal(row, average_users(pi, bias, small_cfg))
+
 
 def test_throughput_time_integral_known_function():
     # P_succ(tau) = exp(-tau) gives Integral exp(1 - 2^t) dt.
@@ -191,6 +201,7 @@ class TestExpectedRates:
         (0.0, {}), (1.0, {}), (3.0, {}),
         (1.0, {"t_levels": 40, "n_channels": 100}),
         (1.0, {"alpha": 3.0}), (1.0, {"alpha": 6.0}),
+        (4.0, {}), (4.0, {"lambda_u1": 500.0}),
     ])
     def test_rate_domain_is_certified(self, baseline_cfg, beta, overrides):
         # The tail beyond the last panel, and the panels the stop rule skips,

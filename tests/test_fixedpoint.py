@@ -208,7 +208,7 @@ def test_stacks_hold_at_most_chain_elements(baseline_cfg, monkeypatch):
     real = qbd.solve_steady_state
 
     def recording(gen):
-        sizes.append(gen.d_blocks.size)
+        sizes.append(gen.diag.size * (baseline_cfg.n_channels + 1))  # block entries
         return real(gen)
 
     monkeypatch.setattr(qbd, "solve_steady_state", recording)

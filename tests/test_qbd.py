@@ -10,6 +10,7 @@ from greencell.fixedpoint import solve
 from greencell.optimizer import evaluate_bias, power_law_bias
 from greencell.qbd import (
     RESIDUAL_TOL,
+    SPLIT_ABOVE,
     ChainParams,
     LevelMetrics,
     SolverError,
@@ -17,6 +18,7 @@ from greencell.qbd import (
     build_generator,
     level_metrics,
     solve_steady_state,
+    _inverse,
     stationary_residual,
 )
 
@@ -82,9 +84,22 @@ def test_generator_blocks_match_per_level_oracle(n_channels, t_levels, rates, se
     params = ChainParams(n_channels, t_levels, *rates)
     rho = np.random.default_rng(seed).uniform(0.0, 20.0, size=t_levels + 1)
     gen = build_generator(params, rho)
-    for got, ref in zip((gen.d_blocks, gen.l_blocks, gen.m_blocks),
-                        build_blocks_per_level(params, rho)):
+    d, l, m = build_blocks_per_level(params, rho)
+    # The stored vectors are the oracle's diagonals, bit for bit ...
+    for got, ref in ((gen.diag, np.diagonal(d, axis1=1, axis2=2)),
+                     (gen.m, np.diagonal(m, axis1=1, axis2=2))):
         assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()
+    # ... and the blocks they stand for are the oracle's blocks.
+    full, n = assemble(gen), n_channels + 1
+    for i in range(t_levels + 1):
+        rows = slice(i * n, (i + 1) * n)
+        pairs = [(full[rows, rows], d[i])]
+        if i < t_levels:
+            pairs.append((full[rows, (i + 1) * n:(i + 2) * n], l[i]))
+        if i > 0:
+            pairs.append((full[rows, (i - 1) * n:i * n], m[i]))
+        for got, ref in pairs:
+            assert np.array_equal(got, ref) and got.tobytes() == ref.tobytes()
 
 
 def test_backward_recursion_matches_dense_null_space():
@@ -155,8 +170,28 @@ _DECADES = st.floats(-3.0, 3.0).map(lambda e: 10.0**e)
     rho=st.lists(st.one_of(st.just(0.0), _DECADES), min_size=21, max_size=21),
 )
 def test_solve_is_finite_or_typed(n_channels, t_levels, mu, omega, nu, drain, rho):
-    gen = build_generator(ChainParams(n_channels, t_levels, mu, omega, nu, drain),
-                          rho[: t_levels + 1])
+    _assert_finite_or_typed(ChainParams(n_channels, t_levels, mu, omega, nu, drain),
+                            rho[: t_levels + 1])
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    n_channels=st.integers(SPLIT_ABOVE, 130),
+    t_levels=st.integers(1, 4),
+    mu=_DECADES,
+    omega=st.one_of(st.just(0.0), _DECADES),
+    nu=st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
+    drain=st.one_of(st.just(0.0), _DECADES),
+    rho=st.lists(st.one_of(st.just(0.0), _DECADES), min_size=5, max_size=5),
+)
+def test_blocked_solve_is_finite_or_typed(n_channels, t_levels, mu, omega, nu, drain, rho):
+    # Blocks of N + 1 > SPLIT_ABOVE states take the Schur-halves inverse.
+    _assert_finite_or_typed(ChainParams(n_channels, t_levels, mu, omega, nu, drain),
+                            rho[: t_levels + 1])
+
+
+def _assert_finite_or_typed(params, rho):
+    gen = build_generator(params, rho)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         try:
@@ -166,6 +201,49 @@ def test_solve_is_finite_or_typed(n_channels, t_levels, mu, omega, nu, drain, rh
     assert np.all(np.isfinite(ss.pi)) and np.all(ss.pi >= 0.0)
     assert math.isclose(ss.pi.sum(), 1.0, abs_tol=1e-12)
     assert ss.residual <= RESIDUAL_TOL
+
+
+def _m_matrix(rng, n, batch=()):
+    """-Q for a random strictly diagonally dominant Q with nonnegative off-diagonal."""
+    off = rng.exponential(size=batch + (n, n)) * (rng.uniform(size=batch + (n, n)) < 0.3)
+    idx = np.arange(n)
+    off[..., idx, idx] = 0.0
+    q = off.copy()
+    q[..., idx, idx] = -(off.sum(axis=-1) + rng.uniform(0.01, 1.0, size=batch + (n,)))
+    return q
+
+
+@pytest.mark.parametrize("n", [65, 101, 150])
+def test_blocked_inverse_matches_lapack(n):
+    rng = np.random.default_rng(n)
+    for q in (_m_matrix(rng, n), _m_matrix(rng, n, batch=(3,))):
+        ref = np.linalg.inv(q)
+        np.testing.assert_allclose(_inverse(q), ref, rtol=1e-13, atol=0)
+
+
+def test_singular_large_block_is_typed():
+    # No downward moves: every level block has zero row sums.
+    with pytest.raises(np.linalg.LinAlgError):
+        _inverse(np.zeros((101, 101)))
+    gen = build_generator(ChainParams(100, 2, 1.0, 0.0, 1.0, 0.0), [3.0, 3.0, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError):
+            solve_steady_state(gen)
+
+
+def test_large_block_chain_matches_gth_oracle():
+    # Loads around the channel count.  At loads far below it, the explicit
+    # inverse resolves the Erlang tail only to about 1e-17 of the level's
+    # mass, before and after the blocked inverse alike.
+    params = ChainParams(100, 3, 1.0, 1.0, 40.0, 25.0)
+    gen = build_generator(params, [60.0, 80.0, 100.0, 120.0])
+    ss = solve_steady_state(gen)
+    ref = gth_stationary(assemble(gen)).reshape(ss.pi.shape)
+    np.testing.assert_allclose(ss.level_marginals, ref.sum(axis=1), rtol=1e-9, atol=0)
+    big = ref > 1e-12 * ref.max()
+    assert big.sum() > 200
+    np.testing.assert_allclose(ss.pi[big], ref[big], rtol=1e-9, atol=0)
 
 
 @given(
