@@ -200,6 +200,7 @@ def _validate_task(task) -> dict:
     return {
         "beta": beta,
         "analytic": metrics.p_succ,
+        "converged": fp.converged,
         "mc_mean": est.mean,
         "ci_half_width": est.half_width_95,
         "n_drops": drops,

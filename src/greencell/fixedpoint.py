@@ -101,11 +101,13 @@ def solve_batch(cfg, biases, eps: float = DEFAULT_EPS,
     Non-convergence within ``max_sweeps`` is reported through the flag, not
     raised, so parameter sweeps can record the point and move on.  A typed
     numeric failure of one item is that item's entry in the returned list.
-    The returned marginals come from one final chain solve at the returned
-    arrival rates, so marginals, users, rho, and the chain state are
-    mutually consistent by construction; ``residual`` is the max-norm change
-    of the marginals under that final sweep.  An item leaves the stacked
-    chain solves when it converges.
+    An item leaves the stacked chain solves when it converges, and then
+    takes one settling sweep from the loop's last image ``pi``: the chain
+    state is solved at the arrivals of ``pi``, the returned marginals are
+    that state's, and users and ``rho`` are recomputed from them.
+    ``residual`` is the max-norm change of the marginals under that final
+    sweep, max |marginals - pi|; so ``rho`` comes from marginals that far
+    from those the chain state was solved at.
     """
     if not (eps > 0):
         raise ValueError("eps must be positive")
@@ -145,23 +147,15 @@ def solve_batch(cfg, biases, eps: float = DEFAULT_EPS,
             still.append(k)
         active = still
 
-    # pi is the plain image G(x) of the last iterate.  Settle onto one more
-    # chain solve so the returned marginals and chain state agree exactly,
-    # then recompute users and arrivals from those returned marginals.  The
-    # reported residual is how far one further full sweep would still move
-    # the marginals.
     live = [k for k in range(size) if outcome[k] is None]
-    states = images(live, [pi[k] for k in live])
-    finals = images(list(states), [ss.level_marginals for ss in states.values()])
-    for k, final in finals.items():
-        ss = states[k]
+    for k, ss in images(live, [pi[k] for k in live]).items():
         users = analytics.average_users(ss.level_marginals, biases[k], cfg)
         outcome[k] = FixedPointResult(
             level_marginals=ss.level_marginals,
             users=users,
             rho=arrival_map(users, cfg),
             iterations=iterations[k],
-            residual=float(np.abs(final.level_marginals - ss.level_marginals).max()),
+            residual=float(np.abs(ss.level_marginals - pi[k]).max()),
             converged=converged[k],
             chain_state=ss,
             chain_metrics=qbd.level_metrics(ss, cfg.n_channels),

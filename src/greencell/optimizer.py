@@ -267,10 +267,9 @@ def _rank_key(ind: Individual) -> tuple:
     return (ind.feasible, ind.fitness)
 
 
-def ga_optimize(cfg: NetworkConfig, ga: GaConfig | None = None,
-                eps: float = DEFAULT_EPS,
-                max_sweeps: int = DEFAULT_MAX_SWEEPS) -> GaResult:
-    """Genetic search over bias vectors (first gene pinned to 1).
+def ga_optimize(evaluator: Evaluator, ga: GaConfig | None = None) -> GaResult:
+    """Genetic search over bias vectors (first gene pinned to 1), solving
+    through ``evaluator``.
 
     Elitist: parents and offspring compete jointly each generation, ranked
     feasibility-first, so the best-so-far fitness trace is nondecreasing.
@@ -278,11 +277,6 @@ def ga_optimize(cfg: NetworkConfig, ga: GaConfig | None = None,
     ``n_evaluations`` counts evaluations requested, repeats included; each
     distinct bias vector is solved once.
     """
-    return _run_ga(Evaluator(cfg, eps, max_sweeps), ga)
-
-
-def _run_ga(evaluator: Evaluator, ga: GaConfig | None) -> GaResult:
-    """The search behind :func:`ga_optimize`, solving through ``evaluator``."""
     if ga is None:
         ga = GaConfig()
     rng0 = stream(ga.seed, 0)
@@ -414,7 +408,7 @@ def compare_schemes(cfg: NetworkConfig, ga: GaConfig | None = None,
             best_beta, best_eta = float(beta), metrics.eta_ce
     rows.append(build_row(f"power_law_beta_{best_beta:g}", power_law_bias(best_beta, cfg.t_levels)))
 
-    ga_result = _run_ga(evaluator, ga)
+    ga_result = ga_optimize(evaluator, ga)
     rows.append(build_row("ga", ga_result.best.bias))
 
     base = nearest.metrics

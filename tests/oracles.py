@@ -294,8 +294,8 @@ def picard_fixed_point(image, x0, eps: float, max_sweeps: int):
     """Plain Picard iteration x <- G(x) for the chain/load coupling.
 
     Stops once max |G(x) - x| < eps and takes the image; then applies G once
-    more to settle, and reports how far one further application moves the
-    result.  Returns (marginals, iterations, converged, residual).
+    more to settle, and reports how far that settling application moved the
+    marginals.  Returns (marginals, iterations, converged, residual).
     """
     x = np.asarray(x0, dtype=float)
     converged = False
@@ -309,7 +309,7 @@ def picard_fixed_point(image, x0, eps: float, max_sweeps: int):
             converged = True
             break
     pi = image(x)
-    return pi, iterations, converged, float(np.abs(image(pi) - pi).max())
+    return pi, iterations, converged, float(np.abs(pi - x).max())
 
 
 def series_one_one(c: float, x: np.ndarray, tol: float = 1e-16, cap: int = 400) -> np.ndarray:

@@ -27,6 +27,7 @@ from greencell.csvio import read_csv
 from greencell.montecarlo import estimate_success
 from greencell.numerics import exp_power_integral
 from greencell.optimizer import (
+    Evaluator,
     GaConfig,
     POWER_GRID_DEFAULT,
     beta_sweep,
@@ -297,8 +298,8 @@ def test_criterion_8_ga_against_grid(baseline_cfg, comparison):
     monotone = all(keys[i + 1] >= keys[i] for i in range(len(keys) - 1))
 
     small = GaConfig(pop_size=8, max_iters=2, seed=1)
-    rerun_a = ga_optimize(baseline_cfg, small)
-    rerun_b = ga_optimize(baseline_cfg, small)
+    rerun_a = ga_optimize(Evaluator(baseline_cfg), small)
+    rerun_b = ga_optimize(Evaluator(baseline_cfg), small)
     deterministic = (
         rerun_a.best.bias == rerun_b.best.bias
         and rerun_a.best.fitness == rerun_b.best.fitness

@@ -308,15 +308,23 @@ class TestValidate:
         assert run(["validate", cfg_path, "--out", out, "--betas", "0,1",
                     "--drops", "400", "--seed", "3"]) == cli.EXIT_OK
         meta, fields, rows = read_csv(out)
-        assert fields == ["beta", "analytic", "mc_mean", "ci_half_width",
+        assert fields == ["beta", "analytic", "converged", "mc_mean", "ci_half_width",
                           "n_drops", "seed"]
         assert meta["seed"] == "3"
         assert len(rows) == 2
         for row in rows:
             assert row["n_drops"] == "400" and row["seed"] == "3"
+            assert row["converged"] == "true"
             assert 0.0 <= float(row["mc_mean"]) <= 1.0
             # Loose agreement at 400 drops; the tight check is elsewhere.
             assert abs(float(row["analytic"]) - float(row["mc_mean"])) < 0.1
+
+    def test_unconverged_point_is_flagged(self, tmp_path, capsys):
+        out = str(tmp_path / "val.csv")
+        assert run(["validate", CONFIG_PATH, "--out", out, "--betas", "1",
+                    "--drops", "50", "--max-sweeps", "2"]) == cli.EXIT_OK
+        _, _, (row,) = read_csv(out)
+        assert row["converged"] == "false"
 
     def test_seeded_reproducibility(self, cfg_path, tmp_path, capsys):
         out = str(tmp_path / "val.csv")

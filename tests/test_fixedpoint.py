@@ -218,3 +218,18 @@ def test_stacks_hold_at_most_chain_elements(baseline_cfg, monkeypatch):
     assert all(not isinstance(r, Exception) for r in solve_batch(baseline_cfg, biases))
     assert max(sizes) == group * per_item <= CHAIN_ELEMENTS
     assert sizes[0] == group * per_item and per_item * 3 in sizes
+
+
+def test_one_chain_solve_per_step_and_one_to_settle(small_cfg, monkeypatch):
+    stacks = []
+    real = qbd.solve_steady_state
+
+    def recording(gen):
+        stacks.append(gen.rho.size // (small_cfg.t_levels + 1))  # chains in the call
+        return real(gen)
+
+    monkeypatch.setattr(qbd, "solve_steady_state", recording)
+    biases = [power_law_bias(beta, small_cfg.t_levels) for beta in (0.0, 1.0, 2.5, 4.0)]
+    iterations = [r.iterations for r in solve_batch(small_cfg, biases)]
+    assert len(stacks) == max(iterations) + 1
+    assert sum(stacks) == sum(iterations) + len(biases)

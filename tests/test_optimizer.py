@@ -159,8 +159,8 @@ def test_roulette_indices_valid_and_fallback():
 class TestGaOptimize:
     def test_tiny_run_structure_and_determinism(self, small_cfg):
         ga = GaConfig(pop_size=6, max_iters=3, seed=0)
-        res1 = ga_optimize(small_cfg, ga)
-        res2 = ga_optimize(small_cfg, ga)
+        res1 = ga_optimize(Evaluator(small_cfg), ga)
+        res2 = ga_optimize(Evaluator(small_cfg), ga)
         assert res1.best.bias == res2.best.bias
         assert res1.best.fitness == res2.best.fitness
         assert len(res1.history) == 4
@@ -173,7 +173,7 @@ class TestGaOptimize:
         # Generation 0 already contains the power-law profiles, so the best
         # fitness starts at least at the best in-bounds power law's value.
         ga = GaConfig(pop_size=8, max_iters=0, seed=1)
-        res = ga_optimize(small_cfg, ga)
+        res = ga_optimize(Evaluator(small_cfg), ga)
         etas = []
         for beta in (0.0, 0.5, 1.0, 1.5, 2.0, 2.5, 3.0):
             metrics, fp = evaluate_bias(small_cfg, power_law_bias(beta, 3))
@@ -255,7 +255,7 @@ class TestEvaluator:
         (ind,) = _evaluate_individuals(Evaluator(small_cfg), [flat])
         assert (ind.fitness, ind.feasible, ind.metrics) == (-optimizer.PENALTY, False, None)
         # The flat profile is seeded into generation 0; the run still finishes.
-        res = ga_optimize(small_cfg, ga)
+        res = ga_optimize(Evaluator(small_cfg), ga)
         assert res.n_evaluations == 6 * 3
         assert res.best.bias != flat
 
