@@ -78,7 +78,7 @@ def association_split(level_marginals, bias: BiasVector, cfg) -> TierSplit:
     """
     pi = np.asarray(level_marginals, dtype=float)
     lam = cfg.lambda_b * pi
-    weights = lam * bias.as_array() ** (2.0 / cfg.alpha)
+    weights = lam * bias_weights(bias, cfg)
     return TierSplit(p_assoc=weights / weights.sum(), lambda_tier=lam)
 
 
@@ -139,9 +139,19 @@ def average_users(level_marginals, bias, cfg) -> np.ndarray:
     ``bias`` is a BiasVector or an array of bias values; marginals and bias
     values stacked to (B, T+1) give B points, each row summed as if alone.
     """
-    pi = np.asarray(level_marginals, dtype=float)
-    weights = (bias.as_array() if isinstance(bias, BiasVector) else bias) ** (2.0 / cfg.alpha)
-    denom = cfg.lambda_b * (pi * weights).sum(axis=-1, keepdims=True)
+    weights = bias_weights(bias, cfg)
+    load = (np.asarray(level_marginals, dtype=float) * weights).sum(axis=-1, keepdims=True)
+    return users_at_load(load, weights, cfg)
+
+
+def bias_weights(bias, cfg) -> np.ndarray:
+    """Association weights B_i^(2/alpha) of a BiasVector or an array of bias values."""
+    return (bias.as_array() if isinstance(bias, BiasVector) else bias) ** (2.0 / cfg.alpha)
+
+
+def users_at_load(load, weights, cfg) -> np.ndarray:
+    """Mean users per level at bias-weighted load ``load`` = sum_j pi_j w_j, shape (..., 1)."""
+    denom = cfg.lambda_b * load
     with np.errstate(over="ignore"):  # fixedpoint.arrival_map rejects non-finite users
         # Clustered users plus uniform users; merging the terms changes the last bit.
         return cfg.lambda_p * cfg.mean_cluster_users * weights / denom + cfg.lambda_u1 * weights / denom

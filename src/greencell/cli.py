@@ -308,8 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help=out_help)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                       help="fixed-point tolerance")
-        p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS)
+                       help="fixed-point tolerance on the relative load residual |sum w pi - s| / s")
+        p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS,
+                       help="most chain solves per operating point")
 
     p = sub.add_parser("analyze", help="metrics for one bias vector")
     common(p)

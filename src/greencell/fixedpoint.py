@@ -1,17 +1,19 @@
 """Coupling loop between battery statistics and cell loads.
 
-The battery marginals fix the association split and hence the per-level user
-counts; those user counts feed back as the chain's arrival rates.  The loop
-is closed from a uniform start by Anderson mixing (Walker & Ni, SIAM J.
-Numer. Anal. 2011): each step combines the last few chain solves so that
-their residuals cancel, which needs about 40% fewer solves than plain Picard
-iteration on the baseline sweep.
+The battery marginals pi fix the association split and hence the per-level
+user counts, which feed back as the chain's arrival rates.  They reach the
+arrivals only through the bias-weighted load s = sum_j w_j pi_j with
+w = B^(2/alpha) (:func:`analytics.users_at_load`), so the loop is one scalar
+equation, f(s) = sum_j w_j pi_j(s) - s = 0, with pi(s) the chain's
+marginals at the arrivals of load s.  Newton's method solves it, with the
+slope that each chain solve also returns (:func:`qbd.solve_steady_state`),
+kept inside the sign bracket [min w, max w] by secant and bisection steps.
 
-:func:`solve_batch` runs the loop for many bias vectors of one config in
-lockstep: every step stacks the chains of the items still iterating into
-calls of :func:`qbd.solve_steady_state` of at most ``CHAIN_ELEMENTS`` block
-entries each, while each item keeps its own history and mixing arithmetic,
-so an item's result does not depend on the batch it was solved in.
+:func:`solve_batch` solves many bias vectors of one config in lockstep:
+every step stacks the chains of the items still iterating into calls of
+:func:`qbd.solve_steady_state` of at most ``CHAIN_ELEMENTS`` block entries
+each, while each item keeps its own scalar arithmetic, so an item's result
+does not depend on the batch it was solved in.
 """
 
 from __future__ import annotations
@@ -25,7 +27,6 @@ from .numerics import NumericError
 
 DEFAULT_EPS = 1e-8
 DEFAULT_MAX_SWEEPS = 100
-ANDERSON_MEMORY = 3  # past differences mixed into each step
 CHAIN_ELEMENTS = 1 << 17  # block entries per stacked chain solve; bounds its memory
 
 
@@ -41,33 +42,6 @@ def arrival_map(users, cfg) -> np.ndarray:
     if not np.all(np.isfinite(rho)):
         raise NumericError("arrival rates are not finite")
     return rho
-
-
-def _mixed_step(xs: list[np.ndarray], gs: list[np.ndarray]) -> np.ndarray:
-    """Anderson step from iterates ``xs`` and their images ``gs`` = G(xs).
-
-    With residuals f = G(x) - x and differences dF, dG over the history, the
-    coefficients gamma solve the normal equations (dF^T dF) gamma = dF^T f_k
-    and the candidate is G(x_k) - dG gamma, renormalized.  A singular system,
-    or a candidate with a negative entry or no mass, falls back to the plain
-    step G(x_k).
-    """
-    g = gs[-1]
-    if len(xs) < 2:
-        return g
-    g_hist = np.array(gs)
-    f = g_hist - np.array(xs)
-    df, dg = np.diff(f, axis=0).T, np.diff(g_hist, axis=0).T
-    with np.errstate(all="ignore"):  # a near-singular system may overflow; rejected below
-        try:
-            gamma = np.linalg.solve(df.T @ df, df.T @ f[-1])
-        except np.linalg.LinAlgError:
-            return g
-        candidate = g - dg @ gamma
-        total = candidate.sum()
-    if np.all(candidate >= 0.0) and 0.0 < total < np.inf:
-        return candidate / total
-    return g
 
 
 @dataclass
@@ -95,96 +69,88 @@ def solve(cfg, bias: analytics.BiasVector, eps: float = DEFAULT_EPS,
 
 def solve_batch(cfg, biases, eps: float = DEFAULT_EPS,
                 max_sweeps: int = DEFAULT_MAX_SWEEPS) -> list[FixedPointResult | NumericError]:
-    """Iterate marginals -> users -> arrivals -> marginals until stationary,
-    for every bias vector in ``biases``, in lockstep.
+    """Solve f(s) = 0 for the load s of every bias vector in ``biases``, in lockstep.
 
-    Non-convergence within ``max_sweeps`` is reported through the flag, not
-    raised, so parameter sweeps can record the point and move on.  A typed
-    numeric failure of one item is that item's entry in the returned list.
-    An item leaves the stacked chain solves when it converges, and then
-    takes one settling sweep from the loop's last image ``pi``: the chain
-    state is solved at the arrivals of ``pi``, the returned marginals are
-    that state's, and users and ``rho`` are recomputed from them.
-    ``residual`` is the max-norm change of the marginals under that final
-    sweep, max |marginals - pi|; so ``rho`` comes from marginals that far
-    from those the chain state was solved at.
+    Each step takes one chain solve per item, from s = mean(w) on.  The next
+    load is the Newton point; if that is not finite or leaves the bracket of
+    the signs of f seen so far, the secant point through the last two loads
+    (the plain step s + f(s) on the first); failing both, the bracket's
+    midpoint.  An item stops once |f(s)| < eps s, or after ``max_sweeps``
+    chain solves with ``converged`` false, and its last chain solve is its
+    result: the marginals and chain state at s, with users and ``rho``
+    recomputed from those marginals.  ``iterations`` counts its chain solves
+    and ``residual`` is |f(s)| / s.  A typed numeric failure of one item is
+    that item's entry in the returned list.
     """
     if not (eps > 0):
         raise ValueError("eps must be positive")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be at least 1")
     params = qbd.ChainParams.from_config(cfg)
-    size = len(biases)
-    outcome: list = [None] * size
-
-    def images(keys, points) -> dict[int, qbd.SteadyState]:
-        """Chain states of items ``keys`` at ``points``; a failure is the item's outcome."""
-        states = {}
-        for k, image in zip(keys, _chain_images(cfg, params, [biases[k] for k in keys], points)):
-            if isinstance(image, Exception):
-                outcome[k] = image
-            else:
-                states[k] = image
-        return states
-
-    x = [np.full(cfg.t_levels + 1, 1.0 / (cfg.t_levels + 1))] * size
-    pi = [None] * size
-    xs, gs = [[] for _ in range(size)], [[] for _ in range(size)]
-    iterations, converged = [0] * size, [False] * size
-    active = list(range(size))
+    weights = [analytics.bias_weights(bias, cfg) for bias in biases]
+    load = [float(w.mean()) for w in weights]
+    bracket = [[float(w.min()), float(w.max())] for w in weights]
+    last: list = [None] * len(biases)  # (load, f) of each item's previous step
+    outcome: list = [None] * len(biases)
+    active = list(range(len(biases)))
     for sweep in range(1, max_sweeps + 1):
         if not active:
             break
         still = []
-        for k, image in images(active, [x[k] for k in active]).items():
-            pi[k] = image.level_marginals
-            iterations[k] = sweep
-            if float(np.abs(pi[k] - x[k]).max()) < eps:
-                converged[k] = True
+        images = _chain_images(cfg, params, [weights[k] for k in active], [load[k] for k in active])
+        for k, ss in zip(active, images):
+            if isinstance(ss, Exception):
+                outcome[k] = ss
                 continue
-            xs[k], gs[k] = xs[k][-ANDERSON_MEMORY:] + [x[k]], gs[k][-ANDERSON_MEMORY:] + [pi[k]]
-            x[k] = _mixed_step(xs[k], gs[k])
+            s, w = load[k], weights[k]
+            f = float((ss.level_marginals * w).sum()) - s
+            if abs(f) < eps * s or sweep == max_sweeps:
+                users = analytics.average_users(ss.level_marginals, biases[k], cfg)
+                outcome[k] = FixedPointResult(
+                    ss.level_marginals, users, arrival_map(users, cfg), sweep, abs(f) / s,
+                    abs(f) < eps * s, ss, qbd.level_metrics(ss, cfg.n_channels))
+                continue
+            bracket[k][f < 0] = s
+            load[k] = _next_load(s, f, float(ss.marginal_slope @ w) - 1.0, last[k], bracket[k])
+            last[k] = s, f
             still.append(k)
         active = still
-
-    live = [k for k in range(size) if outcome[k] is None]
-    for k, ss in images(live, [pi[k] for k in live]).items():
-        users = analytics.average_users(ss.level_marginals, biases[k], cfg)
-        outcome[k] = FixedPointResult(
-            level_marginals=ss.level_marginals,
-            users=users,
-            rho=arrival_map(users, cfg),
-            iterations=iterations[k],
-            residual=float(np.abs(ss.level_marginals - pi[k]).max()),
-            converged=converged[k],
-            chain_state=ss,
-            chain_metrics=qbd.level_metrics(ss, cfg.n_channels),
-        )
     return outcome
 
 
-def _chain_images(cfg, params, biases, xs) -> list[qbd.SteadyState | NumericError]:
-    """Chain state at marginals ``xs[k]`` under ``biases[k]``, for every k.
+def _next_load(s: float, f: float, slope: float, previous, bracket: list[float]) -> float:
+    """Newton point from ``slope``, else secant point, else midpoint of ``bracket``."""
+    lo, hi = bracket
+    secant = -1.0 if previous is None or previous[0] == s else (f - previous[1]) / (s - previous[0])
+    for d in (slope, secant):
+        if d != 0.0 and lo < s - f / d < hi:
+            return s - f / d
+    return 0.5 * (lo + hi)
+
+
+def _chain_images(cfg, params, weights, loads) -> list[qbd.SteadyState | NumericError]:
+    """Chain state, with its marginals' slope in the load, at ``loads[k]`` under ``weights[k]``.
 
     Stacked solves of at most ``CHAIN_ELEMENTS`` block entries each; if one
     raises, its items are solved one at a time, so only the failing items
     fail, each with the error it gives on its own.
     """
     group = max(1, CHAIN_ELEMENTS // ((cfg.t_levels + 1) * (cfg.n_channels + 1) ** 2))
-    if len(biases) > group:
-        return [image for lo in range(0, len(biases), group)
-                for image in _chain_images(cfg, params, biases[lo:lo + group], xs[lo:lo + group])]
-    if not biases:
+    if len(weights) > group:
+        return [image for lo in range(0, len(weights), group)
+                for image in _chain_images(cfg, params, weights[lo:lo + group], loads[lo:lo + group])]
+    if not weights:
         return []
     try:
-        rho = arrival_map(analytics.average_users(
-            np.stack(xs), np.array([bias.values for bias in biases]), cfg), cfg)
-        if len(biases) == 1:  # unstacked: the batch axis adds ~10% to a small solve
-            return [qbd.solve_steady_state(qbd.build_generator(params, rho[0]))]
-        ss = qbd.solve_steady_state(qbd.build_generator(params, rho))
+        s = np.array(loads)[:, None]
+        users = analytics.users_at_load(s, np.stack(weights), cfg)
+        rho, drho = arrival_map(users, cfg), -cfg.arrival_scale * users / s
+        if len(weights) == 1:  # unstacked: the batch axis adds ~10% to a small solve
+            return [qbd.solve_steady_state(qbd.build_generator(params, rho[0]), drho=drho[0])]
+        ss = qbd.solve_steady_state(qbd.build_generator(params, rho), drho=drho)
     except (NumericError, FloatingPointError) as exc:
-        if len(biases) == 1:
+        if len(weights) == 1:
             return [exc]
-        return [_chain_images(cfg, params, [bias], [x])[0] for bias, x in zip(biases, xs)]
-    return [qbd.SteadyState(pi, marginals, float(residual))
-            for pi, marginals, residual in zip(ss.pi, ss.level_marginals, ss.residual)]
+        return [_chain_images(cfg, params, [w], [x])[0] for w, x in zip(weights, loads)]
+    return [qbd.SteadyState(pi, marginals, float(residual), slope) for pi, marginals, residual, slope
+            in zip(ss.pi, ss.level_marginals, ss.residual, ss.marginal_slope)]

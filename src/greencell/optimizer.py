@@ -107,7 +107,7 @@ class SweepPoint:
     nu: float
     metrics: NetworkMetrics | None
     converged: bool
-    iterations: float = math.nan  # fixed-point map evaluations; NaN for a failed point
+    iterations: float = math.nan  # chain solves of the fixed point; NaN for a failed point
     residual: float = math.nan
     error: str | None = None
 

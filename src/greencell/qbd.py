@@ -20,6 +20,7 @@ from .numerics import NumericError
 RESIDUAL_TOL = 1e-10
 DEGENERATE_LEVEL = 1e-14
 SPLIT_ABOVE = 64  # states per block above which Schur halves beat np.linalg.inv
+SLOPE_RTOL = 1e-6  # rounding a marginal slope may carry, relative to its largest entry
 
 
 class SolverError(NumericError):
@@ -101,14 +102,16 @@ class SteadyState:
     """Stationary distribution of the chain.
 
     pi has shape (T+1, N+1) and sums to one; level_marginals is the battery
-    marginal; residual is the max-norm of pi @ A over the flattened states.
-    A stacked generator gives a leading batch axis on all three, with
-    ``residual`` an array.
+    marginal; residual is the max-norm of pi @ A over the flattened states;
+    marginal_slope, if asked for, is the derivative of level_marginals along
+    a direction of the arrival rates.  A stacked generator gives a leading
+    batch axis on all of them, with ``residual`` an array.
     """
 
     pi: np.ndarray
     level_marginals: np.ndarray
     residual: float | np.ndarray
+    marginal_slope: np.ndarray | None = None
 
 
 def _inverse(q: np.ndarray) -> np.ndarray:
@@ -137,7 +140,7 @@ def _inverse(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_steady_state(gen: QbdGenerator) -> SteadyState:
+def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
     """Stationary solve by backward block recursion, one inverse per level.
 
     Censoring levels i..T onto level i leaves the block
@@ -159,6 +162,15 @@ def solve_steady_state(gen: QbdGenerator) -> SteadyState:
     do per chain the arithmetic of an unstacked solve.  The checks hold per
     chain; if any chain fails one, the whole call raises, with the error of
     that check.
+
+    With ``drho`` (shaped like ``gen.rho``) the state also carries the slope
+    of the level marginals along ``drho``.  The slope x of pi solves
+    x A = b = -pi A' with sum(x) = 0, by the same recursion through the
+    inverses already held: c_T = b_T and c_i = b_i - (c_{i+1} R_{i+1}) m_{i+1}
+    down, the head solve with sum(x_0) = 0, x_i = (c_i - nu x_{i-1}) R_i up,
+    then the multiple of pi that zeroes the sum is taken out.  Where the level masses span many
+    decades, the rounding of that multiple alone exceeds SLOPE_RTOL of the
+    slope, and the chain's slope is NaN.
     """
     p = gen.params
     t = p.t_levels
@@ -184,8 +196,9 @@ def solve_steady_state(gen: QbdGenerator) -> SteadyState:
                     r[i] = np.minimum(_inverse(q), 0.0)
                     q = r[i] * neg_nu_m[i]
             q[..., -1] = 1.0
+            head = np.swapaxes(q, -1, -2)
             pi = np.empty(batch + (t + 1, n))
-            pi[..., 0, :] = np.linalg.solve(np.swapaxes(q, -1, -2), unit)[..., 0]
+            pi[..., 0, :] = np.linalg.solve(head, unit)[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular block during stationary solve: {exc}") from exc
         for i in range(1, t + 1):
@@ -204,8 +217,24 @@ def solve_steady_state(gen: QbdGenerator) -> SteadyState:
     worst = residual.max()
     if not np.isfinite(worst) or worst > RESIDUAL_TOL:
         raise SolverError(f"stationary residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
-    return SteadyState(pi=pi, level_marginals=pi.sum(axis=-1),
-                       residual=residual if batch else float(residual))
+    marginals, slope = pi.sum(axis=-1), None
+    if drho is not None:
+        with np.errstate(all="ignore"):  # a slope lost to rounding is flagged below
+            c = np.diff(pi[..., :-1] * np.asarray(drho, dtype=float)[..., None],
+                        axis=-1, prepend=0.0, append=0.0)
+            for i in range(t - 1, -1, -1):
+                c[..., i, :] -= (c[..., i + 1, None, :] @ r[i + 1])[..., 0, :] * gen.m[i + 1]
+            c[..., 0, -1] = 0.0
+            x = np.empty_like(pi)
+            x[..., 0, :] = np.linalg.solve(head, c[..., 0, :, None])[..., 0]
+            for i in range(1, t + 1):
+                np.matmul((c[..., i, :] - p.nu * x[..., i - 1, :])[..., None, :], r[i],
+                          out=x[..., i, None, :])
+            shift = x.sum(axis=chain_axes)
+            slope = x.sum(axis=-1) - shift[..., None] * marginals
+            slope[np.abs(shift) * np.finfo(float).eps > SLOPE_RTOL * np.abs(slope).max(axis=-1)] = np.nan
+    return SteadyState(pi=pi, level_marginals=marginals,
+                       residual=residual if batch else float(residual), marginal_slope=slope)
 
 
 def stationary_residual(gen: QbdGenerator, pi: np.ndarray) -> np.ndarray:

@@ -146,6 +146,33 @@ def test_high_recharge_matches_gth_oracle(baseline_cfg):
     np.testing.assert_allclose(got, ref, rtol=1e-9, atol=0)
 
 
+@pytest.mark.parametrize("corner", ["baseline", "t40_n100"])
+def test_marginal_slope_matches_central_difference(baseline_cfg, corner):
+    cfg = dataclasses.replace(baseline_cfg, **CORNERS.get(corner, {}))
+    params = ChainParams.from_config(cfg)
+    rho = solve(cfg, power_law_bias(1.0, cfg.t_levels)).rho
+    h = 1e-5
+    # The direction a change of load moves the arrivals in, and a random one.
+    for drho in (-rho, np.random.default_rng(3).uniform(-1.0, 1.0, rho.size)):
+        slope = solve_steady_state(build_generator(params, rho), drho=drho).marginal_slope
+        up, down = (solve_steady_state(build_generator(params, rho + sign * h * drho)).level_marginals
+                    for sign in (1.0, -1.0))
+        central = (up - down) / (2.0 * h)
+        assert np.abs(slope - central).max() <= 1e-6 * np.abs(central).max()
+        assert abs(slope.sum()) <= 1e-12 * np.abs(slope).max()
+    assert not solve_steady_state(build_generator(params, rho), drho=0.0 * rho).marginal_slope.any()
+
+
+def test_slope_lost_to_rounding_is_nan(baseline_cfg):
+    # At nu = 1e6 the level masses span 45 decades, and the multiple of pi
+    # that zeroes the slope's sum is far larger than the slope itself.
+    cfg = dataclasses.replace(baseline_cfg, nu=1e6)
+    rho = np.full(cfg.t_levels + 1, 3.0)
+    ss = solve_steady_state(build_generator(ChainParams.from_config(cfg), rho), drho=-rho)
+    assert np.isnan(ss.marginal_slope).all()
+    assert ss.residual <= RESIDUAL_TOL
+
+
 def test_inverse_rounding_is_clamped():
     # Recharge 1e8 times the static drain: rounding gives the level inverses
     # entries of the wrong sign, which then read as negative mass unless
