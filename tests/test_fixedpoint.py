@@ -5,12 +5,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greencell import qbd
+from greencell import fixedpoint, qbd
 from greencell.analytics import BiasVector, average_users, compute_metrics
 from greencell.fixedpoint import (
     CHAIN_ELEMENTS,
     DEFAULT_EPS,
     DEFAULT_MAX_SWEEPS,
+    _next_load,
     arrival_map,
     solve,
     solve_batch,
@@ -108,6 +109,48 @@ def test_mixing_matches_picard(cfg_name, request):
         assert res.converged == converged
         assert np.abs(res.level_marginals - pi).max() <= DEFAULT_EPS
         assert res.iterations <= iterations
+
+
+def test_mixed_step_falls_back_to_plain_step():
+    # A Newton point outside the bracket, with no secant history: the plain step s + f.
+    assert _next_load(2.0, 0.5, 0.1, None, [1.0, 4.0]) == 2.5
+    # A zero or lost slope is refused the same way.
+    assert _next_load(2.0, 0.5, 0.0, None, [1.0, 4.0]) == 2.5
+    assert _next_load(2.0, 0.5, math.nan, None, [1.0, 4.0]) == 2.5
+    # A repeated load leaves the secant undefined.
+    assert _next_load(2.0, 0.5, 0.1, (2.0, 0.7), [1.0, 4.0]) == 2.5
+    # With history, the secant point comes before the plain step: slope -0.5.
+    assert _next_load(2.0, 0.5, 0.1, (1.5, 0.75), [1.0, 4.0]) == 3.0
+    # An accepted Newton point is taken as is.
+    assert _next_load(2.0, 0.5, -0.5, None, [1.0, 4.0]) == 3.0
+    # When every candidate leaves the bracket, its midpoint.
+    assert _next_load(2.0, 5.0, 0.1, None, [1.0, 5.0]) == 3.0
+
+
+@pytest.mark.parametrize("forced", ["singular", "negative"])
+def test_forced_fallback_is_picard(small_cfg, monkeypatch, forced):
+    """With every Newton step refused and no secant history, solve() is Picard iteration.
+
+    The plain step s + f(s) = sum_j w_j pi_j(s) from s = mean(w) is the
+    Picard map on the marginals seen through the load, started from the
+    uniform marginals, so both reach the same point.
+    """
+    real_next = fixedpoint._next_load
+    calls = []
+
+    def rigged(s, f, slope, previous, bracket):
+        calls.append(s)
+        # A zero slope, or one whose Newton point is the negative load -s.
+        forced_slope = 0.0 if forced == "singular" else f / (2.0 * s)
+        return real_next(s, f, forced_slope, None, bracket)
+
+    monkeypatch.setattr(fixedpoint, "_next_load", rigged)
+    bias = power_law_bias(2.0, small_cfg.t_levels)
+    res = solve(small_cfg, bias)
+    pi, iterations, converged, _ = _picard(small_cfg, bias)
+    assert len(calls) == res.iterations - 1 and res.converged and converged
+    assert res.iterations == iterations
+    assert np.abs(res.level_marginals - pi).max() <= DEFAULT_EPS
 
 
 def test_nan_slope_falls_back_and_converges(small_cfg, monkeypatch):
