@@ -101,33 +101,9 @@ def _metric_columns(m, names) -> dict:
     return {name: math.nan if m is None else getattr(m, name) for name in names}
 
 
-def _manifest_path(out: str) -> str:
-    stem, _ = os.path.splitext(out)
-    return stem + ".manifest.json"
-
-
-def _finish(command: str, cfg_hash: str, seed: int, outputs: list[str],
-            t_start: float, manifest_path: str) -> None:
-    manifest = RunManifest(
-        command=command,
-        config_hash=cfg_hash,
-        seed=seed,
-        outputs=[os.path.abspath(p) for p in outputs],
-        wall_clock_s=time.time() - t_start,
-        tool_version=__version__,
-    )
-    write_manifest(manifest_path, manifest)
-    for p in outputs:
-        print(f"wrote {p}")
-
-
-def cmd_analyze(args, command: str) -> int:
-    t0 = time.time()
-    cfg = load_config(args.config)
+def cmd_analyze(args, cfg: NetworkConfig) -> tuple[dict, int]:
     bias = _load_bias(cfg, args)
-    print(f"seed: {args.seed}")
     metrics, fp = evaluate_bias(cfg, bias, eps=args.eps, max_sweeps=args.max_sweeps)
-
     row = {
         **_indexed("bias", bias.values),
         **_metric_columns(metrics, ("p_succ", "area_rate", "p_tot", "p_grid", "e_tot",
@@ -142,12 +118,7 @@ def cmd_analyze(args, command: str) -> int:
         **_indexed("p_succ_tier", metrics.p_succ_tier),
         **_indexed("rate_tier", metrics.rate_tier),
     }
-
-    h = config_hash(cfg)
-    write_csv(args.out, header_lines(__version__, h, args.seed, command),
-              list(row), [row])
-    _finish(command, h, args.seed, [args.out], t0, _manifest_path(args.out))
-    return EXIT_OK
+    return {args.out: [row]}, EXIT_OK
 
 
 def _sweep_task(task) -> list[SweepPoint]:
@@ -155,12 +126,9 @@ def _sweep_task(task) -> list[SweepPoint]:
     return beta_sweep(cfg, betas, [nu], eps=eps, max_sweeps=max_sweeps)
 
 
-def cmd_sweep(args, command: str) -> int:
-    t0 = time.time()
-    cfg = load_config(args.config)
+def cmd_sweep(args, cfg: NetworkConfig) -> tuple[dict, int]:
     betas = _parse_floats(args.betas, "--betas")
     nus = _parse_floats(args.nus, "--nus") if args.nus else [cfg.nu]
-    print(f"seed: {args.seed}")
 
     # One task per contiguous run of betas, at most one run per worker and nu,
     # so each task solves its betas in lockstep.
@@ -183,10 +151,7 @@ def cmd_sweep(args, command: str) -> int:
             "iterations": p.iterations,
             "residual": p.residual,
         })
-    h = config_hash(cfg)
-    write_csv(args.out, header_lines(__version__, h, args.seed, command), list(rows[0]), rows)
-    _finish(command, h, args.seed, [args.out], t0, _manifest_path(args.out))
-    return EXIT_OK
+    return {args.out: rows}, EXIT_OK
 
 
 def _validate_task(task) -> dict:
@@ -208,49 +173,31 @@ def _validate_task(task) -> dict:
     }
 
 
-def cmd_validate(args, command: str) -> int:
-    t0 = time.time()
-    cfg = load_config(args.config)
+def cmd_validate(args, cfg: NetworkConfig) -> tuple[dict, int]:
     betas = _parse_floats(args.betas, "--betas")
     if args.drops < 1:
         raise ConfigError("--drops must be at least 1")
-    print(f"seed: {args.seed}")
-
     tasks = [
         (cfg, b, args.drops, args.seed, args.r_sim, args.eps, args.max_sweeps)
         for b in betas
     ]
     rows = _map(_validate_task, tasks)
     rows.sort(key=lambda r: r["beta"])
-
-    h = config_hash(cfg)
-    write_csv(args.out, header_lines(__version__, h, args.seed, command), list(rows[0]), rows)
-    _finish(command, h, args.seed, [args.out], t0, _manifest_path(args.out))
-    return EXIT_OK
+    return {args.out: rows}, EXIT_OK
 
 
-def cmd_optimize(args, command: str) -> int:
-    t0 = time.time()
-    cfg = load_config(args.config)
-    try:
-        ga = GaConfig(
-            pop_size=args.pop,
-            max_iters=args.iters,
-            p_mutation=args.p_mut,
-            p_crossover=args.p_cross,
-            b_min=args.b_min,
-            b_max=args.b_max,
-            seed=args.seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
-    print(f"seed: {args.seed}")
-
+def cmd_optimize(args, cfg: NetworkConfig) -> tuple[dict, int]:
+    ga = GaConfig(
+        pop_size=args.pop,
+        max_iters=args.iters,
+        p_mutation=args.p_mut,
+        p_crossover=args.p_cross,
+        b_min=args.b_min,
+        b_max=args.b_max,
+        seed=args.seed,
+    )
     comparison = compare_schemes(cfg, ga, eps=args.eps, max_sweeps=args.max_sweeps)
     result = comparison.ga_result
-    h = config_hash(cfg)
-    headers = header_lines(__version__, h, args.seed, command)
-
     best = result.best
     best_row = {
         "feasible": best.feasible,
@@ -259,9 +206,6 @@ def cmd_optimize(args, command: str) -> int:
         "n_evaluations": result.n_evaluations,
         **_indexed("bias", best.bias.values),
     }
-    best_path = args.out + "_best.csv"
-    write_csv(best_path, headers, list(best_row), [best_row])
-
     hist_rows = [{
         "generation": g.generation,
         "best_fitness": g.best_fitness,
@@ -269,9 +213,6 @@ def cmd_optimize(args, command: str) -> int:
         "best_feasible": g.best_feasible,
         **_indexed("bias", g.best_bias),
     } for g in result.history]
-    history_path = args.out + "_history.csv"
-    write_csv(history_path, headers, list(hist_rows[0]), hist_rows)
-
     comp_rows = [{
         "scheme": r.name,
         "feasible": r.feasible,
@@ -284,15 +225,42 @@ def cmd_optimize(args, command: str) -> int:
         "delta_eta_ce_pct": math.nan if r.delta_eta_ce_pct is None else r.delta_eta_ce_pct,
         **_indexed("bias", r.bias.values),
     } for r in comparison.rows]
-    comparison_path = args.out + "_comparison.csv"
-    write_csv(comparison_path, headers, list(comp_rows[0]), comp_rows)
-
-    outputs = [best_path, history_path, comparison_path]
-    _finish(command, h, args.seed, outputs, t0, args.out + "_manifest.json")
+    tables = {args.out + "_best.csv": [best_row],
+              args.out + "_history.csv": hist_rows,
+              args.out + "_comparison.csv": comp_rows}
     if not result.feasible_found:
         print("no feasible bias vector found", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    return EXIT_OK
+        return tables, EXIT_INFEASIBLE
+    return tables, EXIT_OK
+
+
+def run_command(args, command: str) -> int:
+    """Run one subcommand and write its tables with the reproducibility contract.
+
+    The handler ``args.handler(args, cfg)`` returns ``(tables, exit_code)``,
+    ``tables`` mapping each output CSV path to its rows.  Every CSV gets the
+    same ``#`` header lines; the manifest, at ``args.manifest(args.out)``,
+    lists the CSVs in the order written.
+    """
+    t0 = time.time()
+    cfg = load_config(args.config)
+    print(f"seed: {args.seed}")
+    tables, code = args.handler(args, cfg)
+    h = config_hash(cfg)
+    headers = header_lines(__version__, h, args.seed, command)
+    for path, rows in tables.items():
+        write_csv(path, headers, list(rows[0]), rows)
+    write_manifest(args.manifest(args.out), RunManifest(
+        command=command,
+        config_hash=h,
+        seed=args.seed,
+        outputs=[os.path.abspath(p) for p in tables],
+        wall_clock_s=time.time() - t0,
+        tool_version=__version__,
+    ))
+    for path in tables:
+        print(f"wrote {path}")
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -303,7 +271,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, out_help: str = "output CSV path") -> None:
+    def common(p: argparse.ArgumentParser, handler, out_help: str = "output CSV path") -> None:
+        # The manifest of one CSV is <stem>.manifest.json; optimize overrides it.
+        p.set_defaults(handler=handler,
+                       manifest=lambda out: os.path.splitext(out)[0] + ".manifest.json")
         p.add_argument("config", help="JSON config file")
         p.add_argument("--out", required=True, help=out_help)
         p.add_argument("--seed", type=int, default=0)
@@ -313,34 +284,32 @@ def build_parser() -> argparse.ArgumentParser:
                        help="most chain solves per operating point")
 
     p = sub.add_parser("analyze", help="metrics for one bias vector")
-    common(p)
+    common(p, cmd_analyze)
     p.add_argument("--beta", type=float, default=None, help="power-law exponent")
     p.add_argument("--bias-file", default=None, help="JSON array of per-level biases")
-    p.set_defaults(handler=cmd_analyze)
 
     default_grid = ",".join(f"{b:g}" for b in POWER_GRID_DEFAULT)
     p = sub.add_parser("sweep", help="grid over bias exponents and recharge rates")
-    common(p)
+    common(p, cmd_sweep)
     p.add_argument("--betas", default=default_grid)
     p.add_argument("--nus", default="", help="comma list; defaults to the config value")
-    p.set_defaults(handler=cmd_sweep)
 
     p = sub.add_parser("validate", help="Monte-Carlo check of the coverage analysis")
-    common(p)
+    common(p, cmd_validate)
     p.add_argument("--betas", default="0,1,2")
     p.add_argument("--drops", type=int, default=10000)
     p.add_argument("--r-sim", type=float, default=None, help="window radius override")
-    p.set_defaults(handler=cmd_validate)
 
     p = sub.add_parser("optimize", help="genetic bias search plus scheme comparison")
-    common(p, out_help="output file prefix (_best/_history/_comparison CSVs)")
+    common(p, cmd_optimize, out_help="output file prefix (_best/_history/_comparison CSVs)")
+    # The prefix is kept whole, dots included: --out ga.v2 gives ga.v2_manifest.json.
+    p.set_defaults(manifest=lambda out: out + "_manifest.json")
     p.add_argument("--pop", type=int, default=50)
     p.add_argument("--iters", type=int, default=100)
     p.add_argument("--p-mut", type=float, default=0.2)
     p.add_argument("--p-cross", type=float, default=0.7)
     p.add_argument("--b-min", type=float, default=1.0)
     p.add_argument("--b-max", type=float, default=64.0)
-    p.set_defaults(handler=cmd_optimize)
     return parser
 
 
@@ -351,7 +320,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     command = shlex.join(["greencell"] + list(argv))
     try:
-        return args.handler(args, command)
+        return run_command(args, command)
     except ValueError as exc:  # ConfigError is a ValueError
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -148,6 +148,10 @@ def _validate(cfg: NetworkConfig) -> None:
             problems.append(f"static_drain_override must be nonnegative, got {v!r}")
     if problems:
         raise ConfigError("; ".join(problems))
+    # theta = delta_p * p_t * delta_t can underflow to 0 for valid fields.
+    if cfg.static_drain_override is None and not (cfg.theta > 0 and math.isfinite(cfg.static_drain)):
+        raise ConfigError(f"static drain p0_static / theta = {cfg.p0_static!r} / {cfg.theta!r} "
+                          "is not finite")
 
 
 _FIELD_NAMES = {f.name for f in dataclasses.fields(NetworkConfig)}

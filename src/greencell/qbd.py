@@ -255,7 +255,6 @@ class LevelMetrics:
     p_block: np.ndarray
     n_mean: np.ndarray
     p_occu: np.ndarray
-    degenerate: np.ndarray  # levels with negligible mass; metrics zeroed there
 
 
 def level_metrics(ss: SteadyState, n_channels: int) -> LevelMetrics:
@@ -266,9 +265,4 @@ def level_metrics(ss: SteadyState, n_channels: int) -> LevelMetrics:
     safe = np.where(degenerate, 1.0, marg)
     p_block = np.where(degenerate, 0.0, pi[:, -1] / safe)
     n_mean = np.where(degenerate, 0.0, (pi * j).sum(axis=1) / safe)
-    return LevelMetrics(
-        p_block=p_block,
-        n_mean=n_mean,
-        p_occu=n_mean / n_channels,
-        degenerate=degenerate,
-    )
+    return LevelMetrics(p_block=p_block, n_mean=n_mean, p_occu=n_mean / n_channels)

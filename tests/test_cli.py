@@ -163,6 +163,15 @@ class TestErrorPaths:
             if name != "converged":
                 assert math.isfinite(float(rows[0][name])), name
 
+    @pytest.mark.parametrize("p_trans", [1e-30, 1e-20])  # theta underflows to 0; drain is inf
+    def test_non_finite_static_drain_is_a_config_error(self, p_trans, tmp_path, capsys):
+        cfg = baseline_with(tmp_path, static_drain_override=None, delta_t=1e-300, p_trans=p_trans)
+        code = run(["analyze", cfg, "--out", str(tmp_path / "o.csv"), "--beta", "1"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "config error: static drain p0_static / theta" in err
+        assert "Traceback" not in err
+
     def test_overflowing_arrival_rates_are_numeric_failures(self, tmp_path, capsys):
         code = run_without_runtime_warnings(["analyze", baseline_with(tmp_path, lambda_u1=1e308),
                                              "--out", str(tmp_path / "o.csv"), "--beta", "1"])
@@ -394,6 +403,36 @@ class TestOptimize:
         code = run(["optimize", cfg_path, "--out", str(tmp_path / "ga"),
                     "--pop", "1", "--iters", "1"])
         assert code == cli.EXIT_CONFIG
+        assert "config error: pop_size must be at least 2" in capsys.readouterr().err
+
+
+class TestRunContract:
+    """File names, manifest listing and stdout shared by every subcommand."""
+
+    @pytest.mark.parametrize("argv, out, csvs, manifest", [
+        (["analyze", "--beta", "1"], "point.csv", ["point.csv"], "point.manifest.json"),
+        (["sweep", "--betas", "0,1"], "sweep.csv", ["sweep.csv"], "sweep.manifest.json"),
+        (["validate", "--betas", "0,1", "--drops", "50"], "val.csv", ["val.csv"],
+         "val.manifest.json"),
+        (["optimize", "--pop", "4", "--iters", "1"], "ga",
+         ["ga_best.csv", "ga_history.csv", "ga_comparison.csv"], "ga_manifest.json"),
+        # A prefix keeps its dots: no extension is stripped.
+        (["optimize", "--pop", "4", "--iters", "1"], "ga.v2",
+         ["ga.v2_best.csv", "ga.v2_history.csv", "ga.v2_comparison.csv"], "ga.v2_manifest.json"),
+    ])
+    def test_outputs_manifest_and_stdout(self, argv, out, csvs, manifest, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({**SMALL, "p_req": 0.9}))
+        out_dir = tmp_path / "out"
+        out_dir.mkdir()
+        code = run([argv[0], str(cfg), "--out", str(out_dir / out), "--seed", "5", *argv[1:]])
+        assert code == cli.EXIT_OK
+        paths = [str(out_dir / name) for name in csvs]
+        assert capsys.readouterr().out == "".join(
+            ["seed: 5\n"] + [f"wrote {p}\n" for p in paths])
+        assert sorted(os.listdir(out_dir)) == sorted(csvs + [manifest])
+        listed = json.loads((out_dir / manifest).read_text())["outputs"]
+        assert listed == [os.path.abspath(p) for p in paths]
 
 
 def test_version_flag(capsys):
