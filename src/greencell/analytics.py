@@ -107,9 +107,10 @@ def interference_factor(tau, alpha: float, bias_ratio) -> np.ndarray | float:
 def _success_grid(taus: np.ndarray, level_marginals, bias: BiasVector, p_occu, cfg) -> np.ndarray:
     """Success probability for every (threshold, tier) pair, shape (K, T+1).
 
-    Shares one vectorized hypergeometric evaluation across the full grid and
-    reduces each fading integral to the canonical exp(-kappa v^{alpha/2} - v)
-    form, so sweeping thresholds costs a handful of array operations.
+    Evaluates the hypergeometric once per distinct bias ratio B_j / B_i (one
+    column at a flat bias) and reduces each fading integral to the canonical
+    exp(-kappa v^{alpha/2} - v) form, so sweeping thresholds costs a handful
+    of array operations.
     """
     taus = np.asarray(taus, dtype=float)
     pi = np.asarray(level_marginals, dtype=float)
@@ -120,7 +121,11 @@ def _success_grid(taus: np.ndarray, level_marginals, bias: BiasVector, p_occu, c
     geom = ratios ** (2.0 / cfg.alpha)
     scale = geom @ lam                          # per-tier total geometric weight
 
-    z = interference_factor(taus[:, None, None], cfg.alpha, ratios[None, :, :])
+    distinct, index = np.unique(ratios, return_inverse=True)
+    # np.take keeps z contiguous, so the product below rounds as on the full grid;
+    # the reshape is needed because the inverse's shape differs across numpy versions.
+    z = np.take(interference_factor(taus[:, None], cfg.alpha, distinct[None, :]),
+                index.reshape(ratios.shape), axis=1)
     c = scale[None, :] + z @ (lam * p_occ)      # (K, T+1)
 
     half_alpha = cfg.alpha / 2.0

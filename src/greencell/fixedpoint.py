@@ -71,9 +71,12 @@ def solve_batch(cfg, biases, eps: float = DEFAULT_EPS,
                 max_sweeps: int = DEFAULT_MAX_SWEEPS) -> list[FixedPointResult | NumericError]:
     """Solve f(s) = 0 for the load s of every bias vector in ``biases``, in lockstep.
 
-    Each step takes one chain solve per item, from s = mean(w) on.  The next
-    load is the Newton point; if that is not finite or leaves the bracket of
-    the signs of f seen so far, the secant point through the last two loads
+    When any item's weights are not all 1, step 0 solves the flat chain
+    (weights 1 at load 1) once: that is the first chain solve of every flat
+    item, and every other item starts at s = sum_j w_j pi_j of it, or at
+    s = mean(w) if it failed.  Each step takes one chain solve per item.
+    The next load is the Newton point; if that is not finite or leaves the
+    bracket of the signs of f seen so far, the secant point through the last two loads
     (the plain step s + f(s) on the first); failing both, the bracket's
     midpoint.  An item stops once |f(s)| < eps s, or after ``max_sweeps``
     chain solves with ``converged`` false, and its last chain solve is its
@@ -90,6 +93,16 @@ def solve_batch(cfg, biases, eps: float = DEFAULT_EPS,
     weights = [analytics.bias_weights(bias, cfg) for bias in biases]
     load = [float(w.mean()) for w in weights]
     bracket = [[float(w.min()), float(w.max())] for w in weights]
+    # Constant weights are all 1 (B_0 = 1): the flat chain at load 1 is such
+    # an item's first chain solve, and sum_j w_j pi_j of it starts the others.
+    flat_items = [k for k, w in enumerate(weights) if (w == 1.0).all()]
+    shared = {}  # item -> its first chain state, taken from the flat chain
+    if len(flat_items) < len(biases):
+        (flat,) = _chain_images(cfg, params, [np.ones(cfg.t_levels + 1)], [1.0])
+        shared = dict.fromkeys(flat_items, flat)
+        if not isinstance(flat, Exception):
+            load = [load[k] if k in shared else float(w @ flat.level_marginals)
+                    for k, w in enumerate(weights)]
     last: list = [None] * len(biases)  # (load, f) of each item's previous step
     outcome: list = [None] * len(biases)
     active = list(range(len(biases)))
@@ -97,8 +110,12 @@ def solve_batch(cfg, biases, eps: float = DEFAULT_EPS,
         if not active:
             break
         still = []
-        images = _chain_images(cfg, params, [weights[k] for k in active], [load[k] for k in active])
-        for k, ss in zip(active, images):
+        todo = [k for k in active if k not in shared]
+        images = {**shared, **dict(zip(todo, _chain_images(
+            cfg, params, [weights[k] for k in todo], [load[k] for k in todo])))}
+        shared = {}
+        for k in active:
+            ss = images[k]
             if isinstance(ss, Exception):
                 outcome[k] = ss
                 continue

@@ -57,6 +57,8 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
         raise ValueError("need at least one drop")
     if r_sim is None:
         r_sim = default_window(cfg)
+    if not math.isfinite(r_sim):
+        raise ValueError(f"r_sim must be finite, got {r_sim!r}")
     if r_sim < min_window(cfg):
         raise ValueError(
             f"window radius {r_sim:.3f} below edge-effect guard {min_window(cfg):.3f}"

@@ -157,8 +157,8 @@ class GaConfig:
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not 0.0 < self.b_min <= 1.0:
             raise ValueError("b_min must lie in (0, 1] so the pinned first gene fits")
-        if self.b_max <= self.b_min:
-            raise ValueError("b_max must exceed b_min")
+        if not self.b_min < self.b_max < math.inf:  # False for NaN too
+            raise ValueError(f"b_max must be finite and exceed b_min, got {self.b_max!r}")
 
 
 @dataclass

@@ -241,6 +241,31 @@ def success_probability(level_marginals, bias, p_occu, cfg, tau: float | None = 
     return tier, float((tier * split.p_assoc).sum())
 
 
+def success_grid_per_pair(taus, level_marginals, bias, p_occu, cfg) -> np.ndarray:
+    """The package's success grid with one hypergeometric element per (tau, i, j).
+
+    The same arithmetic as ``analytics._success_grid``, but with the
+    interference weight evaluated for every bias-ratio pair rather than once
+    per distinct ratio, so that the package's sharing can be pinned bit for bit.
+    """
+    from greencell.analytics import exp_power_integral_vec, interference_factor
+
+    taus = np.asarray(taus, dtype=float)
+    pi = np.asarray(level_marginals, dtype=float)
+    b = bias.as_array()
+    lam = cfg.lambda_b * pi
+    ratios = b[None, :] / b[:, None]
+    scale = ratios ** (2.0 / cfg.alpha) @ lam
+    z = interference_factor(taus[:, None, None], cfg.alpha, ratios[None])
+    c = scale[None, :] + z @ (lam * np.asarray(p_occu, dtype=float))
+    with np.errstate(over="ignore"):
+        kappa = (taus * cfg.noise_power / cfg.p_t)[:, None] / (math.pi * c) ** (cfg.alpha / 2.0)
+    g = exp_power_integral_vec(kappa.reshape(-1), cfg.alpha / 2.0).reshape(kappa.shape)
+    p = np.clip(scale[None, :] * g / c, 0.0, 1.0)
+    p[:, pi == 0.0] = 0.0
+    return p
+
+
 def success_probability_curve(i: int, level_marginals, bias, p_occu, cfg, taus) -> np.ndarray:
     """P_succ of tier i at every threshold in ``taus``, elementwise.
 

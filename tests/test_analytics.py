@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from greencell import analytics
 from greencell.analytics import (
     BiasVector,
     area_throughput,
@@ -26,6 +27,7 @@ from oracles import (
     midpoint,
     rate_tier_untruncated,
     success_probability,
+    success_grid_per_pair,
     success_probability_tier,
     throughput_time_integral,
 )
@@ -129,6 +131,29 @@ class TestSuccessProbability:
         )
         got = _success_grid(np.array([cfg.tau]), pi, bias, occ, cfg)[0, i]
         assert got == pytest.approx(ref, rel=1e-6)
+
+    @pytest.mark.parametrize("t_levels", [10, 40])
+    def test_grid_shares_distinct_ratios_bit_for_bit(self, baseline_cfg, t_levels, monkeypatch):
+        cfg = dataclasses.replace(baseline_cfg, t_levels=t_levels)
+        rng = np.random.default_rng(t_levels)
+        pi = rng.dirichlet(np.ones(t_levels + 1))
+        occ = rng.uniform(0.0, 1.0, t_levels + 1)
+        taus = np.append(np.geomspace(1e-4, 1e4, 60), cfg.tau)
+        ga_like = BiasVector((1.0, *np.exp(rng.uniform(0.0, math.log(64.0), t_levels))))
+        for bias in [power_law_bias(beta, t_levels) for beta in (0.0, 1.0, 3.0)] + [ga_like]:
+            assert np.array_equal(_success_grid(taus, pi, bias, occ, cfg),
+                                  success_grid_per_pair(taus, pi, bias, occ, cfg))
+        # A flat bias has one ratio, so one hypergeometric column.
+        sizes = []
+        real = analytics.hyp_one_one_neg
+
+        def recording(alpha, y):
+            sizes.append(np.size(y))
+            return real(alpha, y)
+
+        monkeypatch.setattr(analytics, "hyp_one_one_neg", recording)
+        _success_grid(taus, pi, power_law_bias(0.0, t_levels), occ, cfg)
+        assert sizes == [taus.size]
 
     def test_grid_matches_scalar_path(self, small_cfg):
         pi = np.array([0.4, 0.3, 0.2, 0.1])

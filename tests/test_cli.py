@@ -180,6 +180,20 @@ class TestErrorPaths:
         assert "numeric failure: arrival rates are not finite" in err
         assert "RuntimeWarning" not in err
 
+    @pytest.mark.parametrize("command, field", [
+        (["optimize", "--pop", "4", "--iters", "1", "--b-max", "nan"], "b_max"),
+        (["optimize", "--pop", "4", "--iters", "1", "--b-max", "inf"], "b_max"),
+        (["validate", "--drops", "10", "--betas", "1", "--r-sim", "nan"], "r_sim"),
+        (["validate", "--drops", "10", "--betas", "1", "--r-sim", "inf"], "r_sim"),
+    ])
+    def test_non_finite_ga_bound_or_window_is_a_config_error(self, cfg_path, tmp_path, capsys,
+                                                             command, field):
+        code = run([command[0], cfg_path, "--out", str(tmp_path / "o"), *command[1:]])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: {field} must be finite" in err
+        assert "Traceback" not in err
+
     def test_workers_env_validation(self, cfg_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GREENCELL_WORKERS", "many")
         code = run(["sweep", cfg_path, "--out", str(tmp_path / "s.csv"), "--betas", "0"])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from greencell import fixedpoint, qbd
-from greencell.analytics import BiasVector, average_users, compute_metrics
+from greencell.analytics import BiasVector, average_users, bias_weights, compute_metrics, users_at_load
 from greencell.fixedpoint import (
     CHAIN_ELEMENTS,
     DEFAULT_EPS,
@@ -88,9 +88,17 @@ def _chain_image(cfg, bias):
     return image
 
 
-def _picard(cfg, bias):
-    start = np.full(cfg.t_levels + 1, 1.0 / (cfg.t_levels + 1))
+def _picard(cfg, bias, start=None):
+    if start is None:
+        start = np.full(cfg.t_levels + 1, 1.0 / (cfg.t_levels + 1))
     return picard_fixed_point(_chain_image(cfg, bias), start, DEFAULT_EPS, DEFAULT_MAX_SWEEPS)
+
+
+def _flat_chain_marginals(cfg):
+    """Marginals of the flat-bias chain (weights 1 at load 1), the solver's start."""
+    ones = np.ones(cfg.t_levels + 1)
+    rho = arrival_map(users_at_load(1.0, ones, cfg), cfg)
+    return qbd.solve_steady_state(qbd.build_generator(qbd.ChainParams.from_config(cfg), rho)).level_marginals
 
 
 def _ga_like_biases(t_levels, n, seed):
@@ -131,9 +139,9 @@ def test_mixed_step_falls_back_to_plain_step():
 def test_forced_fallback_is_picard(small_cfg, monkeypatch, forced):
     """With every Newton step refused and no secant history, solve() is Picard iteration.
 
-    The plain step s + f(s) = sum_j w_j pi_j(s) from s = mean(w) is the
-    Picard map on the marginals seen through the load, started from the
-    uniform marginals, so both reach the same point.
+    The plain step s + f(s) = sum_j w_j pi_j(s) from s = sum_j w_j pi0_j is
+    the Picard map on the marginals seen through the load, started from the
+    flat chain's marginals pi0, so both reach the same point.
     """
     real_next = fixedpoint._next_load
     calls = []
@@ -147,7 +155,7 @@ def test_forced_fallback_is_picard(small_cfg, monkeypatch, forced):
     monkeypatch.setattr(fixedpoint, "_next_load", rigged)
     bias = power_law_bias(2.0, small_cfg.t_levels)
     res = solve(small_cfg, bias)
-    pi, iterations, converged, _ = _picard(small_cfg, bias)
+    pi, iterations, converged, _ = _picard(small_cfg, bias, _flat_chain_marginals(small_cfg))
     assert len(calls) == res.iterations - 1 and res.converged and converged
     assert res.iterations == iterations
     assert np.abs(res.level_marginals - pi).max() <= DEFAULT_EPS
@@ -207,14 +215,23 @@ def test_batch_matches_batch_of_one(small_cfg, baseline_cfg, cfg_name, specs):
         _assert_same_point(cfg, bias, got, ref)
 
 
-def test_failing_item_leaves_others_unchanged(baseline_cfg):
-    # With every bias but B_0 tiny, the first sweep loads level 0 only; the
-    # other 56 levels then recharge 1e6 times faster than they drain, and
-    # the level masses overflow a float, a failure the chain fuzz in
-    # test_qbd accepts as typed.  The other biases spread the load.
+def test_failing_item_leaves_others_unchanged(baseline_cfg, monkeypatch):
+    # Every chain whose arrival rates follow the starve item's weights fails
+    # as a 64-level chain at this recharge rate does on its own (the level
+    # masses overflow a float), while the flat chain and the other items
+    # solve; no natural input fails alone once the flat chain has solved.
     cfg = dataclasses.replace(baseline_cfg, t_levels=56, n_channels=4, nu=1e6,
                               static_drain_override=1.0)
     starve = BiasVector((1.0,) + (1e-12,) * 56)
+    shape = bias_weights(starve, cfg) / bias_weights(starve, cfg)[0]
+    real = qbd.solve_steady_state
+
+    def overflowing(gen, drho=None):
+        if any(np.allclose(rho / rho[0], shape) for rho in np.atleast_2d(gen.rho)):
+            raise SolverError("stationary solve overflowed the float range")
+        return real(gen, drho=drho)
+
+    monkeypatch.setattr(qbd, "solve_steady_state", overflowing)
     biases = [power_law_bias(0.0, 56), starve, power_law_bias(2.0, 56)]
     results = solve_batch(cfg, biases)
     with pytest.raises(SolverError) as alone:
@@ -239,7 +256,9 @@ def test_stacks_hold_at_most_chain_elements(baseline_cfg, monkeypatch):
     biases = _ga_like_biases(baseline_cfg.t_levels, group + 3, seed=9)
     assert all(not isinstance(r, Exception) for r in solve_batch(baseline_cfg, biases))
     assert max(sizes) == group * per_item <= CHAIN_ELEMENTS
-    assert sizes[0] == group * per_item and per_item * 3 in sizes
+    # The first call is the flat chain that starts every item.
+    assert sizes[0] == per_item
+    assert sizes[1] == group * per_item and per_item * 3 in sizes
 
 
 def _count_chains(monkeypatch, t_levels) -> list[int]:
@@ -256,11 +275,19 @@ def _count_chains(monkeypatch, t_levels) -> list[int]:
 
 
 def test_one_stacked_call_per_step(small_cfg, monkeypatch):
+    """One flat-chain call, then one stacked call per step of the biased items.
+
+    The flat chain is the flat item's own first solve; without a flat item
+    it is one chain more than the items' own.
+    """
     stacks = _count_chains(monkeypatch, small_cfg.t_levels)
-    biases = [power_law_bias(beta, small_cfg.t_levels) for beta in (0.0, 1.0, 2.5, 4.0)]
-    iterations = [r.iterations for r in solve_batch(small_cfg, biases)]
-    assert len(stacks) == max(iterations)
-    assert sum(stacks) == sum(iterations)
+    for betas in [(0.0, 1.0, 2.5, 4.0), (1.0, 2.5, 4.0)]:
+        stacks.clear()
+        biases = [power_law_bias(beta, small_cfg.t_levels) for beta in betas]
+        iterations = [r.iterations for r in solve_batch(small_cfg, biases)]
+        assert len(stacks) == 1 + max(n for n, beta in zip(iterations, betas) if beta != 0.0)
+        assert stacks[0] == 1
+        assert sum(stacks) == sum(iterations) + (0.0 not in betas)
 
 
 def test_flat_bias_and_no_users_take_one_or_two_solves(baseline_cfg, monkeypatch):
@@ -271,4 +298,15 @@ def test_flat_bias_and_no_users_take_one_or_two_solves(baseline_cfg, monkeypatch
     for beta in (0.0, 1.0, 3.0):
         stacks.clear()
         res = solve(idle, power_law_bias(beta, idle.t_levels))
-        assert res.converged and res.iterations <= 2 and sum(stacks) == res.iterations
+        # A biased item also takes the flat chain that starts it.
+        assert res.converged and res.iterations <= 2 and sum(stacks) == res.iterations + (beta != 0.0)
+
+
+def test_sweep_box_chain_solve_budget(baseline_cfg, monkeypatch):
+    """The benchmark sweep's 45-point box, one request per recharge rate as `sweep` solves it."""
+    stacks = _count_chains(monkeypatch, baseline_cfg.t_levels)
+    biases = [power_law_bias(beta, baseline_cfg.t_levels) for beta in np.arange(0.0, 4.01, 0.5)]
+    for nu in (36.0, 38.0, 40.0, 42.0, 44.0):
+        results = solve_batch(dataclasses.replace(baseline_cfg, nu=nu), biases)
+        assert all(r.converged for r in results)
+    assert sum(stacks) <= 125 and len(stacks) <= 20
