@@ -16,7 +16,7 @@ import sys
 
 from greencell.config import load_config
 from greencell.csvio import write_csv
-from greencell.optimizer import evaluate_bias, power_law_bias
+from greencell.optimizer import Evaluator, power_law_bias
 
 BETAS = [0.5 * k for k in range(9)]
 
@@ -24,8 +24,11 @@ BETAS = [0.5 * k for k in range(9)]
 def scan_one(cfg, drain: float) -> dict:
     cfg = dataclasses.replace(cfg, static_drain_override=drain)
     rows = []
-    for beta in BETAS:
-        metrics, fp = evaluate_bias(cfg, power_law_bias(beta, cfg.t_levels))
+    outcomes = Evaluator(cfg).many([power_law_bias(beta, cfg.t_levels) for beta in BETAS])
+    for beta, outcome in zip(BETAS, outcomes):
+        if isinstance(outcome, Exception):
+            raise outcome
+        metrics, fp = outcome
         rows.append((beta, metrics.p_succ, metrics.e_tot, metrics.eta_ce, fp.converged))
     base = rows[0]
     feasible = [r for r in rows if r[1] > cfg.p_req]

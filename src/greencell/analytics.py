@@ -186,16 +186,9 @@ def expected_rates(level_marginals, bias: BiasVector, p_occu, p_block, cfg):
     return rates, tier_at_tau, p_succ
 
 
-def area_throughput(users, rho, rate_tier, p_assoc, cfg) -> float:
-    """Area throughput: per-tier user rates weighted by activity and share.
-
-    The activity ratio rho_i / U_i is 1 under the identity arrival map;
-    tiers with no users contribute nothing.
-    """
-    users = np.asarray(users, dtype=float)
-    rho = np.asarray(rho, dtype=float)
-    safe = np.where(users > 0.0, users, 1.0)
-    terms = np.where(users > 0.0, rho / safe * np.asarray(rate_tier, float) * np.asarray(p_assoc, float), 0.0)
+def area_throughput(rate_tier, p_assoc, cfg) -> float:
+    """Area throughput: user density times the per-tier rates weighted by share."""
+    terms = np.asarray(rate_tier, float) * np.asarray(p_assoc, float)
     return float(cfg.user_arrival_density * terms.sum())
 
 
@@ -244,12 +237,11 @@ class NetworkMetrics:
     eta_ce: float
 
 
-def compute_metrics(cfg, bias: BiasVector, level_marginals, rho, lm) -> NetworkMetrics:
+def compute_metrics(cfg, bias: BiasVector, level_marginals, lm) -> NetworkMetrics:
     """Full analytic pipeline downstream of a chain solution."""
     split = association_split(level_marginals, bias, cfg)
     rates, tier_at_tau, p_succ = expected_rates(level_marginals, bias, lm.p_occu, lm.p_block, cfg)
-    users = average_users(level_marginals, bias, cfg)
-    area = area_throughput(users, rho, rates, split.p_assoc, cfg)
+    area = area_throughput(rates, split.p_assoc, cfg)
     power = power_and_carbon(level_marginals, lm, cfg)
     eta_ee, eta_ce = efficiencies(area, power.p_tot, power.e_tot, cfg)
     return NetworkMetrics(

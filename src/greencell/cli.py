@@ -279,7 +279,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", required=True, help=out_help)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                       help="fixed-point tolerance on the relative load residual |sum w pi - s| / s")
+                       help="fixed-point tolerance in [1e-12, 1) on the relative load residual |sum w pi - s| / s")
         p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS,
                        help="most chain solves per operating point")
 

@@ -45,8 +45,6 @@ _NONNEGATIVE_FIELDS = (
     "xi_grid",
     "xi_re",
     "rate_scale",
-    "arrival_scale",
-    "arrival_offset",
 )
 
 
@@ -81,8 +79,6 @@ class NetworkConfig:
     xi_re: float = 0.0          # renewable carbon intensity
     p_req: float = 0.95         # success-probability floor for optimization
     rate_scale: float = 1.0     # bandwidth multiplier applied to per-user rates
-    arrival_scale: float = 1.0  # arrival map rho = arrival_scale * U + arrival_offset
-    arrival_offset: float = 0.0
 
     def __post_init__(self) -> None:
         _validate(self)

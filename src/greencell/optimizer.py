@@ -55,7 +55,7 @@ def evaluate_biases(cfg: NetworkConfig, biases: list[BiasVector],
     for bias, fp in zip(biases, solve_batch(cfg, biases, eps=eps, max_sweeps=max_sweeps)):
         if not isinstance(fp, Exception):
             try:
-                fp = compute_metrics(cfg, bias, fp.level_marginals, fp.rho, fp.chain_metrics), fp
+                fp = compute_metrics(cfg, bias, fp.level_marginals, fp.chain_metrics), fp
             except (NumericError, FloatingPointError) as exc:
                 fp = exc
         outcomes.append(fp)

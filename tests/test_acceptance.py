@@ -145,7 +145,7 @@ def test_criterion_2_erlang_b_reduction():
 def test_criterion_3_trajectory_occupancy(baseline_cfg, fp_by_beta):
     _, _, fp = fp_by_beta[1.0]
     t0 = time.perf_counter()
-    occ = simulate_trajectory(baseline_cfg, fp.rho, 1_000_000, seed=0)
+    occ = simulate_trajectory(baseline_cfg, fp.users, 1_000_000, seed=0)
     elapsed = time.perf_counter() - t0
     tv = 0.5 * float(np.abs(occ - fp.chain_state.pi).sum())
     passed = tv < 0.02 and elapsed < 60.0
@@ -228,7 +228,7 @@ def test_criterion_6_fixed_point_box(baseline_cfg):
             np.testing.assert_allclose(
                 res.users, average_users(res.level_marginals, bias, cfg), rtol=1e-12
             )
-            again = qbd.solve_steady_state(qbd.build_generator(params, res.rho))
+            again = qbd.solve_steady_state(qbd.build_generator(params, res.users))
             all_ok = all_ok and float(
                 np.abs(again.level_marginals - res.level_marginals).max()
             ) < 1e-8

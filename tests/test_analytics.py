@@ -252,16 +252,14 @@ class TestExpectedRates:
         np.testing.assert_allclose(scaled, 2.5 * base, rtol=1e-12)
 
 
-def test_area_throughput_activity_weighting(small_cfg):
-    users = np.array([2.0, 4.0, 0.0, 1.0])
-    rho = np.array([1.0, 4.0, 0.0, 0.5])
+def test_area_throughput_share_weighting(small_cfg):
     rate = np.array([0.3, 0.2, 0.9, 0.1])
-    share = np.array([0.25, 0.25, 0.25, 0.25])
-    # Tiers weight by rho/U; the empty tier contributes nothing.
-    expected = small_cfg.user_arrival_density * (
-        0.5 * 0.3 * 0.25 + 1.0 * 0.2 * 0.25 + 0.5 * 0.1 * 0.25
-    )
-    assert area_throughput(users, rho, rate, share, small_cfg) == pytest.approx(expected, rel=1e-12)
+    share = np.array([0.5, 0.25, 0.0, 0.25])
+    # Density times the share-weighted tier rates; a tier nobody joins adds nothing.
+    expected = small_cfg.user_arrival_density * (0.5 * 0.3 + 0.25 * 0.2 + 0.25 * 0.1)
+    assert area_throughput(rate, share, small_cfg) == pytest.approx(expected, rel=1e-12)
+    idle = dataclasses.replace(small_cfg, lambda_u1=0.0, lambda_u2=0.0)
+    assert area_throughput(rate, share, idle) == 0.0
 
 
 class TestPowerAndCarbon:
@@ -314,8 +312,7 @@ def test_compute_metrics_cross_consistency(small_cfg):
         p_occu=np.array([0.25, 0.375, 0.5, 0.625]),
         p_block=np.array([0.08, 0.05, 0.03, 0.02]),
     )
-    users = average_users(pi, bias, small_cfg)
-    m = compute_metrics(small_cfg, bias, pi, users, lm)
+    m = compute_metrics(small_cfg, bias, pi, lm)
     split = association_split(pi, bias, small_cfg)
     assert m.p_succ == pytest.approx(float((m.p_succ_tier * split.p_assoc).sum()), rel=1e-12)
     assert m.eta_ee == pytest.approx(m.area_rate / m.p_tot, rel=1e-12)

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import math
 import os
 import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from greencell import cli, optimizer
 from greencell.config import config_hash, load_config
@@ -194,6 +197,14 @@ class TestErrorPaths:
         assert f"config error: {field} must be finite" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("eps", ["1e-30", "inf"])  # below the residual's rounding floor; vacuous
+    def test_eps_outside_its_range_is_a_config_error(self, cfg_path, tmp_path, capsys, eps):
+        code = run(["analyze", cfg_path, "--out", str(tmp_path / "o.csv"), "--beta", "1", "--eps", eps])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: eps must lie in [1e-12, 1), got {float(eps)!r}" in err
+        assert not os.path.exists(tmp_path / "o.csv")
+
     def test_workers_env_validation(self, cfg_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GREENCELL_WORKERS", "many")
         code = run(["sweep", cfg_path, "--out", str(tmp_path / "s.csv"), "--betas", "0"])
@@ -202,6 +213,65 @@ class TestErrorPaths:
         monkeypatch.setenv("GREENCELL_WORKERS", "0")
         assert run(["sweep", cfg_path, "--out", str(tmp_path / "s.csv"),
                     "--betas", "0"]) == cli.EXIT_CONFIG
+
+
+def _log_uniform(lo_exp, hi_exp):
+    return st.floats(lo_exp, hi_exp).map(lambda e: 10.0 ** e)
+
+
+def _rate(lo_exp, hi_exp):
+    """A rate log-uniform over the decades, or exactly zero."""
+    return st.one_of(st.just(0.0), _log_uniform(lo_exp, hi_exp))
+
+
+_VALID_CONFIGS = st.fixed_dictionaries({
+    "p0_static": _log_uniform(-2, 4),
+    "delta_p": _log_uniform(-1, 2),
+    "p_trans": _log_uniform(-3, 3),
+    "n_channels": st.integers(1, 20),
+    "t_levels": st.integers(1, 100),
+    "lambda_b": _log_uniform(-3, 3),
+    "lambda_u1": _rate(-3, 4),
+    "lambda_p": _rate(-3, 3),
+    "lambda_u2": _rate(-3, 4),
+    "hotspot_radius": _log_uniform(-3, 1),
+    "alpha": st.floats(2.0, 8.0, exclude_min=True),
+    "noise_power_dbm": st.one_of(st.just(-math.inf), st.floats(-250.0, 100.0)),
+    "tau_db": st.floats(-60.0, 60.0),
+    "mu": _log_uniform(-3, 3),
+    "omega": _log_uniform(-3, 3),
+    "nu": _log_uniform(-3, 6),
+    "delta_t": _log_uniform(-3, 3),
+}, optional={"static_drain_override": _rate(-3, 3)})
+
+
+@settings(max_examples=40)
+@given(raw=_VALID_CONFIGS, beta=st.one_of(st.none(), st.floats(0.0, 6.0)),
+       bias_exponents=st.lists(st.floats(-6.0, 6.0), min_size=100, max_size=100))
+def test_analyze_on_valid_configs_is_finite_or_typed(tmp_path_factory, raw, beta, bias_exponents):
+    """Every config that passes validation gives a finite row (exit 0) or a typed
+    numeric failure (exit 3), with no traceback and no RuntimeWarning."""
+    work = tmp_path_factory.mktemp("fuzz")
+    (work / "cfg.json").write_text(json.dumps(raw))
+    if beta is None:
+        bias = [1.0] + [10.0 ** e for e in bias_exponents[:raw["t_levels"]]]
+        (work / "bias.json").write_text(json.dumps(bias))
+        bias_args = ["--bias-file", str(work / "bias.json")]
+    else:
+        bias_args = ["--beta", repr(beta)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_without_runtime_warnings(["analyze", str(work / "cfg.json"),
+                                             "--out", str(work / "o.csv"), *bias_args])
+    assert "Traceback" not in err.getvalue()
+    if code == cli.EXIT_NUMERIC:
+        assert err.getvalue().startswith("numeric failure: ")
+        return
+    assert code == cli.EXIT_OK, err.getvalue()
+    _, fields, rows = read_csv(str(work / "o.csv"))
+    for name in fields:
+        if name != "converged":
+            assert math.isfinite(float(rows[0][name])), name
 
 
 class TestAnalyze:

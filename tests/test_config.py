@@ -86,6 +86,10 @@ def test_from_dict_rejects_unknown_and_missing_keys(baseline_cfg):
     bad = dict(good, not_a_field=1.0)
     with pytest.raises(ConfigError, match="unknown config keys: not_a_field"):
         config_from_dict(bad)
+    # The arrival rates are the users: there is no arrival map to configure.
+    for field in ("arrival_scale", "arrival_offset"):
+        with pytest.raises(ConfigError, match=f"unknown config keys: {field}"):
+            config_from_dict(dict(good, **{field: 1.0}))
     del good["mu"]
     with pytest.raises(ConfigError, match="missing config keys: mu"):
         config_from_dict(good)

@@ -16,6 +16,7 @@ from greencell.fixedpoint import (
     solve,
     solve_batch,
 )
+from greencell.numerics import NumericError
 from greencell.optimizer import power_law_bias
 from greencell.qbd import SolverError
 
@@ -37,23 +38,21 @@ def test_returned_fields_are_mutually_consistent(small_cfg):
     np.testing.assert_allclose(
         res.users, average_users(res.level_marginals, bias, small_cfg), rtol=1e-14
     )
-    np.testing.assert_allclose(res.rho, arrival_map(res.users, small_cfg), rtol=1e-14)
     np.testing.assert_allclose(
         res.level_marginals, res.chain_state.level_marginals, rtol=0, atol=0
     )
     # One further chain solve at the returned arrivals moves marginals < eps.
     params = qbd.ChainParams.from_config(small_cfg)
-    ss = qbd.solve_steady_state(qbd.build_generator(params, res.rho))
+    ss = qbd.solve_steady_state(qbd.build_generator(params, res.users))
     assert np.abs(ss.level_marginals - res.level_marginals).max() < 1e-8
 
 
-def test_arrival_map_affine_knobs(small_cfg):
+def test_arrival_map_is_the_users():
     users = np.array([0.0, 1.0, 2.5, 4.0])
-    np.testing.assert_array_equal(arrival_map(users, small_cfg), users)
-    cfg = dataclasses.replace(small_cfg, arrival_scale=0.5, arrival_offset=0.1)
-    np.testing.assert_allclose(arrival_map(users, cfg), 0.5 * users + 0.1, rtol=1e-15)
-    res = solve(cfg, BiasVector.flat(cfg.t_levels))
-    np.testing.assert_allclose(res.rho, 0.5 * res.users + 0.1, rtol=1e-14)
+    np.testing.assert_array_equal(arrival_map(users), users)
+    for bad in (math.inf, math.nan):
+        with pytest.raises(NumericError, match="arrival rates are not finite"):
+            arrival_map(np.array([1.0, bad]))
 
 
 def test_sweep_budget_reported_not_raised(small_cfg):
@@ -65,7 +64,7 @@ def test_sweep_budget_reported_not_raised(small_cfg):
 
 
 @pytest.mark.parametrize(
-    "kwargs", [{"eps": 0.0}, {"eps": -1e-3}, {"max_sweeps": 0}]
+    "kwargs", [{"eps": 0.0}, {"eps": -1e-3}, {"eps": 1e-30}, {"eps": math.inf}, {"max_sweeps": 0}]
 )
 def test_parameter_validation(small_cfg, kwargs):
     with pytest.raises(ValueError):
@@ -82,7 +81,7 @@ def _chain_image(cfg, bias):
     params = qbd.ChainParams.from_config(cfg)
 
     def image(x):
-        rho = arrival_map(average_users(x, bias, cfg), cfg)
+        rho = arrival_map(average_users(x, bias, cfg))
         return qbd.solve_steady_state(qbd.build_generator(params, rho)).level_marginals
 
     return image
@@ -97,7 +96,7 @@ def _picard(cfg, bias, start=None):
 def _flat_chain_marginals(cfg):
     """Marginals of the flat-bias chain (weights 1 at load 1), the solver's start."""
     ones = np.ones(cfg.t_levels + 1)
-    rho = arrival_map(users_at_load(1.0, ones, cfg), cfg)
+    rho = arrival_map(users_at_load(1.0, ones, cfg))
     return qbd.solve_steady_state(qbd.build_generator(qbd.ChainParams.from_config(cfg), rho)).level_marginals
 
 
@@ -193,11 +192,11 @@ def _assert_same_point(cfg, bias, got, ref):
     """Batched and batch-of-one results agree bit for bit, metrics included."""
     assert (got.iterations, got.converged, got.residual) == (
         ref.iterations, ref.converged, ref.residual)
-    for name in ("level_marginals", "users", "rho"):
+    for name in ("level_marginals", "users"):
         assert np.array_equal(getattr(got, name), getattr(ref, name)), name
     assert np.array_equal(got.chain_state.pi, ref.chain_state.pi)
     assert got.chain_state.residual == ref.chain_state.residual
-    metrics = [compute_metrics(cfg, bias, r.level_marginals, r.rho, r.chain_metrics)
+    metrics = [compute_metrics(cfg, bias, r.level_marginals, r.chain_metrics)
                for r in (got, ref)]
     for field in dataclasses.fields(metrics[0]):
         assert np.array_equal(*(getattr(m, field.name) for m in metrics), equal_nan=True), field.name

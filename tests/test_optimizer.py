@@ -40,7 +40,7 @@ def test_evaluate_bias_consistency(small_cfg):
     bias = power_law_bias(1.0, small_cfg.t_levels)
     metrics, fp = evaluate_bias(small_cfg, bias)
     assert fp.converged
-    direct = compute_metrics(small_cfg, bias, fp.level_marginals, fp.rho, fp.chain_metrics)
+    direct = compute_metrics(small_cfg, bias, fp.level_marginals, fp.chain_metrics)
     assert metrics.eta_ce == pytest.approx(direct.eta_ce, rel=1e-12)
     assert metrics.p_succ == pytest.approx(direct.p_succ, rel=1e-12)
 

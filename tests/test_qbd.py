@@ -140,7 +140,7 @@ def test_high_recharge_matches_gth_oracle(baseline_cfg):
     # with it; every level marginal must keep its relative accuracy.
     cfg = dataclasses.replace(baseline_cfg, nu=1e6)
     fp = solve(cfg, power_law_bias(0.0, cfg.t_levels))
-    gen = build_generator(ChainParams.from_config(cfg), fp.rho)
+    gen = build_generator(ChainParams.from_config(cfg), fp.users)
     got = solve_steady_state(gen).level_marginals
     ref = gth_stationary(assemble(gen)).reshape(got.size, -1).sum(axis=1)
     assert ref[0] < 1e-40
@@ -151,7 +151,7 @@ def test_high_recharge_matches_gth_oracle(baseline_cfg):
 def test_marginal_slope_matches_central_difference(baseline_cfg, corner):
     cfg = dataclasses.replace(baseline_cfg, **CORNERS.get(corner, {}))
     params = ChainParams.from_config(cfg)
-    rho = solve(cfg, power_law_bias(1.0, cfg.t_levels)).rho
+    rho = solve(cfg, power_law_bias(1.0, cfg.t_levels)).users
     h = 1e-5
     # The direction a change of load moves the arrivals in, and a random one.
     for drho in (-rho, np.random.default_rng(3).uniform(-1.0, 1.0, rho.size)):
