@@ -8,7 +8,7 @@ vectors that maximize carbon efficiency under a success-probability floor.
 
 __version__ = "0.1.0"
 
-from .config import ConfigError, NetworkConfig, load_config, save_config
+from .config import ConfigError, NetworkConfig, load_config
 from .numerics import NumericError
 from .qbd import SolverError
 
@@ -18,6 +18,5 @@ __all__ = [
     "NumericError",
     "SolverError",
     "load_config",
-    "save_config",
     "__version__",
 ]

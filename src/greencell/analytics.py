@@ -5,8 +5,8 @@ level-i station advertises bias B_i, so the plane splits into T+1 thinned
 point processes whose densities follow the battery marginals.  Success
 probabilities reduce to one semi-infinite integral per tier; throughput needs
 that integral across a whole threshold sweep, t = log2(1 + tau) from 0 out to
-128, which one fixed Gauss-Legendre rule on 11 graded panels evaluates for
-all tiers at once.
+128, which the 12-point Gauss-Legendre rule on 11 graded panels (132 nodes)
+evaluates for all tiers at once.
 """
 
 from __future__ import annotations
@@ -49,10 +49,6 @@ class BiasVector:
         if not math.isfinite(max(vals) / min(vals)):
             raise ValueError(f"bias ratio max/min = {max(vals):g}/{min(vals):g} overflows a float")
         object.__setattr__(self, "values", vals)
-
-    @classmethod
-    def flat(cls, t_levels: int) -> "BiasVector":
-        return cls((1.0,) * (t_levels + 1))
 
     def as_array(self) -> np.ndarray:
         return np.array(self.values)
@@ -166,9 +162,9 @@ def expected_rates(level_marginals, bias: BiasVector, p_occu, p_block, cfg):
     """Per-tier rates plus tier/mixture success at the configured threshold.
 
     The rate of tier i is rate_scale (1 - p_block_i) P_i(tau) times the
-    integral of P_i(2^t - 1) over t in [0, 128] by the fixed rule.  The 176
+    integral of P_i(2^t - 1) over t in [0, 128] by the fixed rule.  The 132
     rule nodes and tau itself make one success grid, evaluated in chunks of
-    at most GRID_ELEMENTS (tau, i, j) terms: one call at T = 10, ten at
+    at most GRID_ELEMENTS (tau, i, j) terms: one call at T = 10, seven at
     T = 40.  Where interference dominates, P_i(2^t - 1) ~ K 2^(-2t/alpha), so
     the tail left beyond t = 128 is K alpha / (2 ln 2) 2^(-256/alpha): below
     1e-18 K at alpha = 4, 1e-12 K at alpha = 6 and 2e-9 K at alpha = 8.

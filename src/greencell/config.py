@@ -204,12 +204,6 @@ def canonical_json(cfg: NetworkConfig) -> str:
     return json.dumps(dataclasses.asdict(cfg), sort_keys=True, separators=(",", ":"))
 
 
-def save_config(cfg: NetworkConfig, path: str | os.PathLike) -> None:
-    with open(path, "w") as fh:
-        json.dump(dataclasses.asdict(cfg), fh, sort_keys=True, indent=2)
-        fh.write("\n")
-
-
 def config_hash(cfg: NetworkConfig) -> str:
     """sha256 over the canonical serialized form."""
     return hashlib.sha256(canonical_json(cfg).encode()).hexdigest()

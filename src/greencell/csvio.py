@@ -67,26 +67,3 @@ class RunManifest:
 
 def write_manifest(path: str | os.PathLike, manifest: RunManifest) -> None:
     atomic_write_text(path, json.dumps(dataclasses.asdict(manifest), indent=2) + "\n")
-
-
-def read_csv(path: str | os.PathLike) -> tuple[dict, list[str], list[dict]]:
-    """Parse a file written by write_csv: (header metadata, fieldnames, rows).
-
-    Row values come back as strings; callers convert.  Intended for tests
-    and scripts, not a general CSV reader.
-    """
-    meta: dict[str, str] = {}
-    fieldnames: list[str] = []
-    rows: list[dict] = []
-    with open(path) as fh:
-        for line in fh:
-            line = line.rstrip("\n")
-            if line.startswith("#"):
-                key, _, value = line[1:].partition(":")
-                meta[key.strip()] = value.strip()
-                continue
-            if not fieldnames:
-                fieldnames = line.split(",")
-                continue
-            rows.append(dict(zip(fieldnames, line.split(","))))
-    return meta, fieldnames, rows

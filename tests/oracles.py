@@ -4,11 +4,15 @@ Everything here is deliberately written from first principles (recursions,
 dense linear algebra, brute-force quadrature) without importing the package
 under test, so agreement is meaningful.  The one exception is
 :func:`success_probability`, which reads the package's own success grid at a
-single threshold so that tests can pin it against closed forms.
+single threshold so that tests can pin it against closed forms.  The helpers
+at the end (:func:`flat_bias`, :func:`save_config`, :func:`read_csv`) are
+test plumbing rather than oracles: the package itself has no use for them.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import math
 from dataclasses import dataclass
 
@@ -138,9 +142,16 @@ def integrate_decaying(f, scale: float, tol: float, tail_frac: float = 1e-12, ma
 
 
 def fading_integral(kappa: float, power: float) -> float:
-    """G(kappa) = Int_0^inf exp(-kappa v^power - v) dv by adaptive Simpson."""
-    scale = 1.0 if kappa <= 1.0 else kappa ** (-1.0 / power)
-    return integrate_decaying(lambda v: np.exp(-kappa * v**power - v), scale=scale, tol=1e-15)
+    """G(kappa) = Int_0^inf exp(-kappa v^power - v) dv by adaptive Simpson.
+
+    Past kappa = 1 the integral is taken in u = v / s with s = kappa^(-1/power),
+    G = s Int exp(-u^power - s u) du, whose integral is of order 1: the
+    absolute tolerance then stays relative out to kappa = 1e12.
+    """
+    if kappa <= 1.0:
+        return integrate_decaying(lambda v: np.exp(-kappa * v**power - v), scale=1.0, tol=1e-15)
+    s = kappa ** (-1.0 / power)
+    return s * integrate_decaying(lambda u: np.exp(-(u**power) - s * u), scale=1.0, tol=1e-15)
 
 
 SUCCESS_TOL = 1e-9        # absolute tolerance of the success-probability integral
@@ -736,3 +747,39 @@ def estimate_shares(cfg, level_marginals, bias, n_drops: int,
         n_samples=n_drops,
         seed=seed,
     )
+
+
+def flat_bias(t_levels: int):
+    """The flat bias vector B_0 = ... = B_T = 1 as a package BiasVector."""
+    from greencell.analytics import BiasVector
+
+    return BiasVector((1.0,) * (t_levels + 1))
+
+
+def save_config(cfg, path) -> None:
+    """Write ``cfg`` as the JSON object that ``greencell.config.load_config`` reads back."""
+    with open(path, "w") as fh:
+        json.dump(dataclasses.asdict(cfg), fh, sort_keys=True, indent=2)
+        fh.write("\n")
+
+
+def read_csv(path) -> tuple[dict, list[str], list[dict]]:
+    """Parse a file written by ``csvio.write_csv``: (header metadata, fieldnames, rows).
+
+    Row values come back as strings; callers convert.
+    """
+    meta: dict[str, str] = {}
+    fieldnames: list[str] = []
+    rows: list[dict] = []
+    with open(path) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if line.startswith("#"):
+                key, _, value = line[1:].partition(":")
+                meta[key.strip()] = value.strip()
+                continue
+            if not fieldnames:
+                fieldnames = line.split(",")
+                continue
+            rows.append(dict(zip(fieldnames, line.split(","))))
+    return meta, fieldnames, rows

@@ -16,14 +16,12 @@ import pytest
 
 from greencell import cli, qbd
 from greencell.analytics import (
-    BiasVector,
     _success_grid,
     association_split,
     average_users,
     expected_rates,
     interference_factor,
 )
-from greencell.csvio import read_csv
 from greencell.montecarlo import estimate_success
 from greencell.numerics import exp_power_integral
 from greencell.optimizer import (
@@ -42,8 +40,10 @@ from oracles import (
     assemble,
     dense_null_pi,
     erlang_b,
+    flat_bias,
     interference_coefficient,
     midpoint,
+    read_csv,
     simulate_trajectory,
     success_probability,
     z_defining_integral,
@@ -162,7 +162,7 @@ def test_criterion_4_coverage_closed_forms(baseline_cfg):
     cfg = dataclasses.replace(baseline_cfg, noise_power=0.0)
     n = cfg.t_levels + 1
     pi = np.full(n, 1.0 / n)
-    bias = BiasVector.flat(cfg.t_levels)
+    bias = flat_bias(cfg.t_levels)
     occ = np.ones(n)
     _, p_tau_1 = success_probability(pi, bias, occ, cfg, tau=1.0)
     _, p_tau_01 = success_probability(pi, bias, occ, cfg, tau=0.1)

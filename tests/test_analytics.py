@@ -23,6 +23,7 @@ from greencell.optimizer import evaluate_bias, power_law_bias
 
 from oracles import (
     expected_rate_tier,
+    flat_bias,
     interference_coefficient,
     midpoint,
     rate_tier_untruncated,
@@ -35,7 +36,7 @@ from oracles import (
 
 class TestBiasVector:
     def test_flat_and_len(self):
-        b = BiasVector.flat(3)
+        b = flat_bias(3)
         assert b.values == (1.0, 1.0, 1.0, 1.0)
         assert len(b) == 4
         np.testing.assert_array_equal(b.as_array(), np.ones(4))
@@ -69,7 +70,7 @@ def test_association_split_is_a_distribution(small_cfg, raw, biases):
 
 def test_interference_coefficient_reductions(small_cfg):
     pi = np.full(4, 0.25)
-    bias = BiasVector.flat(3)
+    bias = flat_bias(3)
     # No active interferers: only the geometric term survives.
     assert interference_coefficient(0, pi, bias, np.zeros(4), small_cfg) == pytest.approx(
         small_cfg.lambda_b, rel=1e-13
@@ -88,7 +89,7 @@ class TestSuccessProbability:
     def test_zero_noise_closed_forms(self, small_cfg):
         cfg = dataclasses.replace(small_cfg, noise_power=0.0)
         pi = np.full(4, 0.25)
-        bias = BiasVector.flat(3)
+        bias = flat_bias(3)
         occ = np.ones(4)
         tier, mixed = success_probability(pi, bias, occ, cfg, tau=1.0)
         np.testing.assert_allclose(tier, 1.0 / (1.0 + math.pi / 4.0), rtol=1e-9)
@@ -171,7 +172,7 @@ class TestUsers:
     def test_flat_bias_closed_form(self, small_cfg):
         # Flat biases make every level identical: density ratio lambda_U / lambda_B.
         pi = np.array([0.1, 0.2, 0.3, 0.4])
-        users = average_users(pi, BiasVector.flat(3), small_cfg)
+        users = average_users(pi, flat_bias(3), small_cfg)
         np.testing.assert_allclose(users, 17.566370614359176, rtol=1e-13)
 
     @given(biases=st.lists(st.floats(0.2, 20.0), min_size=3, max_size=3))
@@ -219,8 +220,25 @@ class TestExpectedRates:
         fn = lambda t: 0.9
         assert expected_rate_tier(0, 1.0, fn, small_cfg) == 0.0
         pi = np.full(4, 0.25)
-        rates, _, _ = expected_rates(pi, BiasVector.flat(3), np.full(4, 0.3), np.ones(4), small_cfg)
+        rates, _, _ = expected_rates(pi, flat_bias(3), np.full(4, 0.3), np.ones(4), small_cfg)
         np.testing.assert_array_equal(rates, np.zeros(4))
+
+    # 132 rule nodes plus tau; 32768 // 41**2 = 19 thresholds per chunk at T = 40.
+    @pytest.mark.parametrize("t_levels, chunks", [(10, [133]), (40, [19] * 7)])
+    def test_grid_rows_per_point(self, baseline_cfg, t_levels, chunks, monkeypatch):
+        cfg = dataclasses.replace(baseline_cfg, t_levels=t_levels)
+        sizes = []
+        real = analytics._success_grid
+
+        def recording(taus, *args):
+            sizes.append(len(taus))
+            return real(taus, *args)
+
+        monkeypatch.setattr(analytics, "_success_grid", recording)
+        pi = np.full(t_levels + 1, 1.0 / (t_levels + 1))
+        occ = np.full(t_levels + 1, 0.3)
+        expected_rates(pi, power_law_bias(1.0, t_levels), occ, np.zeros(t_levels + 1), cfg)
+        assert sizes == chunks
 
     @pytest.mark.parametrize("beta, overrides", [
         (0.0, {}), (1.0, {}), (3.0, {}),
@@ -243,7 +261,7 @@ class TestExpectedRates:
 
     def test_rate_scale_is_linear(self, small_cfg):
         pi = np.full(4, 0.25)
-        bias = BiasVector.flat(3)
+        bias = flat_bias(3)
         occ = np.full(4, 0.3)
         block = np.full(4, 0.1)
         base, _, _ = expected_rates(pi, bias, occ, block, small_cfg)

@@ -10,11 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from greencell import cli, optimizer
 from greencell.config import config_hash, load_config
-from greencell.csvio import read_csv
 from greencell.numerics import NumericError
 from greencell.qbd import SolverError
 
 from conftest import CONFIG_PATH
+from oracles import read_csv
 
 SMALL = {
     "p0_static": 56.0,

@@ -14,8 +14,9 @@ from greencell.config import (
     db_to_linear,
     dbm_to_watts,
     load_config,
-    save_config,
 )
+
+from oracles import save_config
 
 
 def test_baseline_file_loads_with_unit_conversion(baseline_cfg):

@@ -7,10 +7,11 @@ from greencell.csvio import (
     atomic_write_text,
     format_value,
     header_lines,
-    read_csv,
     write_csv,
     write_manifest,
 )
+
+from oracles import read_csv
 
 
 def test_format_value():

@@ -20,7 +20,7 @@ from greencell.numerics import NumericError
 from greencell.optimizer import power_law_bias
 from greencell.qbd import SolverError
 
-from oracles import picard_fixed_point
+from oracles import flat_bias, picard_fixed_point
 
 
 def test_baseline_beta_one_converges(baseline_cfg):
@@ -68,12 +68,12 @@ def test_sweep_budget_reported_not_raised(small_cfg):
 )
 def test_parameter_validation(small_cfg, kwargs):
     with pytest.raises(ValueError):
-        solve(small_cfg, BiasVector.flat(small_cfg.t_levels), **kwargs)
+        solve(small_cfg, flat_bias(small_cfg.t_levels), **kwargs)
 
 
 def test_bias_length_must_match_levels(small_cfg):
     with pytest.raises(ValueError):
-        solve(small_cfg, BiasVector.flat(small_cfg.t_levels + 2))
+        solve(small_cfg, flat_bias(small_cfg.t_levels + 2))
 
 
 def _chain_image(cfg, bias):
@@ -291,7 +291,7 @@ def test_one_stacked_call_per_step(small_cfg, monkeypatch):
 
 def test_flat_bias_and_no_users_take_one_or_two_solves(baseline_cfg, monkeypatch):
     stacks = _count_chains(monkeypatch, baseline_cfg.t_levels)
-    res = solve(baseline_cfg, BiasVector.flat(baseline_cfg.t_levels))
+    res = solve(baseline_cfg, flat_bias(baseline_cfg.t_levels))
     assert res.converged and res.iterations == 1 and stacks == [1]
     idle = dataclasses.replace(baseline_cfg, lambda_u1=0.0, lambda_u2=0.0)
     for beta in (0.0, 1.0, 3.0):

@@ -11,6 +11,7 @@ from oracles import (
     estimate_shares,
     estimate_success_blockwise,
     estimate_success_per_drop,
+    flat_bias,
     sample_realization,
     success_probability,
 )
@@ -28,7 +29,7 @@ def test_window_guard_raises(small_cfg):
     with pytest.raises(ValueError):
         sample_realization(small_cfg, pi, r_sim=0.5 * min_window(small_cfg))
     with pytest.raises(ValueError):
-        estimate_success(small_cfg, pi, BiasVector.flat(3), np.zeros(4), 10,
+        estimate_success(small_cfg, pi, flat_bias(3), np.zeros(4), 10,
                          r_sim=0.9 * min_window(small_cfg))
 
 
@@ -88,7 +89,7 @@ def test_sample_counts_track_intensities(small_cfg):
 class TestEstimateSuccess:
     def test_determinism_and_ci_fields(self, small_cfg):
         pi = np.full(4, 0.25)
-        bias = BiasVector.flat(3)
+        bias = flat_bias(3)
         occ = np.full(4, 0.4)
         a = estimate_success(small_cfg, pi, bias, occ, 200, seed=5)
         b = estimate_success(small_cfg, pi, bias, occ, 200, seed=5)
@@ -99,21 +100,21 @@ class TestEstimateSuccess:
 
     def test_single_drop_degenerate_interval(self, small_cfg):
         pi = np.full(4, 0.25)
-        est = estimate_success(small_cfg, pi, BiasVector.flat(3), np.zeros(4), 1, seed=2)
+        est = estimate_success(small_cfg, pi, flat_bias(3), np.zeros(4), 1, seed=2)
         assert est.half_width_95 == 0.0
         assert est.mean in (0.0, 1.0)
 
     def test_no_interference_no_noise_always_succeeds(self, small_cfg):
         cfg = dataclasses.replace(small_cfg, noise_power=0.0)
         pi = np.full(4, 0.25)
-        est = estimate_success(cfg, pi, BiasVector.flat(3), np.zeros(4), 300, seed=1)
+        est = estimate_success(cfg, pi, flat_bias(3), np.zeros(4), 300, seed=1)
         assert est.mean == 1.0
 
     def test_matches_closed_form_uniform_bias(self, small_cfg):
         # Zero noise, fully occupied, flat bias: P_succ = 1 / (1 + Z(tau, alpha, 1)).
         cfg = dataclasses.replace(small_cfg, noise_power=0.0, tau=1.0)
         pi = np.full(4, 0.25)
-        bias = BiasVector.flat(3)
+        bias = flat_bias(3)
         occ = np.ones(4)
         est = estimate_success(cfg, pi, bias, occ, 20_000, seed=0)
         _, analytic = success_probability(pi, bias, occ, cfg)
@@ -162,20 +163,20 @@ class TestEstimateSuccess:
 
     def test_occupancy_rounded_above_one(self, small_cfg):
         pi = np.full(4, 0.25)
-        bias = BiasVector.flat(3)
+        bias = flat_bias(3)
         full = estimate_success(small_cfg, pi, bias, np.ones(4), 200, seed=4)
         over = estimate_success(small_cfg, pi, bias, np.full(4, 1.0 + 4e-16), 200, seed=4)
         assert over == full
 
     def test_rejects_empty_sample(self, small_cfg):
         with pytest.raises(ValueError):
-            estimate_success(small_cfg, np.full(4, 0.25), BiasVector.flat(3), np.zeros(4), 0)
+            estimate_success(small_cfg, np.full(4, 0.25), flat_bias(3), np.zeros(4), 0)
 
 
 class TestEstimateShares:
     def test_uniform_bias_matches_analytics(self, small_cfg):
         pi = np.array([0.1, 0.2, 0.3, 0.4])
-        bias = BiasVector.flat(3)
+        bias = flat_bias(3)
         est = estimate_shares(small_cfg, pi, bias, 150, seed=0)
         split = association_split(pi, bias, small_cfg)
         np.testing.assert_allclose(est.assoc_share, split.p_assoc, atol=0.03)
@@ -187,7 +188,7 @@ class TestEstimateShares:
     def test_biased_shares_shift_toward_high_levels(self, small_cfg):
         pi = np.full(4, 0.25)
         heavy = BiasVector((1.0, 2.0, 4.0, 8.0))
-        est_flat = estimate_shares(small_cfg, pi, BiasVector.flat(3), 120, seed=1)
+        est_flat = estimate_shares(small_cfg, pi, flat_bias(3), 120, seed=1)
         est_heavy = estimate_shares(small_cfg, pi, heavy, 120, seed=1)
         assert est_heavy.assoc_share[3] > est_flat.assoc_share[3]
         assert est_heavy.assoc_share[0] < est_flat.assoc_share[0]
@@ -196,7 +197,7 @@ class TestEstimateShares:
 
     def test_determinism(self, small_cfg):
         pi = np.full(4, 0.25)
-        a = estimate_shares(small_cfg, pi, BiasVector.flat(3), 30, seed=9)
-        b = estimate_shares(small_cfg, pi, BiasVector.flat(3), 30, seed=9)
+        a = estimate_shares(small_cfg, pi, flat_bias(3), 30, seed=9)
+        b = estimate_shares(small_cfg, pi, flat_bias(3), 30, seed=9)
         np.testing.assert_array_equal(a.assoc_share, b.assoc_share)
         np.testing.assert_array_equal(a.users_per_bs, b.users_per_bs)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from greencell import numerics
 from greencell.analytics import interference_factor
 from greencell.numerics import (
     NumericError,
     _series_one_one,
     exp_power_integral,
     exp_power_integral_vec,
+    gauss_legendre_panels,
     hyp_one_one_neg,
     stream,
 )
@@ -120,6 +122,22 @@ class TestInterferenceFactor:
             interference_factor(0.1, 4.0, np.array([1.0, -2.0]))
 
 
+# A typo in the written-out table would shift every reported number.
+def test_gauss_legendre_table_is_leggauss_12():
+    nodes, weights = np.polynomial.legendre.leggauss(12)
+    np.testing.assert_array_max_ulp(numerics._GL_NODES, nodes, maxulp=1)
+    np.testing.assert_array_max_ulp(numerics._GL_WEIGHTS, weights, maxulp=1)
+
+
+def test_gauss_legendre_panels_exact_to_degree_23():
+    edges = [-1.0, -0.35, 0.1, 1.25, 1.3]
+    x, w = gauss_legendre_panels(edges)
+    assert x.shape == w.shape == (4, 12)
+    poly = np.polynomial.Polynomial(np.random.default_rng(23).uniform(-1.0, 1.0, 24))
+    exact = poly.integ()(edges[-1]) - poly.integ()(edges[0])
+    assert (w * poly(x)).sum() == pytest.approx(exact, rel=1e-14)
+
+
 # The adaptive Simpson oracle of tests/oracles.py.
 def test_simpson_known_integrals():
     assert simpson_adaptive(np.sin, 0.0, math.pi, 1e-11) == pytest.approx(2.0, abs=1e-10)
@@ -201,6 +219,15 @@ def test_exp_power_integral_vec_matches_scalar():
     vec = exp_power_integral_vec(kappas, 2.0)
     ref = np.array([fading_integral(k, 2.0) for k in kappas])
     np.testing.assert_allclose(vec, ref, rtol=1e-12)
+
+
+# Every kappa here is past the series' certified reach at these powers
+# (alpha = 2.5 ... 8), so this pins the fixed rule on _FADING_NODES.
+@pytest.mark.parametrize("power", [1.25, 1.5, 2.0, 3.0, 4.0])
+def test_exp_power_integral_quadrature_against_oracle(power):
+    kappas = np.logspace(-3, 12, 31)
+    ref = [fading_integral(k, power) for k in kappas]
+    np.testing.assert_allclose(exp_power_integral_vec(kappas, power), ref, rtol=1e-10, atol=0)
 
 
 def test_exp_power_integral_against_midpoint():
