@@ -151,11 +151,17 @@ def bias_weights(bias, cfg) -> np.ndarray:
 
 
 def users_at_load(load, weights, cfg) -> np.ndarray:
-    """Mean users per level at bias-weighted load ``load`` = sum_j pi_j w_j, shape (..., 1)."""
+    """Mean users per level at bias-weighted load ``load`` = sum_j pi_j w_j, shape (..., 1).
+
+    They are the chain's arrival rates; users that overflow raise :class:`NumericError`.
+    """
     denom = cfg.lambda_b * load
-    with np.errstate(over="ignore"):  # fixedpoint.arrival_map rejects non-finite users
+    with np.errstate(over="ignore"):  # rejected just below
         # Clustered users plus uniform users; merging the terms changes the last bit.
-        return cfg.lambda_p * cfg.mean_cluster_users * weights / denom + cfg.lambda_u1 * weights / denom
+        users = cfg.lambda_p * cfg.mean_cluster_users * weights / denom + cfg.lambda_u1 * weights / denom
+    if not np.isfinite(users).all():
+        raise NumericError("arrival rates are not finite")
+    return users
 
 
 def expected_rates(level_marginals, bias: BiasVector, p_occu, p_block, cfg):

@@ -22,7 +22,6 @@ from . import __version__
 from .analytics import BiasVector
 from .config import ConfigError, NetworkConfig, _is_real, config_hash, load_config
 from .csvio import RunManifest, header_lines, write_csv, write_manifest
-from .fixedpoint import DEFAULT_EPS, DEFAULT_MAX_SWEEPS
 from .montecarlo import estimate_success
 from .numerics import NumericError
 from .optimizer import (
@@ -103,7 +102,7 @@ def _metric_columns(m, names) -> dict:
 
 def cmd_analyze(args, cfg: NetworkConfig) -> tuple[dict, int]:
     bias = _load_bias(cfg, args)
-    metrics, fp = evaluate_bias(cfg, bias, eps=args.eps, max_sweeps=args.max_sweeps)
+    metrics, fp = evaluate_bias(cfg, bias)
     row = {
         **_indexed("bias", bias.values),
         **_metric_columns(metrics, ("p_succ", "area_rate", "p_tot", "p_grid", "e_tot",
@@ -122,8 +121,8 @@ def cmd_analyze(args, cfg: NetworkConfig) -> tuple[dict, int]:
 
 
 def _sweep_task(task) -> list[SweepPoint]:
-    cfg, betas, nu, eps, max_sweeps = task
-    return beta_sweep(cfg, betas, [nu], eps=eps, max_sweeps=max_sweeps)
+    cfg, betas, nu = task
+    return beta_sweep(cfg, betas, [nu])
 
 
 def cmd_sweep(args, cfg: NetworkConfig) -> tuple[dict, int]:
@@ -134,7 +133,7 @@ def cmd_sweep(args, cfg: NetworkConfig) -> tuple[dict, int]:
     # so each task solves its betas in lockstep.
     runs = min(worker_count(), len(betas))
     chunks = [betas[k * len(betas) // runs:(k + 1) * len(betas) // runs] for k in range(runs)]
-    tasks = [(cfg, chunk, nu, args.eps, args.max_sweeps) for nu in nus for chunk in chunks]
+    tasks = [(cfg, chunk, nu) for nu in nus for chunk in chunks]
     points = [p for chunk in _map(_sweep_task, tasks) for p in chunk]
     points.sort(key=lambda p: (p.nu, p.beta))
 
@@ -155,9 +154,9 @@ def cmd_sweep(args, cfg: NetworkConfig) -> tuple[dict, int]:
 
 
 def _validate_task(task) -> dict:
-    cfg, beta, drops, seed, r_sim, eps, max_sweeps = task
+    cfg, beta, drops, seed, r_sim = task
     bias = power_law_bias(beta, cfg.t_levels)
-    metrics, fp = evaluate_bias(cfg, bias, eps=eps, max_sweeps=max_sweeps)
+    metrics, fp = evaluate_bias(cfg, bias)
     est = estimate_success(
         cfg, fp.level_marginals, bias, fp.chain_metrics.p_occu,
         drops, seed=seed, r_sim=r_sim,
@@ -177,10 +176,7 @@ def cmd_validate(args, cfg: NetworkConfig) -> tuple[dict, int]:
     betas = _parse_floats(args.betas, "--betas")
     if args.drops < 1:
         raise ConfigError("--drops must be at least 1")
-    tasks = [
-        (cfg, b, args.drops, args.seed, args.r_sim, args.eps, args.max_sweeps)
-        for b in betas
-    ]
+    tasks = [(cfg, b, args.drops, args.seed, args.r_sim) for b in betas]
     rows = _map(_validate_task, tasks)
     rows.sort(key=lambda r: r["beta"])
     return {args.out: rows}, EXIT_OK
@@ -196,7 +192,7 @@ def cmd_optimize(args, cfg: NetworkConfig) -> tuple[dict, int]:
         b_max=args.b_max,
         seed=args.seed,
     )
-    comparison = compare_schemes(cfg, ga, eps=args.eps, max_sweeps=args.max_sweeps)
+    comparison = compare_schemes(cfg, ga)
     result = comparison.ga_result
     best = result.best
     best_row = {
@@ -278,10 +274,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("config", help="JSON config file")
         p.add_argument("--out", required=True, help=out_help)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--eps", type=float, default=DEFAULT_EPS,
-                       help="fixed-point tolerance in [1e-12, 1) on the relative load residual |sum w pi - s| / s")
-        p.add_argument("--max-sweeps", type=int, default=DEFAULT_MAX_SWEEPS,
-                       help="most chain solves per operating point")
 
     p = sub.add_parser("analyze", help="metrics for one bias vector")
     common(p, cmd_analyze)

@@ -25,20 +25,9 @@ import numpy as np
 from . import analytics, qbd
 from .numerics import NumericError
 
-DEFAULT_EPS = 1e-8
-DEFAULT_MAX_SWEEPS = 100
+EPS = 1e-8  # stop once the relative load residual |f(s)| / s is below this
+MAX_CHAIN_SOLVES = 100  # or after this many chain solves, with converged false
 CHAIN_ELEMENTS = 1 << 17  # block entries per stacked chain solve; bounds its memory
-
-
-def arrival_map(users) -> np.ndarray:
-    """Per-level arrival rates: the mean user counts themselves.
-
-    Rates that overflow raise :class:`NumericError`.
-    """
-    rho = np.asarray(users, dtype=float)
-    if not np.all(np.isfinite(rho)):
-        raise NumericError("arrival rates are not finite")
-    return rho
 
 
 @dataclass
@@ -54,17 +43,15 @@ class FixedPointResult:
     chain_metrics: qbd.LevelMetrics
 
 
-def solve(cfg, bias: analytics.BiasVector, eps: float = DEFAULT_EPS,
-          max_sweeps: int = DEFAULT_MAX_SWEEPS) -> FixedPointResult:
+def solve(cfg, bias: analytics.BiasVector) -> FixedPointResult:
     """:func:`solve_batch` for one bias vector; a typed failure is raised."""
-    (result,) = solve_batch(cfg, [bias], eps=eps, max_sweeps=max_sweeps)
+    (result,) = solve_batch(cfg, [bias])
     if isinstance(result, Exception):
         raise result
     return result
 
 
-def solve_batch(cfg, biases, eps: float = DEFAULT_EPS,
-                max_sweeps: int = DEFAULT_MAX_SWEEPS) -> list[FixedPointResult | NumericError]:
+def solve_batch(cfg, biases) -> list[FixedPointResult | NumericError]:
     """Solve f(s) = 0 for the load s of every bias vector in ``biases``, in lockstep.
 
     When any item's weights are not all 1, step 0 solves the flat chain
@@ -74,18 +61,13 @@ def solve_batch(cfg, biases, eps: float = DEFAULT_EPS,
     The next load is the Newton point; if that is not finite or leaves the
     bracket of the signs of f seen so far, the secant point through the last two loads
     (the plain step s + f(s) on the first); failing both, the bracket's
-    midpoint.  An item stops once |f(s)| < eps s, or after ``max_sweeps``
-    chain solves with ``converged`` false, and its last chain solve is its
-    result: the marginals and chain state at s, with the users recomputed
-    from those marginals.  ``iterations`` counts its chain solves
+    midpoint.  An item stops once |f(s)| < ``EPS`` s, or after
+    ``MAX_CHAIN_SOLVES`` chain solves with ``converged`` false, and its last
+    chain solve is its result: the marginals and chain state at s, with the
+    users recomputed from those marginals.  ``iterations`` counts its chain solves
     and ``residual`` is |f(s)| / s.  A typed numeric failure of one item is
     that item's entry in the returned list.
     """
-    # |f|/s stalls at rounding, near 4e-16, so a far smaller eps is never met; eps >= 1 accepts anything.
-    if not (1e-12 <= eps < 1):
-        raise ValueError(f"eps must lie in [1e-12, 1), got {eps!r}")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be at least 1")
     params = qbd.ChainParams.from_config(cfg)
     weights = [analytics.bias_weights(bias, cfg) for bias in biases]
     load = [float(w.mean()) for w in weights]
@@ -103,7 +85,7 @@ def solve_batch(cfg, biases, eps: float = DEFAULT_EPS,
     last: list = [None] * len(biases)  # (load, f) of each item's previous step
     outcome: list = [None] * len(biases)
     active = list(range(len(biases)))
-    for sweep in range(1, max_sweeps + 1):
+    for sweep in range(1, MAX_CHAIN_SOLVES + 1):
         if not active:
             break
         still = []
@@ -118,11 +100,11 @@ def solve_batch(cfg, biases, eps: float = DEFAULT_EPS,
                 continue
             s, w = load[k], weights[k]
             f = float((ss.level_marginals * w).sum()) - s
-            if abs(f) < eps * s or sweep == max_sweeps:
-                users = arrival_map(analytics.average_users(ss.level_marginals, biases[k], cfg))
+            if abs(f) < EPS * s or sweep == MAX_CHAIN_SOLVES:
+                users = analytics.average_users(ss.level_marginals, biases[k], cfg)
                 outcome[k] = FixedPointResult(
                     ss.level_marginals, users, sweep, abs(f) / s,
-                    abs(f) < eps * s, ss, qbd.level_metrics(ss, cfg.n_channels))
+                    abs(f) < EPS * s, ss, qbd.level_metrics(ss, cfg.n_channels))
                 continue
             bracket[k][f < 0] = s
             load[k] = _next_load(s, f, float(ss.marginal_slope @ w) - 1.0, last[k], bracket[k])
@@ -155,7 +137,7 @@ def _chain_images(cfg, params, weights, loads) -> list[qbd.SteadyState | Numeric
                 for image in _chain_images(cfg, params, weights[lo:lo + group], loads[lo:lo + group])]
     try:
         s = np.array(loads)[:, None]
-        rho = arrival_map(analytics.users_at_load(s, np.stack(weights), cfg))
+        rho = analytics.users_at_load(s, np.stack(weights), cfg)
         ss = qbd.solve_steady_state(qbd.build_generator(params, rho), drho=-rho / s)
     except (NumericError, FloatingPointError) as exc:
         if len(weights) == 1:

@@ -146,18 +146,26 @@ def exp_power_integral_vec(kappa: np.ndarray, power: float) -> np.ndarray:
     needs kappa < 1.  Otherwise v = s u with s = min(1, kappa^(-1/power))
     turns the integrand into exp(-min(kappa, 1) u^power - s u), which has
     decayed below e^-64 by u = 64, and the fixed rule on ``_FADING_NODES``
-    integrates it.
+    integrates it.  Moments past the float range (power above about 57)
+    admit the series only at kappa = 0, where G = 1; node powers past it
+    (power above about 170) are inf, and the integrand there is 0.
     """
     k = np.asarray(kappa, dtype=float)
     k1 = np.minimum(k, 1.0)
-    m1, m2, m3 = (math.gamma(1.0 + j * power) for j in (1.0, 2.0, 3.0))
-    approx = 1.0 - k1 * m1 + 0.5 * k1 * k1 * m2
-    bound = k1**3 * m3 / 6.0
-    fast = (approx > 0.5) & (bound < _FADING_TOL * approx)
+    try:
+        m1, m2, m3 = (math.gamma(1.0 + j * power) for j in (1.0, 2.0, 3.0))
+    except OverflowError:
+        approx, fast = 1.0, k == 0.0
+    else:
+        approx = 1.0 - k1 * m1 + 0.5 * k1 * k1 * m2
+        bound = k1**3 * m3 / 6.0
+        fast = (approx > 0.5) & (bound < _FADING_TOL * approx)
     out = np.where(fast, approx, 0.0)
     slow = ~fast
     if slow.any():
         s = np.minimum(k[slow] ** (-1.0 / power), 1.0)
-        e = np.exp(-k1[slow, None] * _FADING_NODES**power - s[:, None] * _FADING_NODES)
+        with np.errstate(over="ignore"):
+            nodes = _FADING_NODES**power
+        e = np.exp(-k1[slow, None] * nodes - s[:, None] * _FADING_NODES)
         out[slow] = s * (e @ _FADING_WEIGHTS)
     return out

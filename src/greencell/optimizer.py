@@ -24,7 +24,7 @@ import numpy as np
 
 from .analytics import BiasVector, NetworkMetrics, compute_metrics
 from .config import NetworkConfig
-from .fixedpoint import DEFAULT_EPS, DEFAULT_MAX_SWEEPS, FixedPointResult, solve_batch
+from .fixedpoint import FixedPointResult, solve_batch
 from .fixedpoint import solve  # noqa: F401  (perfbench/tracer.py wraps optimizer.solve)
 from .numerics import NumericError, stream
 
@@ -46,13 +46,11 @@ def power_law_bias(beta: float, t_levels: int) -> BiasVector:
 Outcome = tuple[NetworkMetrics, FixedPointResult] | NumericError | FloatingPointError
 
 
-def evaluate_biases(cfg: NetworkConfig, biases: list[BiasVector],
-                    eps: float = DEFAULT_EPS,
-                    max_sweeps: int = DEFAULT_MAX_SWEEPS) -> list[Outcome]:
+def evaluate_biases(cfg: NetworkConfig, biases: list[BiasVector]) -> list[Outcome]:
     """Solve the coupled system under each bias, in lockstep, and report
     network metrics; a typed numeric failure is that bias's outcome."""
     outcomes: list[Outcome] = []
-    for bias, fp in zip(biases, solve_batch(cfg, biases, eps=eps, max_sweeps=max_sweeps)):
+    for bias, fp in zip(biases, solve_batch(cfg, biases)):
         if not isinstance(fp, Exception):
             try:
                 fp = compute_metrics(cfg, bias, fp.level_marginals, fp.chain_metrics), fp
@@ -62,18 +60,20 @@ def evaluate_biases(cfg: NetworkConfig, biases: list[BiasVector],
     return outcomes
 
 
-def evaluate_bias(cfg: NetworkConfig, bias: BiasVector,
-                  eps: float = DEFAULT_EPS,
-                  max_sweeps: int = DEFAULT_MAX_SWEEPS) -> tuple[NetworkMetrics, FixedPointResult]:
+def evaluate_bias(cfg: NetworkConfig, bias: BiasVector) -> tuple[NetworkMetrics, FixedPointResult]:
     """:func:`evaluate_biases` for one bias; a typed failure is raised."""
-    (outcome,) = evaluate_biases(cfg, [bias], eps=eps, max_sweeps=max_sweeps)
+    (outcome,) = evaluate_biases(cfg, [bias])
     if isinstance(outcome, Exception):
         raise outcome
     return outcome
 
 
 class Evaluator:
-    """Memoized :func:`evaluate_biases` bound to one (config, eps, max_sweeps).
+    """Memoized :func:`evaluate_biases` bound to one config.
+
+    Every fixed point is solved to the one stopping rule of
+    :mod:`fixedpoint` (``EPS``, ``MAX_CHAIN_SOLVES``), so a bias vector
+    alone keys its outcome.
 
     The first lookup of a bias vector solves it; later lookups return the
     same objects.  :meth:`many` solves all the vectors of one request that
@@ -82,11 +82,8 @@ class Evaluator:
     and returned again on every later lookup without a second solve.
     """
 
-    def __init__(self, cfg: NetworkConfig, eps: float = DEFAULT_EPS,
-                 max_sweeps: int = DEFAULT_MAX_SWEEPS) -> None:
+    def __init__(self, cfg: NetworkConfig) -> None:
         self.cfg = cfg
-        self.eps = eps
-        self.max_sweeps = max_sweeps
         self._outcomes: dict[BiasVector, Outcome] = {}
 
     def __call__(self, bias: BiasVector) -> Outcome:
@@ -96,8 +93,7 @@ class Evaluator:
         misses = list(dict.fromkeys(b for b in biases if b not in self._outcomes))
         if misses:
             # Looked up at call time, so a patched evaluate_biases is used.
-            self._outcomes.update(zip(misses, evaluate_biases(
-                self.cfg, misses, eps=self.eps, max_sweeps=self.max_sweeps)))
+            self._outcomes.update(zip(misses, evaluate_biases(self.cfg, misses)))
         return [self._outcomes[b] for b in biases]
 
 
@@ -112,9 +108,7 @@ class SweepPoint:
     error: str | None = None
 
 
-def beta_sweep(cfg: NetworkConfig, betas, nus=None,
-               eps: float = DEFAULT_EPS,
-               max_sweeps: int = DEFAULT_MAX_SWEEPS) -> list[SweepPoint]:
+def beta_sweep(cfg: NetworkConfig, betas, nus=None) -> list[SweepPoint]:
     """Grid evaluation over bias exponents and recharge rates.
 
     Solver failures at a grid point are captured in the point instead of
@@ -126,7 +120,7 @@ def beta_sweep(cfg: NetworkConfig, betas, nus=None,
     for nu in nus:
         cfg_nu = cfg if nu == cfg.nu else dataclasses.replace(cfg, nu=float(nu))
         biases = [power_law_bias(float(beta), cfg.t_levels) for beta in betas]
-        for beta, outcome in zip(betas, Evaluator(cfg_nu, eps, max_sweeps).many(biases)):
+        for beta, outcome in zip(betas, Evaluator(cfg_nu).many(biases)):
             if isinstance(outcome, Exception):
                 points.append(SweepPoint(float(beta), float(nu), None, False, error=str(outcome)))
             else:
@@ -372,16 +366,14 @@ def _band_shares(cfg: NetworkConfig, fp: FixedPointResult) -> tuple[float, float
 
 
 def compare_schemes(cfg: NetworkConfig, ga: GaConfig | None = None,
-                    betas=POWER_GRID_DEFAULT,
-                    eps: float = DEFAULT_EPS,
-                    max_sweeps: int = DEFAULT_MAX_SWEEPS) -> ComparisonResult:
+                    betas=POWER_GRID_DEFAULT) -> ComparisonResult:
     """Nearest-station baseline vs best feasible power law vs genetic search.
 
     Percentage deltas are relative to the nearest-station row (positive
     delta_e_tot_pct means lower energy draw than the baseline).
     """
     rows: list[SchemeRow] = []
-    evaluator = Evaluator(cfg, eps, max_sweeps)
+    evaluator = Evaluator(cfg)
 
     def build_row(name: str, bias: BiasVector) -> SchemeRow:
         outcome = evaluator(bias)

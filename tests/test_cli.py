@@ -8,7 +8,7 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from greencell import cli, optimizer
+from greencell import cli, fixedpoint, optimizer
 from greencell.config import config_hash, load_config
 from greencell.numerics import NumericError
 from greencell.qbd import SolverError
@@ -197,13 +197,28 @@ class TestErrorPaths:
         assert f"config error: {field} must be finite" in err
         assert "Traceback" not in err
 
-    @pytest.mark.parametrize("eps", ["1e-30", "inf"])  # below the residual's rounding floor; vacuous
-    def test_eps_outside_its_range_is_a_config_error(self, cfg_path, tmp_path, capsys, eps):
-        code = run(["analyze", cfg_path, "--out", str(tmp_path / "o.csv"), "--beta", "1", "--eps", eps])
-        assert code == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"config error: eps must lie in [1e-12, 1), got {float(eps)!r}" in err
+    @pytest.mark.parametrize("flag, value", [("--eps", "1e-9"), ("--max-sweeps", "2")])
+    def test_solver_flags_are_gone(self, cfg_path, tmp_path, capsys, flag, value):
+        # The fixed point's tolerance and budget are fixedpoint.EPS and MAX_CHAIN_SOLVES.
+        with pytest.raises(SystemExit) as exc:
+            run(["analyze", cfg_path, "--out", str(tmp_path / "o.csv"), "--beta", "1", flag, value])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert not os.path.exists(tmp_path / "o.csv")
+
+    @pytest.mark.parametrize("noise_power_dbm", [-40.0, -math.inf])
+    @pytest.mark.parametrize("alpha", [114.0, 300.0, 1000.0])  # Gamma(1 + 3 alpha / 2) overflows
+    @pytest.mark.parametrize("beta", ["0", "1", "3"])
+    def test_huge_path_loss_exponent_is_finite(self, tmp_path, capsys, alpha, noise_power_dbm, beta):
+        out = str(tmp_path / "o.csv")
+        cfg = baseline_with(tmp_path, alpha=alpha, noise_power_dbm=noise_power_dbm)
+        assert run_without_runtime_warnings(["analyze", cfg, "--out", out, "--beta", beta]) == cli.EXIT_OK
+        assert "Traceback" not in capsys.readouterr().err
+        _, fields, (row,) = read_csv(out)
+        assert row["converged"] == "true"
+        for name in fields:
+            if name != "converged":
+                assert math.isfinite(float(row[name])), name
 
     def test_workers_env_validation(self, cfg_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv("GREENCELL_WORKERS", "many")
@@ -359,9 +374,9 @@ class TestSweep:
     def test_failed_point_warns(self, cfg_path, tmp_path, monkeypatch, capsys):
         real = optimizer.evaluate_biases
 
-        def flaky(cfg, biases, **kw):
+        def flaky(cfg, biases):
             return [NumericError("synthetic blowup") if bias.values[1] == 2.0  # beta = 1
-                    else outcome for bias, outcome in zip(biases, real(cfg, biases, **kw))]
+                    else outcome for bias, outcome in zip(biases, real(cfg, biases))]
 
         monkeypatch.setattr(optimizer, "evaluate_biases", flaky)
         monkeypatch.setenv("GREENCELL_WORKERS", "1")
@@ -376,13 +391,27 @@ class TestSweep:
         assert rows[1]["p_succ"] == "nan"
 
 
+    def test_budget_of_one_chain_solve_is_flagged(self, cfg_path, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(fixedpoint, "MAX_CHAIN_SOLVES", 1)
+        monkeypatch.setenv("GREENCELL_WORKERS", "1")  # so the patch reaches the solve
+        out = str(tmp_path / "sweep.csv")
+        assert run(["sweep", cfg_path, "--out", out, "--betas", "0,1,3"]) == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        _, fields, rows = read_csv(out)
+        assert [r["converged"] for r in rows] == ["true", "false", "false"]
+        assert all(r["iterations"] == "1" for r in rows)
+        for row in rows:
+            for name in fields:
+                if name != "converged":
+                    assert math.isfinite(float(row[name])), name
+
     def test_fixed_point_columns(self, cfg_path, tmp_path, monkeypatch, capsys):
         # The sweep reports what analyze reports; a failed point has none.
         real = optimizer.evaluate_biases
 
-        def flaky(cfg, biases, **kw):
+        def flaky(cfg, biases):
             return [NumericError("synthetic blowup") if bias.values[1] == 2.0  # beta = 1
-                    else outcome for bias, outcome in zip(biases, real(cfg, biases, **kw))]
+                    else outcome for bias, outcome in zip(biases, real(cfg, biases))]
 
         monkeypatch.setattr(optimizer, "evaluate_biases", flaky)
         monkeypatch.setenv("GREENCELL_WORKERS", "1")
@@ -412,10 +441,12 @@ class TestValidate:
             # Loose agreement at 400 drops; the tight check is elsewhere.
             assert abs(float(row["analytic"]) - float(row["mc_mean"])) < 0.1
 
-    def test_unconverged_point_is_flagged(self, tmp_path, capsys):
+    def test_unconverged_point_is_flagged(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(fixedpoint, "MAX_CHAIN_SOLVES", 2)
+        monkeypatch.setenv("GREENCELL_WORKERS", "1")  # so the patch reaches the solve
         out = str(tmp_path / "val.csv")
         assert run(["validate", CONFIG_PATH, "--out", out, "--betas", "1",
-                    "--drops", "50", "--max-sweeps", "2"]) == cli.EXIT_OK
+                    "--drops", "50"]) == cli.EXIT_OK
         _, _, (row,) = read_csv(out)
         assert row["converged"] == "false"
 

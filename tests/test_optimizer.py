@@ -63,9 +63,9 @@ class TestBetaSweep:
         assert point.nu == small_cfg.nu
 
     def test_solver_failure_is_captured(self, small_cfg, monkeypatch):
-        def flaky(cfg, biases, **kw):
+        def flaky(cfg, biases):
             return [SolverError("synthetic failure") if bias.values[-1] > 1.0 else outcome
-                    for bias, outcome in zip(biases, evaluate_biases(cfg, biases, **kw))]
+                    for bias, outcome in zip(biases, evaluate_biases(cfg, biases))]
 
         monkeypatch.setattr(optimizer, "evaluate_biases", flaky)
         ok, bad = beta_sweep(small_cfg, betas=[0.0, 1.0])
@@ -213,10 +213,10 @@ def _count_calls(monkeypatch, fail_on=None):
     every bias of every call."""
     calls = []
 
-    def recording(cfg, biases, **kw):
+    def recording(cfg, biases):
         calls.extend(biases)
         return [NumericError("hypergeometric series failed to converge") if bias == fail_on
-                else outcome for bias, outcome in zip(biases, evaluate_biases(cfg, biases, **kw))]
+                else outcome for bias, outcome in zip(biases, evaluate_biases(cfg, biases))]
 
     monkeypatch.setattr(optimizer, "evaluate_biases", recording)
     return calls
@@ -266,7 +266,7 @@ class TestEvaluator:
         batches = []
         real = optimizer.evaluate_biases
         monkeypatch.setattr(optimizer, "evaluate_biases",
-                            lambda cfg, biases, **kw: batches.append(biases) or real(cfg, biases, **kw))
+                            lambda cfg, biases: batches.append(biases) or real(cfg, biases))
         request = [power_law_bias(b, small_cfg.t_levels) for b in (0.0, 1.0, 2.0, 0.0)]
         outcomes = evaluator.many(request)
         assert batches == [[request[0], request[2]]]
