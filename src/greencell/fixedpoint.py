@@ -54,10 +54,10 @@ def solve(cfg, bias: analytics.BiasVector) -> FixedPointResult:
 def solve_batch(cfg, biases) -> list[FixedPointResult | NumericError]:
     """Solve f(s) = 0 for the load s of every bias vector in ``biases``, in lockstep.
 
-    When any item's weights are not all 1, step 0 solves the flat chain
-    (weights 1 at load 1) once: that is the first chain solve of every flat
-    item, and every other item starts at s = sum_j w_j pi_j of it, or at
-    s = mean(w) if it failed.  Each step takes one chain solve per item.
+    An item with constant weights (all 1) starts at its root s = 1, the flat
+    chain; every other item starts at s = sum_j w_j pi_j of the closed-form
+    law pi of :func:`_battery_law`, or at s = mean(w) if the arrivals
+    overflow.  Each step takes one chain solve per item.
     The next load is the Newton point; if that is not finite or leaves the
     bracket of the signs of f seen so far, the secant point through the last two loads
     (the plain step s + f(s) on the first); failing both, the bracket's
@@ -70,18 +70,9 @@ def solve_batch(cfg, biases) -> list[FixedPointResult | NumericError]:
     """
     params = qbd.ChainParams.from_config(cfg)
     weights = [analytics.bias_weights(bias, cfg) for bias in biases]
-    load = [float(w.mean()) for w in weights]
+    law = _battery_law(cfg)
+    load = [float(w.mean() if law is None or w.min() == w.max() else w @ law) for w in weights]
     bracket = [[float(w.min()), float(w.max())] for w in weights]
-    # Constant weights are all 1 (B_0 = 1): the flat chain at load 1 is such
-    # an item's first chain solve, and sum_j w_j pi_j of it starts the others.
-    flat_items = [k for k, w in enumerate(weights) if (w == 1.0).all()]
-    shared = {}  # item -> its first chain state, taken from the flat chain
-    if len(flat_items) < len(biases):
-        (flat,) = _chain_images(cfg, params, [np.ones(cfg.t_levels + 1)], [1.0])
-        shared = dict.fromkeys(flat_items, flat)
-        if not isinstance(flat, Exception):
-            load = [load[k] if k in shared else float(w @ flat.level_marginals)
-                    for k, w in enumerate(weights)]
     last: list = [None] * len(biases)  # (load, f) of each item's previous step
     outcome: list = [None] * len(biases)
     active = list(range(len(biases)))
@@ -89,12 +80,8 @@ def solve_batch(cfg, biases) -> list[FixedPointResult | NumericError]:
         if not active:
             break
         still = []
-        todo = [k for k in active if k not in shared]
-        images = {**shared, **dict(zip(todo, _chain_images(
-            cfg, params, [weights[k] for k in todo], [load[k] for k in todo])))}
-        shared = {}
-        for k in active:
-            ss = images[k]
+        images = _chain_images(cfg, params, [weights[k] for k in active], [load[k] for k in active])
+        for k, ss in zip(active, images):
             if isinstance(ss, Exception):
                 outcome[k] = ss
                 continue
@@ -112,6 +99,29 @@ def solve_batch(cfg, biases) -> list[FixedPointResult | NumericError]:
             still.append(k)
         active = still
     return outcome
+
+
+def _battery_law(cfg) -> np.ndarray | None:
+    """Battery law of a birth-death chain, the start of every biased item's load.
+
+    Up at nu below level T; down at d = static drain + omega times the
+    Erlang carried load a (1 - B_N(a)) of a = (users at load 1) / mu on N
+    channels, the flat chain's mean drain.  So pi_i is proportional to
+    (nu / d)^i, taken in logs, and is the point mass at T if d = 0.  None
+    if d is not finite (the arrivals overflow).
+    """
+    a, n = cfg.user_arrival_density / cfg.lambda_b / cfg.mu, cfg.n_channels
+    blocked = 1.0  # B_{N-1}(a) by the stable recursion, so a (1 - B_N) = a N / (N + a B_{N-1})
+    for k in range(1, n):
+        blocked = a * blocked / (k + a * blocked)
+    drain = cfg.static_drain + cfg.omega * (a * n / (n + a * blocked))
+    if not np.isfinite(drain):
+        return None
+    if drain == 0.0:
+        return np.eye(cfg.t_levels + 1)[-1]
+    log_law = np.arange(cfg.t_levels + 1) * (np.log(cfg.nu) - np.log(drain))
+    law = np.exp(log_law - log_law.max())
+    return law / law.sum()
 
 
 def _next_load(s: float, f: float, slope: float, previous, bracket: list[float]) -> float:

@@ -282,10 +282,12 @@ def success_probability_curve(i: int, level_marginals, bias, p_occu, cfg, taus) 
 
     The interference weights come from the hypergeometric closed form
     (:func:`hyp_from_series`).  The fading integral
-    Int_0^inf exp(-kappa v^(alpha/2) - v) dv becomes, with v = u^2, the
-    smooth Int_0^inf 2u exp(-kappa u^alpha - u^2) du, taken by a 16-point
-    Gauss-Legendre rule on panels of width 0.4 over [0, 6.4]; that resolves
-    it to about 1e-14 while kappa <= 1.
+    Int_0^inf exp(-kappa v^(alpha/2) - v) dv becomes, with v = s u^2, the
+    smooth s Int_0^inf 2u exp(-kappa s^(alpha/2) u^alpha - s u^2) du, taken
+    by a 16-point Gauss-Legendre rule on panels of width 0.4 over [0, 6.4].
+    The scale is s = 1 while kappa <= 1 and s = kappa^(-2/alpha) past it, so
+    one of the two coefficients is 1 and neither exceeds it; that resolves
+    the integral to about 1e-14 at any kappa, past a noise cliff too.
     """
     pi = np.asarray(level_marginals, dtype=float)
     taus = np.asarray(taus, dtype=float)
@@ -300,11 +302,11 @@ def success_probability_curve(i: int, level_marginals, bias, p_occu, cfg, taus) 
          * hyp_from_series(cfg.alpha, taus[:, None] / ratios))
     c = scale + z @ (lam * np.asarray(p_occu, dtype=float))
     kappa = taus * cfg.noise_power / cfg.p_t / (math.pi * c) ** (cfg.alpha / 2.0)
-    if kappa.max(initial=0.0) > 1.0:
-        raise ValueError("fading rule resolves kappa <= 1 only")
+    s = np.maximum(kappa, 1.0) ** -delta
     x, w = np.polynomial.legendre.leggauss(16)
     u = (np.arange(0.0, 6.4, 0.4)[:, None] + 0.2 * (1.0 + x)).ravel()
-    g = np.exp(-kappa[:, None] * u**cfg.alpha - u * u) @ (np.tile(0.2 * w, 16) * 2.0 * u)
+    g = s * (np.exp(-np.minimum(kappa, 1.0)[:, None] * u**cfg.alpha - s[:, None] * u * u)
+             @ (np.tile(0.2 * w, 16) * 2.0 * u))
     return np.clip(scale * g / c, 0.0, 1.0)
 
 

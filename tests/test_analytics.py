@@ -259,6 +259,24 @@ class TestExpectedRates:
                                         float(lm.p_block[i]), cfg)
             assert metrics.rate_tier[i] == pytest.approx(ref, rel=1e-9, abs=0), i
 
+    @pytest.mark.parametrize("overrides, tiers", [
+        ({"lambda_u1": 0.0, "lambda_u2": 0.0}, range(11)),
+        ({"t_levels": 40}, (0, 1, 20, 40)),
+        ({"t_levels": 40, "n_channels": 100}, (0, 1, 20, 40)),
+    ])
+    def test_rate_across_a_noise_cliff(self, baseline_cfg, overrides, tiers):
+        # Where P_i(2^t - 1) falls off its noise cliff inside one wide panel
+        # (no users: tier 0 in [32, 64]; T = 40: tier 0 in [16, 32]), the rate
+        # still holds criterion 10's bound.
+        cfg = dataclasses.replace(baseline_cfg, **overrides)
+        bias = power_law_bias(4.0, cfg.t_levels)
+        metrics, fp = evaluate_bias(cfg, bias)
+        lm = fp.chain_metrics
+        for i in tiers:
+            ref = rate_tier_untruncated(i, fp.level_marginals, bias, lm.p_occu,
+                                        float(lm.p_block[i]), cfg)
+            assert metrics.rate_tier[i] == pytest.approx(ref, rel=1e-6, abs=0), i
+
     def test_rate_scale_is_linear(self, small_cfg):
         pi = np.full(4, 0.25)
         bias = flat_bias(3)

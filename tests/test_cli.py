@@ -442,7 +442,7 @@ class TestValidate:
             assert abs(float(row["analytic"]) - float(row["mc_mean"])) < 0.1
 
     def test_unconverged_point_is_flagged(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setattr(fixedpoint, "MAX_CHAIN_SOLVES", 2)
+        monkeypatch.setattr(fixedpoint, "MAX_CHAIN_SOLVES", 1)
         monkeypatch.setenv("GREENCELL_WORKERS", "1")  # so the patch reaches the solve
         out = str(tmp_path / "val.csv")
         assert run(["validate", CONFIG_PATH, "--out", out, "--betas", "1",

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from greencell.numerics import NumericError
 from greencell.optimizer import power_law_bias
 from greencell.qbd import SolverError
 
-from oracles import flat_bias, picard_fixed_point
+from oracles import erlang_b, flat_bias, picard_fixed_point
 
 
 def test_baseline_beta_one_converges(baseline_cfg):
@@ -80,13 +81,6 @@ def _picard(cfg, bias, start=None):
     return picard_fixed_point(_chain_image(cfg, bias), start, EPS, MAX_CHAIN_SOLVES)
 
 
-def _flat_chain_marginals(cfg):
-    """Marginals of the flat-bias chain (weights 1 at load 1), the solver's start."""
-    ones = np.ones(cfg.t_levels + 1)
-    rho = users_at_load(1.0, ones, cfg)
-    return qbd.solve_steady_state(qbd.build_generator(qbd.ChainParams.from_config(cfg), rho)).level_marginals
-
-
 def _ga_like_biases(t_levels, n, seed):
     """Random bias vectors as the GA draws them: B_0 = 1, the rest in [1, 64]."""
     rng = np.random.default_rng(seed)
@@ -127,7 +121,7 @@ def test_forced_fallback_is_picard(small_cfg, monkeypatch, forced):
 
     The plain step s + f(s) = sum_j w_j pi_j(s) from s = sum_j w_j pi0_j is
     the Picard map on the marginals seen through the load, started from the
-    flat chain's marginals pi0, so both reach the same point.
+    closed-form battery law pi0, so both reach the same point.
     """
     real_next = fixedpoint._next_load
     calls = []
@@ -141,7 +135,7 @@ def test_forced_fallback_is_picard(small_cfg, monkeypatch, forced):
     monkeypatch.setattr(fixedpoint, "_next_load", rigged)
     bias = power_law_bias(2.0, small_cfg.t_levels)
     res = solve(small_cfg, bias)
-    pi, iterations, converged, _ = _picard(small_cfg, bias, _flat_chain_marginals(small_cfg))
+    pi, iterations, converged, _ = _picard(small_cfg, bias, fixedpoint._battery_law(small_cfg))
     assert len(calls) == res.iterations - 1 and res.converged and converged
     assert res.iterations == iterations
     assert np.abs(res.level_marginals - pi).max() <= EPS
@@ -204,8 +198,7 @@ def test_batch_matches_batch_of_one(small_cfg, baseline_cfg, cfg_name, specs):
 def test_failing_item_leaves_others_unchanged(baseline_cfg, monkeypatch):
     # Every chain whose arrival rates follow the starve item's weights fails
     # as a 64-level chain at this recharge rate does on its own (the level
-    # masses overflow a float), while the flat chain and the other items
-    # solve; no natural input fails alone once the flat chain has solved.
+    # masses overflow a float), while the other items solve.
     cfg = dataclasses.replace(baseline_cfg, t_levels=56, n_channels=4, nu=1e6,
                               static_drain_override=1.0)
     starve = BiasVector((1.0,) + (1e-12,) * 56)
@@ -242,18 +235,16 @@ def test_stacks_hold_at_most_chain_elements(baseline_cfg, monkeypatch):
     biases = _ga_like_biases(baseline_cfg.t_levels, group + 3, seed=9)
     assert all(not isinstance(r, Exception) for r in solve_batch(baseline_cfg, biases))
     assert max(sizes) == group * per_item <= CHAIN_ELEMENTS
-    # The first call is the flat chain that starts every item.
-    assert sizes[0] == per_item
-    assert sizes[1] == group * per_item and per_item * 3 in sizes
+    assert sizes[0] == group * per_item and per_item * 3 in sizes
 
 
-def _count_chains(monkeypatch, t_levels) -> list[int]:
+def _count_chains(monkeypatch) -> list[int]:
     """Chains in each call of qbd.solve_steady_state from here on."""
     stacks = []
     real = qbd.solve_steady_state
 
     def recording(gen, drho=None):
-        stacks.append(gen.rho.size // (t_levels + 1))
+        stacks.append(gen.rho.size // gen.rho.shape[-1])
         return real(gen, drho=drho)
 
     monkeypatch.setattr(qbd, "solve_steady_state", recording)
@@ -261,38 +252,128 @@ def _count_chains(monkeypatch, t_levels) -> list[int]:
 
 
 def test_one_stacked_call_per_step(small_cfg, monkeypatch):
-    """One flat-chain call, then one stacked call per step of the biased items.
-
-    The flat chain is the flat item's own first solve; without a flat item
-    it is one chain more than the items' own.
-    """
-    stacks = _count_chains(monkeypatch, small_cfg.t_levels)
+    """One stacked call per step, holding each item's own chain solves and no other."""
+    stacks = _count_chains(monkeypatch)
     for betas in [(0.0, 1.0, 2.5, 4.0), (1.0, 2.5, 4.0)]:
         stacks.clear()
         biases = [power_law_bias(beta, small_cfg.t_levels) for beta in betas]
         iterations = [r.iterations for r in solve_batch(small_cfg, biases)]
-        assert len(stacks) == 1 + max(n for n, beta in zip(iterations, betas) if beta != 0.0)
-        assert stacks[0] == 1
-        assert sum(stacks) == sum(iterations) + (0.0 not in betas)
+        assert len(stacks) == max(iterations)
+        assert sum(stacks) == sum(iterations)
 
 
 def test_flat_bias_and_no_users_take_one_or_two_solves(baseline_cfg, monkeypatch):
-    stacks = _count_chains(monkeypatch, baseline_cfg.t_levels)
+    stacks = _count_chains(monkeypatch)
     res = solve(baseline_cfg, flat_bias(baseline_cfg.t_levels))
     assert res.converged and res.iterations == 1 and stacks == [1]
     idle = dataclasses.replace(baseline_cfg, lambda_u1=0.0, lambda_u2=0.0)
     for beta in (0.0, 1.0, 3.0):
         stacks.clear()
         res = solve(idle, power_law_bias(beta, idle.t_levels))
-        # A biased item also takes the flat chain that starts it.
-        assert res.converged and res.iterations <= 2 and sum(stacks) == res.iterations + (beta != 0.0)
+        assert res.converged and res.iterations <= 2 and sum(stacks) == res.iterations
 
 
 def test_sweep_box_chain_solve_budget(baseline_cfg, monkeypatch):
     """The benchmark sweep's 45-point box, one request per recharge rate as `sweep` solves it."""
-    stacks = _count_chains(monkeypatch, baseline_cfg.t_levels)
+    stacks = _count_chains(monkeypatch)
     biases = [power_law_bias(beta, baseline_cfg.t_levels) for beta in np.arange(0.0, 4.01, 0.5)]
     for nu in (36.0, 38.0, 40.0, 42.0, 44.0):
         results = solve_batch(dataclasses.replace(baseline_cfg, nu=nu), biases)
         assert all(r.converged for r in results)
-    assert sum(stacks) <= 125 and len(stacks) <= 20
+    assert sum(stacks) <= 119 and len(stacks) <= 15
+
+
+def test_sweep_box_point_by_point_chain_solve_budget(baseline_cfg, monkeypatch):
+    """The same box with each point its own request, as `analyze` solves it."""
+    stacks = _count_chains(monkeypatch)
+    for nu in (36.0, 38.0, 40.0, 42.0, 44.0):
+        cfg = dataclasses.replace(baseline_cfg, nu=nu)
+        for beta in np.arange(0.0, 4.01, 0.5):
+            assert solve(cfg, power_law_bias(beta, cfg.t_levels)).converged
+    assert sum(stacks) <= 119
+
+
+def test_corners_chain_solve_budget(baseline_cfg, monkeypatch):
+    """The benchmark's stress configs at beta 0, 1 and 3, one request per point."""
+    corners = [{"lambda_u1": 0.0, "lambda_u2": 0.0}, {"t_levels": 40, "n_channels": 100},
+               {"nu": 1e6}, {"lambda_u1": 500.0}]
+    stacks = _count_chains(monkeypatch)
+    for overrides in corners:
+        cfg = dataclasses.replace(baseline_cfg, **overrides)
+        for beta in (0.0, 1.0, 3.0):
+            assert solve(cfg, power_law_bias(beta, cfg.t_levels)).converged
+    assert sum(stacks) <= 19
+
+
+@pytest.mark.parametrize("overrides", [
+    {}, {"t_levels": 40, "n_channels": 100}, {"nu": 1e6}, {"lambda_u1": 500.0},
+    {"lambda_u1": 0.0, "lambda_u2": 0.0}, {"nu": 1e-3}, {"static_drain_override": None},
+])
+def test_battery_law_is_the_geometric_law(baseline_cfg, overrides):
+    """The start's law: pi_i proportional to (nu / d)^i, d the flat load's mean drain."""
+    cfg = dataclasses.replace(baseline_cfg, **overrides)
+    law = fixedpoint._battery_law(cfg)
+    assert law.sum() == pytest.approx(1.0, abs=1e-15) and (law >= 0).all()
+    a = float(users_at_load(1.0, np.ones(1), cfg)[0]) / cfg.mu
+    drain = cfg.static_drain + cfg.omega * a * (1.0 - erlang_b(a, cfg.n_channels))
+    ratio = cfg.nu / drain
+    levels = np.arange(cfg.t_levels + 1)
+    if ratio > 1.0:  # the geometric law from the top level down, where it cannot overflow
+        ref = ratio ** (levels - cfg.t_levels) * (1.0 - 1.0 / ratio) / (1.0 - ratio ** -(cfg.t_levels + 1))
+    else:
+        ref = ratio ** levels * (1.0 - ratio) / (1.0 - ratio ** (cfg.t_levels + 1))
+    np.testing.assert_allclose(law, ref, rtol=1e-12, atol=1e-300)
+
+
+def _record_loads(monkeypatch) -> list[list[float]]:
+    """The loads of each step's chain solves, one list per step, from here on."""
+    loads = []
+    real = fixedpoint._chain_images
+
+    def recording(cfg, params, weights, step_loads):
+        loads.append(step_loads)
+        return real(cfg, params, weights, step_loads)
+
+    monkeypatch.setattr(fixedpoint, "_chain_images", recording)
+    return loads
+
+
+@pytest.mark.parametrize("overrides", [{}, {"t_levels": 40, "n_channels": 100}, {"nu": 1e6},
+                                       {"lambda_u1": 500.0}, {"lambda_u1": 0.0, "lambda_u2": 0.0}])
+def test_start_lies_in_the_bracket(baseline_cfg, overrides, monkeypatch):
+    cfg = dataclasses.replace(baseline_cfg, **overrides)
+    loads = _record_loads(monkeypatch)
+    biases = [power_law_bias(beta, cfg.t_levels) for beta in (0.0, 1.0, 3.0, 6.0)]
+    biases += _ga_like_biases(cfg.t_levels, 8, seed=3)
+    solve_batch(cfg, biases)
+    for bias, s0 in zip(biases, loads[0]):
+        w = bias_weights(bias, cfg)
+        assert w.min() <= s0 <= w.max()
+    assert loads[0][0] == 1.0  # a flat bias starts at its root
+
+
+def test_no_users_no_drain_starts_at_the_full_battery(baseline_cfg, monkeypatch):
+    """With nothing to drain the battery, the start is the point mass at level T.
+
+    The chain itself is then absorbed at (T, 0), and its solve still fails typed.
+    """
+    cfg = dataclasses.replace(baseline_cfg, lambda_u1=0.0, lambda_u2=0.0, static_drain_override=0.0)
+    law = fixedpoint._battery_law(cfg)
+    np.testing.assert_array_equal(law, np.eye(cfg.t_levels + 1)[-1])
+    loads = _record_loads(monkeypatch)
+    bias = power_law_bias(1.0, cfg.t_levels)
+    with pytest.raises(SolverError, match="singular block during stationary solve"):
+        solve(cfg, bias)
+    assert loads == [[bias_weights(bias, cfg)[-1]]]
+
+
+def test_overflowing_arrivals_start_at_the_mean_weight(baseline_cfg, monkeypatch):
+    cfg = dataclasses.replace(baseline_cfg, lambda_u1=1e308, lambda_b=1e-3)
+    loads = _record_loads(monkeypatch)
+    bias = power_law_bias(1.0, cfg.t_levels)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert fixedpoint._battery_law(cfg) is None
+        with pytest.raises(NumericError, match="arrival rates are not finite"):
+            solve(cfg, bias)
+    assert loads == [[float(bias_weights(bias, cfg).mean())]]
