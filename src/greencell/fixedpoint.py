@@ -137,11 +137,13 @@ def _next_load(s: float, f: float, slope: float, previous, bracket: list[float])
 def _chain_images(cfg, params, weights, loads) -> list[qbd.SteadyState | NumericError]:
     """Chain state, with its marginals' slope in the load, at ``loads[k]`` under ``weights[k]``.
 
-    Stacked solves of at most ``CHAIN_ELEMENTS`` block entries each; if one
+    Stacked solves of at most ``CHAIN_ELEMENTS`` block entries each, levels
+    times states per level squared per chain (:func:`qbd.fold_shape`); if one
     raises, its items are solved one at a time, so only the failing items
     fail, each with the error it gives on its own.
     """
-    group = max(1, CHAIN_ELEMENTS // ((cfg.t_levels + 1) * (cfg.n_channels + 1) ** 2))
+    levels, block = qbd.fold_shape(params)
+    group = max(1, CHAIN_ELEMENTS // (levels * block ** 2))
     if len(weights) > group:
         return [image for lo in range(0, len(weights), group)
                 for image in _chain_images(cfg, params, weights[lo:lo + group], loads[lo:lo + group])]

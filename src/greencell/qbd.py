@@ -6,7 +6,9 @@ levels are coupled by recharge (up) and consumption (down) transitions, which
 gives the generator a block-tridiagonal quasi-birth-death structure.  Each
 level's block is tridiagonal and the couplings are diagonal, so the generator
 is kept as rate vectors; only the stationary solve forms dense blocks, the
-folded ones, one level at a time.
+folded ones, one level at a time.  Grouped by channel count instead, the
+chain has the same structure, and the solve folds whichever grouping has the
+smaller blocks once they exceed SPLIT_ABOVE states (:func:`fold_shape`).
 """
 
 from __future__ import annotations
@@ -64,7 +66,9 @@ class QbdGenerator:
     chain per row of ``rho``.  Level i moves to i+1 at rate nu (params.nu,
     for i < T) and to i-1 at rate m[i, j] (for i > 0; m[0] is zero so that
     index == level).  m does not depend on the arrival rates, so one copy
-    serves the whole batch.
+    serves the whole batch.  Read by channel count j, the same vectors give
+    level j's block over the battery levels (nu up, m[:, j] down) and its
+    couplings diag(rho) up (for j < N) and j mu down.
     """
 
     params: ChainParams
@@ -140,22 +144,41 @@ def _inverse(q: np.ndarray) -> np.ndarray:
     return out
 
 
+def fold_shape(p: ChainParams) -> tuple[int, int]:
+    """(levels, states per level) that :func:`solve_steady_state` folds over.
+
+    The battery levels, each a block of N+1 channel states; or, once N+1
+    exceeds SPLIT_ABOVE and N > T, the channel counts, each a block of T+1
+    battery states, so that the cubic block inverses run on the smaller side.
+    """
+    t, n = p.t_levels + 1, p.n_channels + 1
+    return (n, t) if n > SPLIT_ABOVE and n > t else (t, n)
+
+
 def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
     """Stationary solve by backward block recursion, one inverse per level.
 
-    Censoring levels i..T onto level i leaves the block
-    Q_i = D_i + L_i (-Q_{i+1})^-1 M_{i+1}.  With L = nu I and M = diag(m)
-    that is D_i - nu R_{i+1} diag(m_{i+1}) for R = Q^-1 (the off-diagonals
-    of D_i added through strided views), so each level costs one explicit
-    inverse (:func:`_inverse`), the only dense blocks kept.  R is entrywise
-    nonpositive in exact arithmetic, so entries that rounding pushes above
-    zero are clamped to zero; the off-diagonal entries of Q_i are then sums
-    of nonnegative terms, and its diagonal is reset to minus the
-    off-diagonal row sum and the downward rate, which keeps the censored
-    generator conservative however small a level's mass is (Grassmann,
-    Taksar & Heyman, Oper. Res. 1985).  The head is the null vector of Q_0
-    normalized to sum one, from one solve with the last column of Q_0
-    replaced by ones; the levels above unroll as pi_{i+1} = -nu pi_i R_{i+1}.
+    The levels are those of :func:`fold_shape`, battery levels (couplings
+    U = nu I up, W_i = diag(m_i) down) or channel counts (U = diag(rho) up,
+    W_j = j mu I down; see :class:`QbdGenerator`), each with a tridiagonal
+    block D_k.  Censoring levels k..K onto level k leaves the block
+    Q_k = D_k + U (-Q_{k+1})^-1 W_{k+1} = D_k - U R_{k+1} W_{k+1} for
+    R = Q^-1 (the off-diagonals of D_k added through strided views), so
+    each level costs one explicit inverse (:func:`_inverse`), the only dense
+    blocks kept.  R is entrywise nonpositive in exact arithmetic, so entries
+    that rounding pushes above zero are clamped to zero; the off-diagonal
+    entries of Q_k are then sums of nonnegative terms, and its diagonal is
+    reset to minus the off-diagonal row sum and the downward rate, which
+    keeps the censored generator conservative however small a level's mass
+    is (Grassmann, Taksar & Heyman, Oper. Res. 1985).  The head is the null
+    vector of Q_0 normalized to sum one, from one solve with the last column
+    of Q_0 replaced by ones; the levels above unroll as
+    pi_{k+1} = -pi_k U R_{k+1}, with a scalar nu applied after the product.
+    Channel levels are transposed back, so pi is (T+1, N+1) on either axis.
+
+    A chain whose battery can never leave level T (T > 0, no static drain,
+    and no call that drains it there: omega = 0 or rho_T = 0) is absorbed
+    at level T; it raises before the fold, on either axis.
 
     A stacked generator runs the recursion once for the whole stack: the
     inverses, the solve and the products broadcast over the batch axis and
@@ -166,44 +189,63 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
     With ``drho`` (shaped like ``gen.rho``) the state also carries the slope
     of the level marginals along ``drho``.  The slope x of pi solves
     x A = b = -pi A' with sum(x) = 0, by the same recursion through the
-    inverses already held: c_T = b_T and c_i = b_i - (c_{i+1} R_{i+1}) m_{i+1}
-    down, the head solve with sum(x_0) = 0, x_i = (c_i - nu x_{i-1}) R_i up,
+    inverses already held: c_K = b_K and c_k = b_k - (c_{k+1} R_{k+1}) W_{k+1}
+    down, the head solve with sum(x_0) = 0, x_k = (c_k - x_{k-1} U) R_k up,
     then the multiple of pi that zeroes the sum is taken out.  Where the level masses span many
     decades, the rounding of that multiple alone exceeds SLOPE_RTOL of the
     slope, and the chain's slope is NaN.
     """
     p = gen.params
     t = p.t_levels
-    n = p.n_channels + 1
+    levels, n = fold_shape(p)
     batch = gen.rho.shape[:-1]
-    served = np.arange(1, n) * p.mu
-    neg_m, neg_nu_m = -gen.m, -p.nu * gen.m
+    if t and p.static_drain == 0.0 and (p.omega == 0.0 or not gen.rho[..., -1].all()):
+        raise SolverError("singular block during stationary solve: "
+                          "the battery cannot leave level T")
+    by_battery = levels == t + 1
+    if by_battery:
+        swap, up, down = (-1, -1), p.nu, gen.m
+        sup = np.moveaxis(gen.rho, -1, 0)[..., None]                    # admit a call
+        sub = np.broadcast_to(np.arange(1, n) * p.mu, (levels, n - 1))  # complete one
+        fold = -p.nu * gen.m
+    else:
+        swap, up, down = (-2, -1), gen.rho, np.arange(levels) * p.mu
+        sup = np.full((levels, 1), p.nu)                                # recharge
+        sub = gen.m[1:].T                                               # drain
+        fold = -down.reshape((levels,) + (1,) * (len(batch) + 2)) * gen.rho[..., None]
+        lift = -gen.rho[..., None, :]
+    neg_down = -down
     ones = np.ones(n)
     unit = np.zeros(batch + (n, 1))
     unit[..., -1, :] = 1.0
 
     with np.errstate(all="ignore"):  # a near-singular chain is caught by the checks below
         try:
-            r = [None] * (t + 1)
+            r = [None] * levels
             q = np.zeros(batch + (n, n))
-            for i in range(t, -1, -1):
+            for k in range(levels - 1, -1, -1):
                 flat = q.reshape(batch + (n * n,))  # writable views of the diagonals
-                flat[..., 1::n + 1] += gen.rho[..., i, None]  # admit a call
-                flat[..., n::n + 1] += served                  # complete one
+                flat[..., 1::n + 1] += sup[k]
+                flat[..., n::n + 1] += sub[k]
                 flat[..., ::n + 1] = 0.0
-                np.subtract(neg_m[i], q @ ones, out=flat[..., ::n + 1])
-                if i:
-                    r[i] = np.minimum(_inverse(q), 0.0)
-                    q = r[i] * neg_nu_m[i]
+                np.subtract(neg_down[k], q @ ones, out=flat[..., ::n + 1])
+                if k:
+                    r[k] = np.minimum(_inverse(q), 0.0)
+                    q = r[k] * fold[k]
             q[..., -1] = 1.0
             head = np.swapaxes(q, -1, -2)
-            pi = np.empty(batch + (t + 1, n))
-            pi[..., 0, :] = np.linalg.solve(head, unit)[..., 0]
+            pi = np.empty(batch + (t + 1, p.n_channels + 1))
+            lev = np.swapaxes(pi, *swap)  # pi by fold level
+            lev[..., 0, :] = np.linalg.solve(head, unit)[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular block during stationary solve: {exc}") from exc
-        for i in range(1, t + 1):
-            np.matmul(pi[..., i - 1, None, :], r[i], out=pi[..., i, None, :])
-            pi[..., i, :] *= -p.nu
+        for k in range(1, levels):
+            row = lev[..., k - 1, None, :]
+            if by_battery:
+                np.matmul(row, r[k], out=lev[..., k, None, :])
+                lev[..., k, :] *= -p.nu
+            else:
+                np.matmul(row * lift, r[k], out=lev[..., k, None, :])
 
     chain_axes = (-2, -1)
     if not np.isfinite(pi).all():
@@ -222,14 +264,15 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
         with np.errstate(all="ignore"):  # a slope lost to rounding is flagged below
             c = np.diff(pi[..., :-1] * np.asarray(drho, dtype=float)[..., None],
                         axis=-1, prepend=0.0, append=0.0)
-            for i in range(t - 1, -1, -1):
-                c[..., i, :] -= (c[..., i + 1, None, :] @ r[i + 1])[..., 0, :] * gen.m[i + 1]
-            c[..., 0, -1] = 0.0
             x = np.empty_like(pi)
-            x[..., 0, :] = np.linalg.solve(head, c[..., 0, :, None])[..., 0]
-            for i in range(1, t + 1):
-                np.matmul((c[..., i, :] - p.nu * x[..., i - 1, :])[..., None, :], r[i],
-                          out=x[..., i, None, :])
+            c, x_lev = np.swapaxes(c, *swap), np.swapaxes(x, *swap)
+            for k in range(levels - 2, -1, -1):
+                c[..., k, :] -= (c[..., k + 1, None, :] @ r[k + 1])[..., 0, :] * down[k + 1]
+            c[..., 0, -1] = 0.0
+            x_lev[..., 0, :] = np.linalg.solve(head, c[..., 0, :, None])[..., 0]
+            for k in range(1, levels):
+                np.matmul((c[..., k, :] - up * x_lev[..., k - 1, :])[..., None, :], r[k],
+                          out=x_lev[..., k, None, :])
             shift = x.sum(axis=chain_axes)
             slope = x.sum(axis=-1) - shift[..., None] * marginals
             slope[np.abs(shift) * np.finfo(float).eps > SLOPE_RTOL * np.abs(slope).max(axis=-1)] = np.nan

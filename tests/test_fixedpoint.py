@@ -238,6 +238,18 @@ def test_stacks_hold_at_most_chain_elements(baseline_cfg, monkeypatch):
     assert sizes[0] == group * per_item and per_item * 3 in sizes
 
 
+def test_wide_cell_chains_stack(baseline_cfg, monkeypatch):
+    """A 9-beta sweep at N = 100 folds along channels, blocks of T+1 states, and stacks."""
+    cfg = dataclasses.replace(baseline_cfg, n_channels=100)
+    levels, block = qbd.fold_shape(qbd.ChainParams.from_config(cfg))
+    assert (levels, block) == (101, 11)
+    stacks = _count_chains(monkeypatch)
+    biases = [power_law_bias(beta, cfg.t_levels) for beta in np.arange(0.0, 4.01, 0.5)]
+    assert all(r.converged for r in solve_batch(cfg, biases))
+    assert stacks[0] == 9 and len(stacks) < sum(stacks)
+    assert max(stacks) * levels * block**2 <= CHAIN_ELEMENTS
+
+
 def _count_chains(monkeypatch) -> list[int]:
     """Chains in each call of qbd.solve_steady_state from here on."""
     stacks = []

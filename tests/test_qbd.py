@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from greencell import qbd
 from greencell.fixedpoint import solve
 from greencell.optimizer import evaluate_bias, power_law_bias
 from greencell.qbd import (
@@ -17,6 +18,7 @@ from greencell.qbd import (
     SolverError,
     SteadyState,
     build_generator,
+    fold_shape,
     level_metrics,
     solve_steady_state,
     _inverse,
@@ -205,15 +207,17 @@ def test_solve_is_finite_or_typed(n_channels, t_levels, mu, omega, nu, drain, rh
 @settings(max_examples=150, deadline=None)
 @given(
     n_channels=st.integers(SPLIT_ABOVE, 130),
-    t_levels=st.integers(1, 4),
+    t_levels=st.one_of(st.integers(1, 4), st.integers(SPLIT_ABOVE, 80)),
     mu=_DECADES,
     omega=st.one_of(st.just(0.0), _DECADES),
     nu=st.floats(-3.0, 6.0).map(lambda e: 10.0**e),
     drain=st.one_of(st.just(0.0), _DECADES),
-    rho=st.lists(st.one_of(st.just(0.0), _DECADES), min_size=5, max_size=5),
+    rho=st.lists(st.one_of(st.just(0.0), _DECADES), min_size=81, max_size=81),
 )
 def test_blocked_solve_is_finite_or_typed(n_channels, t_levels, mu, omega, nu, drain, rho):
-    # Blocks of N + 1 > SPLIT_ABOVE states take the Schur-halves inverse.
+    # A few battery levels fold along the channel counts; with both sides
+    # above SPLIT_ABOVE the blocks, of min(N, T) + 1 states, take the
+    # Schur-halves inverse.
     _assert_finite_or_typed(ChainParams(n_channels, t_levels, mu, omega, nu, drain),
                             rho[: t_levels + 1])
 
@@ -261,9 +265,10 @@ def test_singular_large_block_is_typed():
 
 
 def test_large_block_chain_matches_gth_oracle():
-    # Loads around the channel count.  At loads far below it, the explicit
-    # inverse resolves the Erlang tail only to about 1e-17 of the level's
-    # mass, before and after the blocked inverse alike.
+    # Loads around the channel count.  This chain folds along its 101 channel
+    # counts, so the Erlang tail of a light load falls across levels and
+    # keeps its relative accuracy; a state is resolved only to about 1e-17
+    # of its own channel count's mass.
     params = ChainParams(100, 3, 1.0, 1.0, 40.0, 25.0)
     gen = build_generator(params, [60.0, 80.0, 100.0, 120.0])
     ss = solve_steady_state(gen)
@@ -272,6 +277,66 @@ def test_large_block_chain_matches_gth_oracle():
     big = ref > 1e-12 * ref.max()
     assert big.sum() > 200
     np.testing.assert_allclose(ss.pi[big], ref[big], rtol=1e-9, atol=0)
+
+
+@pytest.mark.parametrize("n_channels, t_levels, shape", [
+    (20, 10, (11, 21)), (63, 10, (11, 64)), (64, 10, (65, 11)), (100, 40, (101, 41)),
+    (100, 100, (101, 101)), (100, 130, (131, 101)), (200, 0, (201, 1)),
+])
+def test_fold_shape_takes_the_smaller_block_above_split(n_channels, t_levels, shape):
+    assert fold_shape(ChainParams(n_channels, t_levels, 1.0, 1.0, 1.0, 1.0)) == shape
+
+
+_AXES = {"battery": 10**9, "channel": 1}  # SPLIT_ABOVE that forces each fold axis
+
+
+def _random_chain(rng):
+    t_levels = int(rng.integers(1, 5))
+    params = ChainParams(n_channels=int(rng.integers(t_levels + 1, 8)), t_levels=t_levels,
+                         mu=rng.uniform(0.2, 5.0), omega=rng.uniform(0.0, 3.0),
+                         nu=rng.uniform(0.5, 30.0), static_drain=rng.uniform(0.1, 30.0))
+    return params, rng.uniform(0.0, 15.0, size=(3, t_levels + 1)), rng.uniform(-1.0, 1.0, size=(3, t_levels + 1))
+
+
+def test_both_fold_axes_match_gth_oracle_and_each_other(monkeypatch):
+    rng = np.random.default_rng(20)
+    for _ in range(40):
+        params, rho, drho = _random_chain(rng)
+        got = {}
+        for axis, split in _AXES.items():
+            monkeypatch.setattr(qbd, "SPLIT_ABOVE", split)
+            assert fold_shape(params)[0] == (params.t_levels if axis == "battery" else params.n_channels) + 1
+            gen = build_generator(params, rho)
+            stacked = solve_steady_state(gen, drho=drho)
+            for k in range(len(rho)):
+                alone = solve_steady_state(build_generator(params, rho[k]), drho=drho[k])
+                assert np.array_equal(alone.pi, stacked.pi[k])
+                assert np.array_equal(alone.marginal_slope, stacked.marginal_slope[k])
+                ref = gth_stationary(assemble(build_generator(params, rho[k])))
+                np.testing.assert_allclose(alone.level_marginals,
+                                           ref.reshape(alone.pi.shape).sum(axis=1), rtol=1e-12, atol=0)
+            got[axis] = stacked
+        np.testing.assert_allclose(got["channel"].level_marginals, got["battery"].level_marginals,
+                                   rtol=1e-12, atol=0)
+        slope, ref = got["channel"].marginal_slope, got["battery"].marginal_slope
+        assert np.abs(slope - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("axis", list(_AXES))
+@pytest.mark.parametrize("omega, rho_top", [(0.0, 3.0), (2.0, 0.0)])
+def test_battery_held_at_level_t_is_typed_on_both_axes(monkeypatch, axis, omega, rho_top):
+    # No static drain, and no call drains the full battery: the chain is
+    # absorbed at level T.  Either fold raises before it starts.
+    monkeypatch.setattr(qbd, "SPLIT_ABOVE", _AXES[axis])
+    gen = build_generator(ChainParams(6, 3, 1.0, omega, 2.0, 0.0), [[3.0, 3.0, 3.0, 3.0],
+                                                                    [3.0, 3.0, 3.0, rho_top]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(SolverError, match="singular block during stationary solve"):
+            solve_steady_state(gen)
+        # A call at level T drains it, so the same rates with omega > 0 solve.
+        ss = solve_steady_state(build_generator(ChainParams(6, 3, 1.0, 2.0, 2.0, 0.0), [3.0] * 4))
+    assert ss.residual <= RESIDUAL_TOL
 
 
 @given(
