@@ -9,10 +9,13 @@ is kept as rate vectors; only the stationary solve forms dense blocks, the
 folded ones, one level at a time.  Grouped by channel count instead, the
 chain has the same structure, and the solve folds whichever grouping has the
 smaller blocks once they exceed SPLIT_ABOVE states (:func:`fold_shape`).
+On channel counts it stops at the first count that an M/M/inf bound leaves
+less than TAIL_MASS of the mass at or above (:func:`poisson_tail`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +26,7 @@ RESIDUAL_TOL = 1e-10
 DEGENERATE_LEVEL = 1e-14
 SPLIT_ABOVE = 64  # states per block above which Schur halves beat np.linalg.inv
 SLOPE_RTOL = 1e-6  # rounding a marginal slope may carry, relative to its largest entry
+TAIL_MASS = 2.0**-64  # channel-count tail mass a fold along channel counts may leave out
 
 
 class SolverError(NumericError):
@@ -150,9 +154,28 @@ def fold_shape(p: ChainParams) -> tuple[int, int]:
     The battery levels, each a block of N+1 channel states; or, once N+1
     exceeds SPLIT_ABOVE and N > T, the channel counts, each a block of T+1
     battery states, so that the cubic block inverses run on the smaller side.
+    A fold along channel counts may stop below the last one.
     """
     t, n = p.t_levels + 1, p.n_channels + 1
     return (n, t) if n > SPLIT_ABOVE and n > t else (t, n)
+
+
+def poisson_tail(a, n: int) -> np.ndarray:
+    """P(X >= c) for X ~ Poisson(a) and c = 0, ..., n, one row per entry of ``a``.
+
+    From the pmf, built in logs so that no load underflows it: one minus the
+    lower sum up to the mean, where the tail is at least about a half, and the
+    upper sum above it.  The upper sum runs to n + 64 + 10 sqrt(a) (a capped
+    at n), past which the terms are below e^-50 of the tail's first one.
+    """
+    a = np.asarray(a, dtype=float)[..., None]
+    k = np.arange(1, n + 65 + math.ceil(10.0 * math.sqrt(min(float(a.max()), n))))
+    with np.errstate(all="ignore"):  # a = 0 gives log 0; its pmf is the point mass at 0
+        log_pmf = np.cumsum(np.log(a / k), axis=-1) - a
+        pmf = np.exp(np.concatenate([-a, log_pmf], axis=-1))
+    upper = np.cumsum(pmf[..., ::-1], axis=-1)[..., ::-1]
+    lower = 1.0 - (np.cumsum(pmf, axis=-1) - pmf)
+    return np.where(np.arange(pmf.shape[-1]) <= a, lower, upper)[..., :n + 1]
 
 
 def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
@@ -175,6 +198,18 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
     of Q_0 replaced by ones; the levels above unroll as
     pi_{k+1} = -pi_k U R_{k+1}, with a scalar nu applied after the product.
     Channel levels are transposed back, so pi is (T+1, N+1) on either axis.
+
+    On channel levels the fold stops early.  The count J moves up at some
+    rho_i <= max rho and down at j mu, whatever the battery does, so an
+    M/M/inf queue of load a = max rho / mu dominates it:
+    P(J >= c) <= P(Poisson(a) >= c) (:func:`poisson_tail`).  Each chain's top
+    level is the first count whose tail is below TAIL_MASS, or N.  Its R is
+    zero above that level, so its fold starts there from Q = 0, its states
+    at higher counts are zero in pi and in the slope, and a stacked chain
+    does the arithmetic of its lone solve.  This solves the chain with
+    calls blocked at the top level: it leaves out less than TAIL_MASS of the
+    mass, and the residual check, run on the whole chain, sees the blocked
+    inflow, at most TAIL_MASS max rho.
 
     A chain whose battery can never leave level T (T > 0, no static drain,
     and no call that drains it there: omega = 0 or rho_T = 0) is absorbed
@@ -204,11 +239,16 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
                           "the battery cannot leave level T")
     by_battery = levels == t + 1
     if by_battery:
+        top = levels - 1
         swap, up, down = (-1, -1), p.nu, gen.m
         sup = np.moveaxis(gen.rho, -1, 0)[..., None]                    # admit a call
         sub = np.broadcast_to(np.arange(1, n) * p.mu, (levels, n - 1))  # complete one
         fold = -p.nu * gen.m
     else:
+        below = poisson_tail(gen.rho.max(axis=-1) / p.mu, p.n_channels) < TAIL_MASS
+        below[..., -1] = True
+        top = below.argmax(axis=-1)  # each chain's top level
+        levels = int(top.max()) + 1
         swap, up, down = (-2, -1), gen.rho, np.arange(levels) * p.mu
         sup = np.full((levels, 1), p.nu)                                # recharge
         sub = gen.m[1:].T                                               # drain
@@ -231,10 +271,11 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
                 np.subtract(neg_down[k], q @ ones, out=flat[..., ::n + 1])
                 if k:
                     r[k] = np.minimum(_inverse(q), 0.0)
+                    r[k][k > top] = 0.0  # no mass above a chain's top level
                     q = r[k] * fold[k]
             q[..., -1] = 1.0
             head = np.swapaxes(q, -1, -2)
-            pi = np.empty(batch + (t + 1, p.n_channels + 1))
+            pi = np.zeros(batch + (t + 1, p.n_channels + 1))
             lev = np.swapaxes(pi, *swap)  # pi by fold level
             lev[..., 0, :] = np.linalg.solve(head, unit)[..., 0]
         except np.linalg.LinAlgError as exc:
@@ -264,7 +305,7 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
         with np.errstate(all="ignore"):  # a slope lost to rounding is flagged below
             c = np.diff(pi[..., :-1] * np.asarray(drho, dtype=float)[..., None],
                         axis=-1, prepend=0.0, append=0.0)
-            x = np.empty_like(pi)
+            x = np.zeros_like(pi)
             c, x_lev = np.swapaxes(c, *swap), np.swapaxes(x, *swap)
             for k in range(levels - 2, -1, -1):
                 c[..., k, :] -= (c[..., k + 1, None, :] @ r[k + 1])[..., 0, :] * down[k + 1]

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import warnings
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -260,6 +261,31 @@ _VALID_CONFIGS = st.fixed_dictionaries({
 }, optional={"static_drain_override": _rate(-3, 3)})
 
 
+def _run_on_valid_config(work, raw, argv):
+    """Write ``raw`` as the config, run ``argv`` on it serially and return (code, stderr).
+
+    Checks what every command owes a config that passes validation: no
+    traceback, no RuntimeWarning, and exit 0 or a typed numeric failure.
+    """
+    (work / "cfg.json").write_text(json.dumps(raw))
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"GREENCELL_WORKERS": "1"}), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run_without_runtime_warnings([argv[0], str(work / "cfg.json"), *argv[1:]])
+    assert "Traceback" not in err.getvalue()
+    assert code in (cli.EXIT_OK, cli.EXIT_NUMERIC), err.getvalue()
+    if code == cli.EXIT_NUMERIC:
+        assert err.getvalue().startswith("numeric failure: ")
+    return code, err.getvalue()
+
+
+def _non_finite_rows(path):
+    """The rows of a CSV with a value other than ``converged`` that is not finite."""
+    _, fields, rows = read_csv(path)
+    return [row for row in rows
+            if not all(math.isfinite(float(row[name])) for name in fields if name != "converged")]
+
+
 @settings(max_examples=40)
 @given(raw=_VALID_CONFIGS, beta=st.one_of(st.none(), st.floats(0.0, 6.0)),
        bias_exponents=st.lists(st.floats(-6.0, 6.0), min_size=100, max_size=100))
@@ -267,26 +293,42 @@ def test_analyze_on_valid_configs_is_finite_or_typed(tmp_path_factory, raw, beta
     """Every config that passes validation gives a finite row (exit 0) or a typed
     numeric failure (exit 3), with no traceback and no RuntimeWarning."""
     work = tmp_path_factory.mktemp("fuzz")
-    (work / "cfg.json").write_text(json.dumps(raw))
     if beta is None:
         bias = [1.0] + [10.0 ** e for e in bias_exponents[:raw["t_levels"]]]
         (work / "bias.json").write_text(json.dumps(bias))
         bias_args = ["--bias-file", str(work / "bias.json")]
     else:
         bias_args = ["--beta", repr(beta)]
-    out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = run_without_runtime_warnings(["analyze", str(work / "cfg.json"),
-                                             "--out", str(work / "o.csv"), *bias_args])
-    assert "Traceback" not in err.getvalue()
-    if code == cli.EXIT_NUMERIC:
-        assert err.getvalue().startswith("numeric failure: ")
-        return
-    assert code == cli.EXIT_OK, err.getvalue()
-    _, fields, rows = read_csv(str(work / "o.csv"))
-    for name in fields:
-        if name != "converged":
-            assert math.isfinite(float(rows[0][name])), name
+    code, _ = _run_on_valid_config(work, raw, ["analyze", "--out", str(work / "o.csv"), *bias_args])
+    if code == cli.EXIT_OK:
+        assert _non_finite_rows(str(work / "o.csv")) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(raw=_VALID_CONFIGS, betas=st.lists(st.floats(0.0, 6.0), min_size=2, max_size=2),
+       nus=st.lists(_log_uniform(-3, 6), min_size=2, max_size=2))
+def test_sweep_on_valid_configs_is_finite_or_named(tmp_path_factory, raw, betas, nus):
+    """A sweep exits 0 with finite rows, except points it names on stderr as failed."""
+    work = tmp_path_factory.mktemp("fuzz_sweep")
+    code, err = _run_on_valid_config(work, raw, ["sweep", "--out", str(work / "s.csv"),
+                                                 "--betas", ",".join(map(repr, betas)),
+                                                 "--nus", ",".join(map(repr, nus))])
+    if code == cli.EXIT_OK:
+        assert len(read_csv(str(work / "s.csv"))[2]) == 4
+        for row in _non_finite_rows(str(work / "s.csv")):
+            beta, nu = float(row["beta"]), float(row["nu"])
+            assert f"warning: sweep point beta={beta:g} nu={nu:g} failed: " in err
+
+
+@settings(max_examples=25, deadline=None)
+@given(raw=_VALID_CONFIGS, drops=st.integers(1, 300))
+def test_validate_on_valid_configs_is_finite_or_typed(tmp_path_factory, raw, drops):
+    work = tmp_path_factory.mktemp("fuzz_validate")
+    code, _ = _run_on_valid_config(work, raw, ["validate", "--out", str(work / "v.csv"),
+                                               "--drops", str(drops)])
+    if code == cli.EXIT_OK:
+        assert len(read_csv(str(work / "v.csv"))[2]) == 3
+        assert _non_finite_rows(str(work / "v.csv")) == []
 
 
 class TestAnalyze:

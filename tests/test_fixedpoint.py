@@ -250,6 +250,18 @@ def test_wide_cell_chains_stack(baseline_cfg, monkeypatch):
     assert max(stacks) * levels * block**2 <= CHAIN_ELEMENTS
 
 
+def test_wide_cell_batch_matches_batch_of_one(baseline_cfg):
+    """Stacked wide-cell chains stop their channel folds at different counts, and
+    each item still gets the point it gets alone."""
+    cfg = dataclasses.replace(baseline_cfg, n_channels=100)
+    biases = _ga_like_biases(cfg.t_levels, 6, seed=21)
+    results = solve_batch(cfg, biases)
+    for bias, got in zip(biases, results):
+        _assert_same_point(cfg, bias, got, solve(cfg, bias))
+    tops = {np.flatnonzero(r.chain_state.pi.any(axis=0))[-1] for r in results}
+    assert len(tops) > 1 and max(tops) < cfg.n_channels
+
+
 def _count_chains(monkeypatch) -> list[int]:
     """Chains in each call of qbd.solve_steady_state from here on."""
     stacks = []

@@ -20,6 +20,7 @@ from greencell.qbd import (
     build_generator,
     fold_shape,
     level_metrics,
+    poisson_tail,
     solve_steady_state,
     _inverse,
     stationary_residual,
@@ -298,10 +299,17 @@ def _random_chain(rng):
     return params, rng.uniform(0.0, 15.0, size=(3, t_levels + 1)), rng.uniform(-1.0, 1.0, size=(3, t_levels + 1))
 
 
+def _mixed_load_wide_chain():
+    """One wide chain under a light, a medium and a heavy load (about 1, 10 and 35
+    Erlangs): on channel levels the light and medium ones stop at different counts,
+    and the heavy one folds all N + 1."""
+    rho = np.array([[0.8, 0.9, 1.0, 1.1], [8.0, 9.0, 10.0, 11.0], [32.0, 33.0, 34.0, 35.0]])
+    return ChainParams(100, 3, 1.0, 1.0, 40.0, 25.0), rho, np.full_like(rho, -1.0)
+
+
 def test_both_fold_axes_match_gth_oracle_and_each_other(monkeypatch):
     rng = np.random.default_rng(20)
-    for _ in range(40):
-        params, rho, drho = _random_chain(rng)
+    for params, rho, drho in [*(_random_chain(rng) for _ in range(40)), _mixed_load_wide_chain()]:
         got = {}
         for axis, split in _AXES.items():
             monkeypatch.setattr(qbd, "SPLIT_ABOVE", split)
@@ -320,6 +328,43 @@ def test_both_fold_axes_match_gth_oracle_and_each_other(monkeypatch):
                                    rtol=1e-12, atol=0)
         slope, ref = got["channel"].marginal_slope, got["battery"].marginal_slope
         assert np.abs(slope - ref).max() <= 1e-12 * np.abs(ref).max()
+    # The wide chain's channel fold stopped at three different counts.
+    tops = [np.flatnonzero(pi.any(axis=0))[-1] for pi in got["channel"].pi]
+    assert tops[0] < tops[1] < tops[2] == params.n_channels
+
+
+@pytest.mark.parametrize("a", [0.0, 1e-3, 10.6, 106.0, 1000.0])
+def test_poisson_tail_matches_fsum(a):
+    n = 300
+    pmf = [math.exp(-a)]  # 0 at a = 1000, where every tail up to n rounds to 1
+    for k in range(1, n + 2000):
+        pmf.append(pmf[-1] * a / k)
+    ref = [math.fsum(pmf[c:]) if c > a else 1.0 - math.fsum(pmf[:c]) for c in range(n + 1)]
+    np.testing.assert_allclose(poisson_tail(a, n), ref, rtol=1e-12, atol=1e-300)
+    np.testing.assert_array_equal(poisson_tail([a, a], n), [poisson_tail(a, n)] * 2)
+
+
+@pytest.mark.parametrize("n_channels, t_levels, load", [(300, 10, 0.9), (100, 40, 9.5), (100, 3, 30.0),
+                                                        (100, 3, 40.0)])
+def test_channel_fold_stops_where_the_tail_bound_allows(monkeypatch, n_channels, t_levels, load):
+    # Light loads on many channels: the fold stops at the first count whose
+    # M/M/inf tail is below TAIL_MASS and agrees with the fold of every count.
+    # The heaviest load here folds every count.
+    params = ChainParams(n_channels, t_levels, 1.0, 1.0, 40.0, 25.0)
+    rho = load * np.linspace(0.9, 1.0, t_levels + 1)
+    gen = build_generator(params, rho)
+    top = [*np.flatnonzero(poisson_tail(rho.max(), n_channels) < qbd.TAIL_MASS), n_channels][0]
+    cut = solve_steady_state(gen, drho=-rho)
+    monkeypatch.setattr(qbd, "TAIL_MASS", 0.0)
+    full = solve_steady_state(gen, drho=-rho)
+    assert cut.residual <= RESIDUAL_TOL
+    assert not cut.pi[:, top + 1:].any() and cut.pi[:, top].any()
+    assert (top < n_channels) == (load < 40.0)
+    cut_lm, full_lm = level_metrics(cut, n_channels), level_metrics(full, n_channels)
+    np.testing.assert_allclose(cut.level_marginals, full.level_marginals, rtol=1e-12, atol=0)
+    np.testing.assert_allclose(cut_lm.n_mean, full_lm.n_mean, rtol=1e-12, atol=0)
+    assert (cut_lm.p_block == 0.0).all() == (top < n_channels)
+    assert np.abs(cut.marginal_slope - full.marginal_slope).max() <= 1e-12 * np.abs(full.marginal_slope).max()
 
 
 @pytest.mark.parametrize("axis", list(_AXES))
