@@ -154,13 +154,11 @@ def cmd_sweep(args, cfg: NetworkConfig) -> tuple[dict, int]:
 
 
 def _validate_task(task) -> dict:
-    cfg, beta, drops, seed, r_sim = task
+    cfg, beta, drops, seed = task
     bias = power_law_bias(beta, cfg.t_levels)
     metrics, fp = evaluate_bias(cfg, bias)
-    est = estimate_success(
-        cfg, fp.level_marginals, bias, fp.chain_metrics.p_occu,
-        drops, seed=seed, r_sim=r_sim,
-    )
+    est = estimate_success(cfg, fp.level_marginals, bias, fp.chain_metrics.p_occu,
+                           drops, seed=seed)
     return {
         "beta": beta,
         "analytic": metrics.p_succ,
@@ -176,22 +174,14 @@ def cmd_validate(args, cfg: NetworkConfig) -> tuple[dict, int]:
     betas = _parse_floats(args.betas, "--betas")
     if args.drops < 1:
         raise ConfigError("--drops must be at least 1")
-    tasks = [(cfg, b, args.drops, args.seed, args.r_sim) for b in betas]
+    tasks = [(cfg, b, args.drops, args.seed) for b in betas]
     rows = _map(_validate_task, tasks)
     rows.sort(key=lambda r: r["beta"])
     return {args.out: rows}, EXIT_OK
 
 
 def cmd_optimize(args, cfg: NetworkConfig) -> tuple[dict, int]:
-    ga = GaConfig(
-        pop_size=args.pop,
-        max_iters=args.iters,
-        p_mutation=args.p_mut,
-        p_crossover=args.p_cross,
-        b_min=args.b_min,
-        b_max=args.b_max,
-        seed=args.seed,
-    )
+    ga = GaConfig(pop_size=args.pop, max_iters=args.iters, seed=args.seed)
     comparison = compare_schemes(cfg, ga)
     result = comparison.ga_result
     best = result.best
@@ -290,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, cmd_validate)
     p.add_argument("--betas", default="0,1,2")
     p.add_argument("--drops", type=int, default=10000)
-    p.add_argument("--r-sim", type=float, default=None, help="window radius override")
 
     p = sub.add_parser("optimize", help="genetic bias search plus scheme comparison")
     common(p, cmd_optimize, out_help="output file prefix (_best/_history/_comparison CSVs)")
@@ -298,10 +287,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(manifest=lambda out: out + "_manifest.json")
     p.add_argument("--pop", type=int, default=50)
     p.add_argument("--iters", type=int, default=100)
-    p.add_argument("--p-mut", type=float, default=0.2)
-    p.add_argument("--p-cross", type=float, default=0.7)
-    p.add_argument("--b-min", type=float, default=1.0)
-    p.add_argument("--b-max", type=float, default=64.0)
     return parser
 
 

@@ -20,12 +20,8 @@ BLOCK = 128
 
 
 def default_window(cfg) -> float:
-    """Default simulation disc radius, well past the edge-effect guard."""
+    """Simulation disc radius: 225 stations per drop in mean, whatever the config."""
     return 15.0 / math.sqrt(math.pi * cfg.lambda_b)
-
-
-def min_window(cfg) -> float:
-    return 10.0 / math.sqrt(math.pi * cfg.lambda_b)
 
 
 @dataclass
@@ -37,7 +33,7 @@ class McEstimate:
 
 
 def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
-                     seed: int = 0, r_sim: float | None = None) -> McEstimate:
+                     seed: int = 0) -> McEstimate:
     """Empirical success probability of the typical user at the origin.
 
     Serving station maximizes bias times long-term received power (the shared
@@ -55,14 +51,7 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
     """
     if n_drops < 1:
         raise ValueError("need at least one drop")
-    if r_sim is None:
-        r_sim = default_window(cfg)
-    if not math.isfinite(r_sim):
-        raise ValueError(f"r_sim must be finite, got {r_sim!r}")
-    if r_sim < min_window(cfg):
-        raise ValueError(
-            f"window radius {r_sim:.3f} below edge-effect guard {min_window(cfg):.3f}"
-        )
+    r_sim = default_window(cfg)
     pi = np.asarray(level_marginals, dtype=float)
     b = np.asarray(bias.values if hasattr(bias, "values") else bias, dtype=float)
     # An occupancy a rounding error above 1 would make the idle mean negative.

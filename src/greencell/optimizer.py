@@ -31,6 +31,9 @@ from .numerics import NumericError, stream
 POWER_GRID_DEFAULT = tuple(0.5 * k for k in range(9))  # 0, 0.5, ..., 4
 ETA_CAP = 1e18
 PENALTY = 1e8  # fitness cost per unit of coverage gap below the floor
+P_MUTATION = 0.2  # chance that a child has one gene redrawn
+P_CROSSOVER = 0.7  # chance that a pair of parents splices at one point
+B_MIN, B_MAX = 1.0, 64.0  # box of the genes after the pinned first one
 
 
 def power_law_bias(beta: float, t_levels: int) -> BiasVector:
@@ -134,10 +137,6 @@ def beta_sweep(cfg: NetworkConfig, betas, nus=None) -> list[SweepPoint]:
 class GaConfig:
     pop_size: int = 50
     max_iters: int = 100
-    p_mutation: float = 0.2
-    p_crossover: float = 0.7
-    b_min: float = 1.0
-    b_max: float = 64.0
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -145,14 +144,6 @@ class GaConfig:
             raise ValueError("pop_size must be at least 2")
         if self.max_iters < 0:
             raise ValueError("max_iters must be nonnegative")
-        for name in ("p_mutation", "p_crossover"):
-            p = getattr(self, name)
-            if not 0.0 <= p <= 1.0:
-                raise ValueError(f"{name} must lie in [0, 1]")
-        if not 0.0 < self.b_min <= 1.0:
-            raise ValueError("b_min must lie in (0, 1] so the pinned first gene fits")
-        if not self.b_min < self.b_max < math.inf:  # False for NaN too
-            raise ValueError(f"b_max must be finite and exceed b_min, got {self.b_max!r}")
 
 
 @dataclass
@@ -209,13 +200,13 @@ def _seed_population(cfg: NetworkConfig, ga: GaConfig,
     random vectors.  Seeding the grid profiles means the search starts no
     worse than the best power law."""
     t = cfg.t_levels
-    genes_low, genes_high = math.log(ga.b_min), math.log(ga.b_max)
+    genes_low, genes_high = math.log(B_MIN), math.log(B_MAX)
     population: list[BiasVector] = []
     for beta in POWER_GRID_DEFAULT:
         if len(population) >= ga.pop_size:
             break
         candidate = power_law_bias(beta, t)
-        if all(ga.b_min <= g <= ga.b_max for g in candidate.values[1:]):
+        if all(B_MIN <= g <= B_MAX for g in candidate.values[1:]):
             population.append(candidate)
     while len(population) < ga.pop_size:
         genes = np.exp(rng.uniform(genes_low, genes_high, size=t))
@@ -235,10 +226,10 @@ def _roulette(rng: np.random.Generator, fitness: np.ndarray, n: int) -> np.ndarr
     )
 
 
-def _crossover(rng: np.random.Generator, a: BiasVector, b: BiasVector,
-               p_cross: float) -> tuple[BiasVector, BiasVector]:
+def _crossover(rng: np.random.Generator, a: BiasVector,
+               b: BiasVector) -> tuple[BiasVector, BiasVector]:
     t = len(a) - 1
-    if t < 1 or rng.random() >= p_cross:
+    if t < 1 or rng.random() >= P_CROSSOVER:
         return a, b
     point = int(rng.integers(1, t + 1))
     genes_a, genes_b = list(a.values), list(b.values)
@@ -247,13 +238,13 @@ def _crossover(rng: np.random.Generator, a: BiasVector, b: BiasVector,
     return BiasVector(child1), BiasVector(child2)
 
 
-def _mutate(rng: np.random.Generator, ind: BiasVector, ga: GaConfig) -> BiasVector:
+def _mutate(rng: np.random.Generator, ind: BiasVector) -> BiasVector:
     t = len(ind) - 1
-    if t < 1 or rng.random() >= ga.p_mutation:
+    if t < 1 or rng.random() >= P_MUTATION:
         return ind
     idx = int(rng.integers(1, t + 1))
     genes = list(ind.values)
-    genes[idx] = float(np.exp(rng.uniform(math.log(ga.b_min), math.log(ga.b_max))))
+    genes[idx] = float(np.exp(rng.uniform(math.log(B_MIN), math.log(B_MAX))))
     return BiasVector(tuple(genes))
 
 
@@ -287,12 +278,12 @@ def ga_optimize(evaluator: Evaluator, ga: GaConfig | None = None) -> GaResult:
         for k in range(0, ga.pop_size - 1, 2):
             a = population[parents[k]].bias
             b = population[parents[k + 1]].bias
-            c1, c2 = _crossover(rng, a, b, ga.p_crossover)
-            offspring.append(_mutate(rng, c1, ga))
-            offspring.append(_mutate(rng, c2, ga))
+            c1, c2 = _crossover(rng, a, b)
+            offspring.append(_mutate(rng, c1))
+            offspring.append(_mutate(rng, c2))
         if ga.pop_size % 2:
             lone = population[parents[-1]].bias
-            offspring.append(_mutate(rng, lone, ga))
+            offspring.append(_mutate(rng, lone))
         children = _evaluate_individuals(evaluator, offspring)
         n_evals += len(children)
         pool = population + children

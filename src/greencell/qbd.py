@@ -196,7 +196,7 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
     is (Grassmann, Taksar & Heyman, Oper. Res. 1985).  The head is the null
     vector of Q_0 normalized to sum one, from one solve with the last column
     of Q_0 replaced by ones; the levels above unroll as
-    pi_{k+1} = -pi_k U R_{k+1}, with a scalar nu applied after the product.
+    pi_{k+1} = (pi_k (-U)) R_{k+1}.
     Channel levels are transposed back, so pi is (T+1, N+1) on either axis.
 
     On channel levels the fold stops early.  The count J moves up at some
@@ -237,13 +237,11 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
     if t and p.static_drain == 0.0 and (p.omega == 0.0 or not gen.rho[..., -1].all()):
         raise SolverError("singular block during stationary solve: "
                           "the battery cannot leave level T")
-    by_battery = levels == t + 1
-    if by_battery:
+    if levels == t + 1:
         top = levels - 1
-        swap, up, down = (-1, -1), p.nu, gen.m
+        swap, up, down = (-1, -1), np.full(n, p.nu), gen.m
         sup = np.moveaxis(gen.rho, -1, 0)[..., None]                    # admit a call
         sub = np.broadcast_to(np.arange(1, n) * p.mu, (levels, n - 1))  # complete one
-        fold = -p.nu * gen.m
     else:
         below = poisson_tail(gen.rho.max(axis=-1) / p.mu, p.n_channels) < TAIL_MASS
         below[..., -1] = True
@@ -252,9 +250,7 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
         swap, up, down = (-2, -1), gen.rho, np.arange(levels) * p.mu
         sup = np.full((levels, 1), p.nu)                                # recharge
         sub = gen.m[1:].T                                               # drain
-        fold = -down.reshape((levels,) + (1,) * (len(batch) + 2)) * gen.rho[..., None]
-        lift = -gen.rho[..., None, :]
-    neg_down = -down
+    neg_down, lift = -down, -up[..., None, :]
     ones = np.ones(n)
     unit = np.zeros(batch + (n, 1))
     unit[..., -1, :] = 1.0
@@ -272,7 +268,7 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
                 if k:
                     r[k] = np.minimum(_inverse(q), 0.0)
                     r[k][k > top] = 0.0  # no mass above a chain's top level
-                    q = r[k] * fold[k]
+                    q = r[k] * (up[..., :, None] * neg_down[k])
             q[..., -1] = 1.0
             head = np.swapaxes(q, -1, -2)
             pi = np.zeros(batch + (t + 1, p.n_channels + 1))
@@ -281,12 +277,7 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular block during stationary solve: {exc}") from exc
         for k in range(1, levels):
-            row = lev[..., k - 1, None, :]
-            if by_battery:
-                np.matmul(row, r[k], out=lev[..., k, None, :])
-                lev[..., k, :] *= -p.nu
-            else:
-                np.matmul(row * lift, r[k], out=lev[..., k, None, :])
+            np.matmul(lev[..., k - 1, None, :] * lift, r[k], out=lev[..., k, None, :])
 
     chain_axes = (-2, -1)
     if not np.isfinite(pi).all():

@@ -522,7 +522,7 @@ def _philox(*words: int) -> np.random.Generator:
 
 
 def _window(cfg, r_sim: float | None) -> float:
-    """The package's default disc radius and edge-effect guard, restated."""
+    """The package's disc radius restated, or ``r_sim`` past an edge-effect guard."""
     if r_sim is None:
         r_sim = 15.0 / math.sqrt(math.pi * cfg.lambda_b)
     guard = 10.0 / math.sqrt(math.pi * cfg.lambda_b)

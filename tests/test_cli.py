@@ -184,19 +184,21 @@ class TestErrorPaths:
         assert "numeric failure: arrival rates are not finite" in err
         assert "RuntimeWarning" not in err
 
-    @pytest.mark.parametrize("command, field", [
-        (["optimize", "--pop", "4", "--iters", "1", "--b-max", "nan"], "b_max"),
-        (["optimize", "--pop", "4", "--iters", "1", "--b-max", "inf"], "b_max"),
-        (["validate", "--drops", "10", "--betas", "1", "--r-sim", "nan"], "r_sim"),
-        (["validate", "--drops", "10", "--betas", "1", "--r-sim", "inf"], "r_sim"),
-    ])
-    def test_non_finite_ga_bound_or_window_is_a_config_error(self, cfg_path, tmp_path, capsys,
-                                                             command, field):
-        code = run([command[0], cfg_path, "--out", str(tmp_path / "o"), *command[1:]])
-        assert code == cli.EXIT_CONFIG
-        err = capsys.readouterr().err
-        assert f"config error: {field} must be finite" in err
-        assert "Traceback" not in err
+    @pytest.mark.parametrize("command, flag, value", [
+        (["optimize", "--pop", "4", "--iters", "1"], "--p-mut", "0.5"),
+        (["optimize", "--pop", "4", "--iters", "1"], "--p-cross", "0.5"),
+        (["optimize", "--pop", "4", "--iters", "1"], "--b-min", "0.5"),
+        (["optimize", "--pop", "4", "--iters", "1"], "--b-max", "8"),
+        (["validate", "--drops", "10", "--betas", "1"], "--r-sim", "40"),
+    ], ids=["p-mut", "p-cross", "b-min", "b-max", "r-sim"])
+    def test_ga_and_window_flags_are_gone(self, cfg_path, tmp_path, capsys, command, flag, value):
+        # The GA's rates and bias box are optimizer constants; the MC window is default_window.
+        out = str(tmp_path / "o")
+        with pytest.raises(SystemExit) as exc:
+            run([command[0], cfg_path, "--out", out, *command[1:], flag, value])
+        assert exc.value.code == cli.EXIT_CONFIG
+        assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []  # no CSV, no manifest
 
     @pytest.mark.parametrize("flag, value", [("--eps", "1e-9"), ("--max-sweeps", "2")])
     def test_solver_flags_are_gone(self, cfg_path, tmp_path, capsys, flag, value):
@@ -265,7 +267,8 @@ def _run_on_valid_config(work, raw, argv):
     """Write ``raw`` as the config, run ``argv`` on it serially and return (code, stderr).
 
     Checks what every command owes a config that passes validation: no
-    traceback, no RuntimeWarning, and exit 0 or a typed numeric failure.
+    traceback, no RuntimeWarning, and exit 0 or a typed numeric failure;
+    ``optimize`` may also report that no bias vector met the coverage floor.
     """
     (work / "cfg.json").write_text(json.dumps(raw))
     out, err = io.StringIO(), io.StringIO()
@@ -273,17 +276,22 @@ def _run_on_valid_config(work, raw, argv):
             contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = run_without_runtime_warnings([argv[0], str(work / "cfg.json"), *argv[1:]])
     assert "Traceback" not in err.getvalue()
-    assert code in (cli.EXIT_OK, cli.EXIT_NUMERIC), err.getvalue()
+    allowed = {cli.EXIT_OK, cli.EXIT_NUMERIC}
+    if argv[0] == "optimize":
+        allowed.add(cli.EXIT_INFEASIBLE)
+    assert code in allowed, err.getvalue()
     if code == cli.EXIT_NUMERIC:
         assert err.getvalue().startswith("numeric failure: ")
+    if code == cli.EXIT_INFEASIBLE:
+        assert "no feasible bias vector found" in err.getvalue()
     return code, err.getvalue()
 
 
 def _non_finite_rows(path):
-    """The rows of a CSV with a value other than ``converged`` that is not finite."""
+    """The rows of a CSV with a value other than a flag that is not finite."""
     _, fields, rows = read_csv(path)
-    return [row for row in rows
-            if not all(math.isfinite(float(row[name])) for name in fields if name != "converged")]
+    numbers = [name for name in fields if name not in ("converged", "feasible")]
+    return [row for row in rows if not all(math.isfinite(float(row[name])) for name in numbers)]
 
 
 @settings(max_examples=40)
@@ -329,6 +337,22 @@ def test_validate_on_valid_configs_is_finite_or_typed(tmp_path_factory, raw, dro
     if code == cli.EXIT_OK:
         assert len(read_csv(str(work / "v.csv"))[2]) == 3
         assert _non_finite_rows(str(work / "v.csv")) == []
+
+
+@settings(max_examples=25, deadline=None)
+@given(raw=_VALID_CONFIGS)
+def test_optimize_on_valid_configs_is_finite_or_typed(tmp_path_factory, raw):
+    """Exit 0 with a finite best row, a typed numeric failure, or exit 4 with all
+    three tables written (the absorbed no-users corner ends there)."""
+    work = tmp_path_factory.mktemp("fuzz_optimize")
+    prefix = str(work / "opt")
+    code, _ = _run_on_valid_config(work, raw, ["optimize", "--out", prefix,
+                                               "--pop", "4", "--iters", "1"])
+    if code == cli.EXIT_OK:
+        assert _non_finite_rows(prefix + "_best.csv") == []
+    if code == cli.EXIT_INFEASIBLE:
+        for table in ("_best.csv", "_history.csv", "_comparison.csv"):
+            assert os.path.exists(prefix + table), table
 
 
 class TestAnalyze:

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from greencell.analytics import BiasVector, association_split, average_users
-from greencell.montecarlo import BLOCK, default_window, estimate_success, min_window
+from greencell.montecarlo import BLOCK, default_window, estimate_success
 from oracles import (
     Realization,
     estimate_shares,
@@ -19,7 +19,6 @@ from oracles import (
 
 def test_window_formulas(small_cfg):
     assert default_window(small_cfg) == pytest.approx(15.0 / math.sqrt(math.pi))
-    assert min_window(small_cfg) == pytest.approx(10.0 / math.sqrt(math.pi))
     cfg4 = dataclasses.replace(small_cfg, lambda_b=4.0)
     assert default_window(cfg4) == pytest.approx(default_window(small_cfg) / 2.0)
 
@@ -27,10 +26,7 @@ def test_window_formulas(small_cfg):
 def test_window_guard_raises(small_cfg):
     pi = np.full(4, 0.25)
     with pytest.raises(ValueError):
-        sample_realization(small_cfg, pi, r_sim=0.5 * min_window(small_cfg))
-    with pytest.raises(ValueError):
-        estimate_success(small_cfg, pi, flat_bias(3), np.zeros(4), 10,
-                         r_sim=0.9 * min_window(small_cfg))
+        sample_realization(small_cfg, pi, r_sim=2.8)  # guard 10 / sqrt(pi) = 5.64
 
 
 def test_sample_realization_determinism(small_cfg):

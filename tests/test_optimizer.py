@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -79,11 +80,6 @@ class TestBetaSweep:
     [
         {"pop_size": 1},
         {"max_iters": -1},
-        {"p_mutation": 1.5},
-        {"p_crossover": -0.1},
-        {"b_min": 0.0},
-        {"b_min": 2.0},
-        {"b_max": 0.5},
     ],
 )
 def test_ga_config_validation(kwargs):
@@ -92,11 +88,11 @@ def test_ga_config_validation(kwargs):
 
 
 def test_seed_population_contents(small_cfg):
-    ga = GaConfig(pop_size=12, b_min=1.0, b_max=64.0)
-    pop = _seed_population(small_cfg, ga, stream(0, 0))
+    with mock.patch.object(optimizer, "B_MIN", 1.0), mock.patch.object(optimizer, "B_MAX", 64.0):
+        pop = _seed_population(small_cfg, GaConfig(pop_size=12), stream(0, 0))
     assert len(pop) == 12
     assert all(b.values[0] == 1.0 for b in pop)
-    assert all(ga.b_min <= g <= ga.b_max for b in pop for g in b.values[1:])
+    assert all(1.0 <= g <= 64.0 for b in pop for g in b.values[1:])
     # The flat (nearest-station) profile is part of the seed grid.
     assert any(b.values == (1.0,) * 4 for b in pop)
     # With T = 3 the in-bounds power laws are beta = 0 .. 3 ((T+1)^beta <= 64).
@@ -108,8 +104,8 @@ def test_seed_population_contents(small_cfg):
 
 def test_seed_population_tight_bounds(small_cfg):
     # Bounds that exclude every non-flat power law still fill with randoms.
-    ga = GaConfig(pop_size=5, b_min=1.0, b_max=1.5)
-    pop = _seed_population(small_cfg, ga, stream(3, 0))
+    with mock.patch.object(optimizer, "B_MIN", 1.0), mock.patch.object(optimizer, "B_MAX", 1.5):
+        pop = _seed_population(small_cfg, GaConfig(pop_size=5), stream(3, 0))
     assert len(pop) == 5
     assert all(1.0 <= g <= 1.5 for b in pop for g in b.values[1:])
 
@@ -119,7 +115,8 @@ def test_crossover_preserves_pinned_gene_and_bounds(seed):
     rng = stream(seed, 1)
     a = BiasVector((1.0, 2.0, 3.0, 4.0))
     b = BiasVector((1.0, 20.0, 30.0, 40.0))
-    c1, c2 = _crossover(rng, a, b, p_cross=1.0)
+    with mock.patch.object(optimizer, "P_CROSSOVER", 1.0):
+        c1, c2 = _crossover(rng, a, b)
     assert c1.values[0] == 1.0 and c2.values[0] == 1.0
     # Children are prefix/suffix splices of the parents at one point.
     joined = sorted(c1.values[1:] + c2.values[1:])
@@ -129,8 +126,9 @@ def test_crossover_preserves_pinned_gene_and_bounds(seed):
 @given(seed=st.integers(0, 1000))
 def test_mutation_respects_bounds(seed):
     rng = stream(seed, 2)
-    ga = GaConfig(b_min=0.5, b_max=8.0, p_mutation=1.0)
-    out = _mutate(rng, BiasVector((1.0, 2.0, 2.0, 2.0)), ga)
+    with mock.patch.object(optimizer, "B_MIN", 0.5), mock.patch.object(optimizer, "B_MAX", 8.0), \
+            mock.patch.object(optimizer, "P_MUTATION", 1.0):
+        out = _mutate(rng, BiasVector((1.0, 2.0, 2.0, 2.0)))
     assert out.values[0] == 1.0
     assert all(0.5 <= g <= 8.0 for g in out.values[1:])
     # Exactly one gene changed.
@@ -141,7 +139,8 @@ def test_crossover_noop_without_draw():
     rng = stream(0, 5)
     a = BiasVector((1.0, 2.0))
     b = BiasVector((1.0, 3.0))
-    c1, c2 = _crossover(rng, a, b, p_cross=0.0)
+    with mock.patch.object(optimizer, "P_CROSSOVER", 0.0):
+        c1, c2 = _crossover(rng, a, b)
     assert (c1, c2) == (a, b)
 
 
