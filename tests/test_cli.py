@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from greencell import cli, fixedpoint, optimizer
 from greencell.config import config_hash, load_config
+from greencell.montecarlo import default_window
 from greencell.numerics import NumericError
 from greencell.qbd import SolverError
 
@@ -184,21 +185,38 @@ class TestErrorPaths:
         assert "numeric failure: arrival rates are not finite" in err
         assert "RuntimeWarning" not in err
 
-    @pytest.mark.parametrize("command, flag, value", [
-        (["optimize", "--pop", "4", "--iters", "1"], "--p-mut", "0.5"),
-        (["optimize", "--pop", "4", "--iters", "1"], "--p-cross", "0.5"),
-        (["optimize", "--pop", "4", "--iters", "1"], "--b-min", "0.5"),
-        (["optimize", "--pop", "4", "--iters", "1"], "--b-max", "8"),
-        (["validate", "--drops", "10", "--betas", "1"], "--r-sim", "40"),
-    ], ids=["p-mut", "p-cross", "b-min", "b-max", "r-sim"])
-    def test_ga_and_window_flags_are_gone(self, cfg_path, tmp_path, capsys, command, flag, value):
-        # The GA's rates and bias box are optimizer constants; the MC window is default_window.
+    @pytest.mark.parametrize("flag, value", [
+        ("--p-mut", "0.5"), ("--p-cross", "0.5"), ("--b-min", "0.5"),
+    ], ids=["p-mut", "p-cross", "b-min"])
+    def test_ga_and_window_flags_are_gone(self, cfg_path, tmp_path, capsys, flag, value):
+        # The GA's rates and bias box are optimizer constants.
         out = str(tmp_path / "o")
         with pytest.raises(SystemExit) as exc:
-            run([command[0], cfg_path, "--out", out, *command[1:], flag, value])
+            run(["optimize", cfg_path, "--out", out, "--pop", "4", "--iters", "1", flag, value])
         assert exc.value.code == cli.EXIT_CONFIG
         assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []  # no CSV, no manifest
+
+    @pytest.mark.parametrize("command, field", [
+        (["optimize", "--pop", "4", "--iters", "1", "--b-max", "nan"], "b_max"),
+        (["optimize", "--pop", "4", "--iters", "1", "--b-max", "inf"], "b_max"),
+        (["validate", "--drops", "10", "--betas", "1", "--r-sim", "nan"], "r_sim"),
+        (["validate", "--drops", "10", "--betas", "1", "--r-sim", "inf"], "r_sim"),
+    ])
+    def test_non_finite_ga_bound_or_window_is_a_config_error(self, cfg_path, tmp_path, capsys,
+                                                             command, field):
+        # The bound and the window are no longer flags: argparse refuses them with
+        # the config exit code before anything is written, and the fixed values are finite.
+        out = str(tmp_path / "o")
+        with pytest.raises(SystemExit) as exc:
+            run([command[0], cfg_path, "--out", out, *command[1:]])
+        assert exc.value.code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"unrecognized arguments: {' '.join(command[-2:])}" in err
+        assert "Traceback" not in err
+        assert list(tmp_path.iterdir()) == []  # no CSV, no manifest
+        fixed = optimizer.B_MAX if field == "b_max" else default_window(load_config(cfg_path))
+        assert math.isfinite(fixed)
 
     @pytest.mark.parametrize("flag, value", [("--eps", "1e-9"), ("--max-sweeps", "2")])
     def test_solver_flags_are_gone(self, cfg_path, tmp_path, capsys, flag, value):
