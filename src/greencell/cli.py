@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
 import json
 import math
 import os
@@ -122,7 +123,7 @@ def cmd_analyze(args, cfg: NetworkConfig) -> tuple[dict, int]:
 
 def _sweep_task(task) -> list[SweepPoint]:
     cfg, betas, nu = task
-    return beta_sweep(cfg, betas, [nu])
+    return beta_sweep(cfg if nu == cfg.nu else dataclasses.replace(cfg, nu=nu), betas)
 
 
 def cmd_sweep(args, cfg: NetworkConfig) -> tuple[dict, int]:
@@ -214,7 +215,7 @@ def cmd_optimize(args, cfg: NetworkConfig) -> tuple[dict, int]:
     tables = {args.out + "_best.csv": [best_row],
               args.out + "_history.csv": hist_rows,
               args.out + "_comparison.csv": comp_rows}
-    if not result.feasible_found:
+    if not best.feasible:
         print("no feasible bias vector found", file=sys.stderr)
         return tables, EXIT_INFEASIBLE
     return tables, EXIT_OK

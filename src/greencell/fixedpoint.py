@@ -140,7 +140,9 @@ def _chain_images(cfg, params, weights, loads) -> list[qbd.SteadyState | Numeric
     Stacked solves of at most ``CHAIN_ELEMENTS`` block entries each, levels
     times states per level squared per chain (:func:`qbd.fold_shape`); if one
     raises, its items are solved one at a time, so only the failing items
-    fail, each with the error it gives on its own.
+    fail, each with the error it gives on its own.  With zero arrivals the
+    channel fold stops at count 1, so an absorbed item keeps 2 (T+1)^2
+    entries, above that estimate if 2 (T+1) > (N+1)^2: 8 MB for 50 items at T = 100, N = 1.
     """
     levels, block = qbd.fold_shape(params)
     group = max(1, CHAIN_ELEMENTS // (levels * block ** 2))

@@ -16,7 +16,6 @@ by an infeasible one regardless of penalty magnitude.
 
 from __future__ import annotations
 
-import dataclasses
 import math
 from dataclasses import dataclass
 
@@ -111,25 +110,21 @@ class SweepPoint:
     error: str | None = None
 
 
-def beta_sweep(cfg: NetworkConfig, betas, nus=None) -> list[SweepPoint]:
-    """Grid evaluation over bias exponents and recharge rates.
+def beta_sweep(cfg: NetworkConfig, betas) -> list[SweepPoint]:
+    """Power-law biases of exponents ``betas`` at the config's recharge rate, solved together.
 
     Solver failures at a grid point are captured in the point instead of
-    aborting the sweep.  The betas of one recharge rate are solved together.
+    aborting the sweep.
     """
-    if nus is None:
-        nus = (cfg.nu,)
-    points = []
-    for nu in nus:
-        cfg_nu = cfg if nu == cfg.nu else dataclasses.replace(cfg, nu=float(nu))
-        biases = [power_law_bias(float(beta), cfg.t_levels) for beta in betas]
-        for beta, outcome in zip(betas, Evaluator(cfg_nu).many(biases)):
-            if isinstance(outcome, Exception):
-                points.append(SweepPoint(float(beta), float(nu), None, False, error=str(outcome)))
-            else:
-                metrics, fp = outcome
-                points.append(SweepPoint(float(beta), float(nu), metrics, fp.converged,
-                                         fp.iterations, fp.residual))
+    nu, points = float(cfg.nu), []
+    biases = [power_law_bias(float(beta), cfg.t_levels) for beta in betas]
+    for beta, outcome in zip(betas, Evaluator(cfg).many(biases)):
+        if isinstance(outcome, Exception):
+            points.append(SweepPoint(float(beta), nu, None, False, error=str(outcome)))
+        else:
+            metrics, fp = outcome
+            points.append(SweepPoint(float(beta), nu, metrics, fp.converged,
+                                     fp.iterations, fp.residual))
     return points
 
 
@@ -152,7 +147,6 @@ class Individual:
     fitness: float
     feasible: bool
     metrics: NetworkMetrics | None
-    converged: bool
 
 
 @dataclass
@@ -168,7 +162,6 @@ class GenerationStats:
 class GaResult:
     best: Individual
     history: list[GenerationStats]
-    feasible_found: bool
     n_evaluations: int
 
 
@@ -178,15 +171,15 @@ def _feasible(cfg: NetworkConfig, metrics: NetworkMetrics, fp: FixedPointResult)
 
 def _individual(cfg: NetworkConfig, bias: BiasVector, outcome: Outcome) -> Individual:
     if isinstance(outcome, Exception):
-        return Individual(bias, -PENALTY, False, None, False)
+        return Individual(bias, -PENALTY, False, None)
     metrics, fp = outcome
     eta = min(metrics.eta_ce, ETA_CAP)
     if _feasible(cfg, metrics, fp):
-        return Individual(bias, eta, True, metrics, True)
+        return Individual(bias, eta, True, metrics)
     gap = max(cfg.p_req - metrics.p_succ, 0.0)
     if not fp.converged:
         gap = max(gap, 1.0)
-    return Individual(bias, eta - PENALTY * gap, False, metrics, fp.converged)
+    return Individual(bias, eta - PENALTY * gap, False, metrics)
 
 
 def _evaluate_individuals(evaluator: Evaluator, biases: list[BiasVector]) -> list[Individual]:
@@ -291,13 +284,7 @@ def ga_optimize(evaluator: Evaluator, ga: GaConfig | None = None) -> GaResult:
         population = pool[: ga.pop_size]
         history.append(_stats(gen, population))
 
-    best = population[0]
-    return GaResult(
-        best=best,
-        history=history,
-        feasible_found=best.feasible,
-        n_evaluations=n_evals,
-    )
+    return GaResult(best=population[0], history=history, n_evaluations=n_evals)
 
 
 def _stats(generation: int, population: list[Individual]) -> GenerationStats:

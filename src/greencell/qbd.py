@@ -212,8 +212,9 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
     inflow, at most TAIL_MASS max rho.
 
     A chain whose battery can never leave level T (T > 0, no static drain,
-    and no call that drains it there: omega = 0 or rho_T = 0) is absorbed
-    at level T; it raises before the fold, on either axis.
+    and omega = 0 or rho_T = 0) is absorbed there.  A stack of only such
+    chains folds on channel counts, whose head level j = 0 holds the
+    absorbing state (T, 0); a mixed stack raises on battery levels.
 
     A stacked generator runs the recursion once for the whole stack: the
     inverses, the solve and the products broadcast over the batch axis and
@@ -234,15 +235,14 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
     t = p.t_levels
     levels, n = fold_shape(p)
     batch = gen.rho.shape[:-1]
-    if t and p.static_drain == 0.0 and (p.omega == 0.0 or not gen.rho[..., -1].all()):
-        raise SolverError("singular block during stationary solve: "
-                          "the battery cannot leave level T")
-    if levels == t + 1:
+    absorbed = t and p.static_drain == 0.0 and (p.omega == 0.0 or not gen.rho[..., -1].any())
+    if levels == t + 1 and not absorbed:
         top = levels - 1
         swap, up, down = (-1, -1), np.full(n, p.nu), gen.m
         sup = np.moveaxis(gen.rho, -1, 0)[..., None]                    # admit a call
         sub = np.broadcast_to(np.arange(1, n) * p.mu, (levels, n - 1))  # complete one
     else:
+        n = t + 1
         below = poisson_tail(gen.rho.max(axis=-1) / p.mu, p.n_channels) < TAIL_MASS
         below[..., -1] = True
         top = below.argmax(axis=-1)  # each chain's top level

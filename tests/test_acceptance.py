@@ -306,7 +306,7 @@ def test_criterion_8_ga_against_grid(baseline_cfg, comparison):
     )
 
     passed = (
-        ga_res.feasible_found
+        ga_res.best.feasible
         and best.metrics is not None
         and best.metrics.p_succ > 0.95
         and best.fitness >= grid_best - 1e-9

@@ -308,7 +308,7 @@ def _run_on_valid_config(work, raw, argv):
 def _non_finite_rows(path):
     """The rows of a CSV with a value other than a flag that is not finite."""
     _, fields, rows = read_csv(path)
-    numbers = [name for name in fields if name not in ("converged", "feasible")]
+    numbers = [name for name in fields if name not in ("converged", "feasible", "best_feasible")]
     return [row for row in rows if not all(math.isfinite(float(row[name])) for name in numbers)]
 
 
@@ -361,7 +361,7 @@ def test_validate_on_valid_configs_is_finite_or_typed(tmp_path_factory, raw, dro
 @given(raw=_VALID_CONFIGS)
 def test_optimize_on_valid_configs_is_finite_or_typed(tmp_path_factory, raw):
     """Exit 0 with a finite best row, a typed numeric failure, or exit 4 with all
-    three tables written (the absorbed no-users corner ends there)."""
+    three tables written."""
     work = tmp_path_factory.mktemp("fuzz_optimize")
     prefix = str(work / "opt")
     code, _ = _run_on_valid_config(work, raw, ["optimize", "--out", prefix,
@@ -371,6 +371,33 @@ def test_optimize_on_valid_configs_is_finite_or_typed(tmp_path_factory, raw):
     if code == cli.EXIT_INFEASIBLE:
         for table in ("_best.csv", "_history.csv", "_comparison.csv"):
             assert os.path.exists(prefix + table), table
+
+
+def test_absorbed_corner_runs_every_command(tmp_path, capsys):
+    """No users and no static drain: the battery is held full, at (T, 0).
+
+    Every command exits 0 with finite rows, except the comparison's shares
+    and deltas, which are NaN as for every config without users."""
+    path = baseline_with(tmp_path, lambda_u1=0.0, lambda_u2=0.0, static_drain_override=0.0)
+    for beta in ("0", "1", "3"):
+        out = str(tmp_path / f"point_{beta}.csv")
+        assert run_without_runtime_warnings(["analyze", path, "--out", out, "--beta", beta]) == cli.EXIT_OK
+        assert _non_finite_rows(out) == []
+        (row,) = read_csv(out)[2]
+        assert [float(row[name]) for name in ("pi_10", "iterations", "residual", "e_tot", "eta_ce")] == [
+            1.0, 1.0, 0.0, 0.0, 0.0]
+    prefix = str(tmp_path / "run")
+    for argv in (["sweep", "--out", prefix + "_sweep.csv"],
+                 ["validate", "--out", prefix + "_validate.csv", "--drops", "500"],
+                 ["optimize", "--out", prefix, "--pop", "4", "--iters", "1"]):
+        assert run_without_runtime_warnings([argv[0], path, *argv[1:]]) == cli.EXIT_OK
+    for table in ("_sweep.csv", "_validate.csv", "_best.csv", "_history.csv"):
+        assert _non_finite_rows(prefix + table) == [], table
+    _, fields, rows = read_csv(prefix + "_comparison.csv")
+    blank = [name for name in fields if name.startswith(("share_", "delta_"))]
+    assert all(math.isnan(float(row[name])) for row in rows for name in blank)
+    assert all(math.isfinite(float(row[name])) for row in rows for name in fields
+               if name not in (*blank, "scheme", "feasible", "converged"))
 
 
 class TestAnalyze:

@@ -379,16 +379,17 @@ def test_start_lies_in_the_bracket(baseline_cfg, overrides, monkeypatch):
 def test_no_users_no_drain_starts_at_the_full_battery(baseline_cfg, monkeypatch):
     """With nothing to drain the battery, the start is the point mass at level T.
 
-    The chain itself is then absorbed at (T, 0), and its solve still fails typed.
+    The chain itself is then absorbed at (T, 0), so the solve converges at its start.
     """
     cfg = dataclasses.replace(baseline_cfg, lambda_u1=0.0, lambda_u2=0.0, static_drain_override=0.0)
     law = fixedpoint._battery_law(cfg)
     np.testing.assert_array_equal(law, np.eye(cfg.t_levels + 1)[-1])
     loads = _record_loads(monkeypatch)
     bias = power_law_bias(1.0, cfg.t_levels)
-    with pytest.raises(SolverError, match="singular block during stationary solve"):
-        solve(cfg, bias)
+    res = solve(cfg, bias)
     assert loads == [[bias_weights(bias, cfg)[-1]]]
+    assert res.converged and res.iterations == 1
+    np.testing.assert_array_equal(res.level_marginals, law)
 
 
 def test_overflowing_arrivals_start_at_the_mean_weight(baseline_cfg, monkeypatch):

@@ -254,15 +254,25 @@ def test_blocked_inverse_matches_lapack(n):
         np.testing.assert_allclose(_inverse(q), ref, rtol=1e-13, atol=0)
 
 
+def _held_at_level_t(rho_top, t_levels, n_channels):
+    """Law of a chain absorbed at level T, mu = 1: Erlang's law of load rho_T there."""
+    pi = np.zeros((t_levels + 1, n_channels + 1))
+    pi[-1] = [rho_top ** j / math.factorial(j) for j in range(n_channels + 1)]
+    return pi / pi.sum()
+
+
 def test_singular_large_block_is_typed():
     # No downward moves: every level block has zero row sums.
     with pytest.raises(np.linalg.LinAlgError):
         _inverse(np.zeros((101, 101)))
+    # Nor does this battery move down (omega = 0, no static drain): the chain
+    # is held at level T, where its 100 channels carry the Erlang(3) law.
     gen = build_generator(ChainParams(100, 2, 1.0, 0.0, 1.0, 0.0), [3.0, 3.0, 3.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(SolverError):
-            solve_steady_state(gen)
+        ss = solve_steady_state(gen)
+    np.testing.assert_allclose(ss.pi, _held_at_level_t(3.0, 2, 100), rtol=0, atol=1e-15)
+    assert ss.residual <= RESIDUAL_TOL
 
 
 def test_large_block_chain_matches_gth_oracle():
@@ -371,16 +381,29 @@ def test_channel_fold_stops_where_the_tail_bound_allows(monkeypatch, n_channels,
 @pytest.mark.parametrize("omega, rho_top", [(0.0, 3.0), (2.0, 0.0)])
 def test_battery_held_at_level_t_is_typed_on_both_axes(monkeypatch, axis, omega, rho_top):
     # No static drain, and no call drains the full battery: the chain is
-    # absorbed at level T.  Either fold raises before it starts.
+    # absorbed at level T.  Alone it solves on either forced axis, to the
+    # point mass at (T, 0) if rho_T = 0, else to Erlang's law at level T.
+    # Stacked with a chain whose battery drains (omega > 0), it raises on
+    # battery levels; every other stack matches its lone solves bit for bit.
     monkeypatch.setattr(qbd, "SPLIT_ABOVE", _AXES[axis])
-    gen = build_generator(ChainParams(6, 3, 1.0, omega, 2.0, 0.0), [[3.0, 3.0, 3.0, 3.0],
-                                                                    [3.0, 3.0, 3.0, rho_top]])
+    params = ChainParams(6, 3, 1.0, omega, 2.0, 0.0)
+    rho = [[3.0, 3.0, 3.0, 3.0], [3.0, 3.0, 3.0, rho_top]]
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(SolverError, match="singular block during stationary solve"):
-            solve_steady_state(gen)
+        held = solve_steady_state(build_generator(params, rho[1]))
+        stack = build_generator(params, rho)
+        if omega and axis == "battery":
+            with pytest.raises(SolverError, match="singular block during stationary solve"):
+                solve_steady_state(stack)
+        else:
+            stacked = solve_steady_state(stack)
+            for k, row in enumerate(rho):
+                np.testing.assert_array_equal(
+                    stacked.pi[k], solve_steady_state(build_generator(params, row)).pi)
         # A call at level T drains it, so the same rates with omega > 0 solve.
         ss = solve_steady_state(build_generator(ChainParams(6, 3, 1.0, 2.0, 2.0, 0.0), [3.0] * 4))
+    np.testing.assert_allclose(held.pi, _held_at_level_t(rho_top, 3, 6), rtol=0, atol=1e-15)
+    assert held.residual <= RESIDUAL_TOL
     assert ss.residual <= RESIDUAL_TOL
 
 
