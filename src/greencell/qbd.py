@@ -178,6 +178,13 @@ def poisson_tail(a, n: int) -> np.ndarray:
     return np.where(np.arange(pmf.shape[-1]) <= a, lower, upper)[..., :n + 1]
 
 
+def channel_top(p: ChainParams, rho) -> np.ndarray:
+    """Per chain, the first count whose M/M/inf tail at load max rho / mu is below TAIL_MASS, or N."""
+    below = poisson_tail(np.max(rho, axis=-1) / p.mu, p.n_channels) < TAIL_MASS
+    below[..., -1] = True
+    return below.argmax(axis=-1)
+
+
 def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
     """Stationary solve by backward block recursion, one inverse per level.
 
@@ -203,7 +210,8 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
     rho_i <= max rho and down at j mu, whatever the battery does, so an
     M/M/inf queue of load a = max rho / mu dominates it:
     P(J >= c) <= P(Poisson(a) >= c) (:func:`poisson_tail`).  Each chain's top
-    level is the first count whose tail is below TAIL_MASS, or N.  Its R is
+    level is the first count whose tail is below TAIL_MASS, or N
+    (:func:`channel_top`).  Its R is
     zero above that level, so its fold starts there from Q = 0, its states
     at higher counts are zero in pi and in the slope, and a stacked chain
     does the arithmetic of its lone solve.  This solves the chain with
@@ -243,9 +251,7 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
         sub = np.broadcast_to(np.arange(1, n) * p.mu, (levels, n - 1))  # complete one
     else:
         n = t + 1
-        below = poisson_tail(gen.rho.max(axis=-1) / p.mu, p.n_channels) < TAIL_MASS
-        below[..., -1] = True
-        top = below.argmax(axis=-1)  # each chain's top level
+        top = channel_top(p, gen.rho)
         levels = int(top.max()) + 1
         swap, up, down = (-2, -1), gen.rho, np.arange(levels) * p.mu
         sup = np.full((levels, 1), p.nu)                                # recharge

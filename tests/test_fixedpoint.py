@@ -250,6 +250,45 @@ def test_wide_cell_chains_stack(baseline_cfg, monkeypatch):
     assert max(stacks) * levels * block**2 <= CHAIN_ELEMENTS
 
 
+def test_wide_cell_stacks_are_sized_by_kept_levels(baseline_cfg, monkeypatch):
+    """At N = 200 the channel folds stop at counts 48-65, so a stack keeps at
+    most 66 of 201 levels: 16 chains fit a call, and each lockstep step of the
+    9-beta sweep is one call.  Sizing by all 201 levels took 6 calls."""
+    cfg = dataclasses.replace(baseline_cfg, n_channels=200)
+    levels, block = qbd.fold_shape(qbd.ChainParams.from_config(cfg))
+    assert (levels, block) == (201, 11) and CHAIN_ELEMENTS // (levels * block**2) == 5
+    stacks = _count_chains(monkeypatch)
+    biases = [power_law_bias(beta, cfg.t_levels) for beta in np.arange(0.0, 4.01, 0.5)]
+    results = solve_batch(cfg, biases)
+    assert stacks == [9, 8, 7]
+    assert [r.iterations for r in results] == [1, 3, 2, 3, 3, 3, 3, 3, 3]
+    tops = [np.flatnonzero(r.chain_state.pi.any(axis=0))[-1] for r in results]
+    assert min(tops) == 48 and max(tops) == 65
+    assert CHAIN_ELEMENTS // ((max(tops) + 1) * block**2) == 16
+    for bias, got in zip(biases, results):
+        _assert_same_point(cfg, bias, got, solve(cfg, bias))
+
+
+def test_wide_cell_failing_item_fails_alone(baseline_cfg, monkeypatch):
+    """A call on channel levels that raises is solved item by item, as on battery levels."""
+    cfg = dataclasses.replace(baseline_cfg, n_channels=200)
+    failing = power_law_bias(2.0, cfg.t_levels)
+    shape = bias_weights(failing, cfg) / bias_weights(failing, cfg)[0]
+    real = qbd.solve_steady_state
+
+    def raising(gen, drho=None):
+        if any(np.allclose(rho / rho[0], shape) for rho in np.atleast_2d(gen.rho)):
+            raise SolverError("stationary solve overflowed the float range")
+        return real(gen, drho=drho)
+
+    monkeypatch.setattr(qbd, "solve_steady_state", raising)
+    biases = [power_law_bias(beta, cfg.t_levels) for beta in (0.0, 1.0, 2.0, 3.0)]
+    results = solve_batch(cfg, biases)
+    assert type(results[2]) is SolverError
+    for k in (0, 1, 3):
+        _assert_same_point(cfg, biases[k], results[k], solve(cfg, biases[k]))
+
+
 def test_wide_cell_batch_matches_batch_of_one(baseline_cfg):
     """Stacked wide-cell chains stop their channel folds at different counts, and
     each item still gets the point it gets alone."""

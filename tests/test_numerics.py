@@ -1,10 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
-from greencell import numerics
+from greencell import analytics, numerics
 from greencell.analytics import interference_factor
 from greencell.numerics import (
     NumericError,
@@ -35,6 +36,32 @@ def arctan_form(y):
 @pytest.mark.parametrize("y", [1e-12, 1e-6, 0.3, 0.5, 0.9, 1.0, 7.0, 1e3, 1e8, 6.4e13])
 def test_hyp_matches_arctan_reduction(y):
     assert hyp_one_one_neg(4.0, y) == pytest.approx(arctan_form(y), rel=5e-15)
+
+
+# alpha = 4 takes the closed form; it must agree with the series oracle over
+# the whole float range of y, the subnormals included, and raise no warning.
+def test_hyp_closed_form_matches_series_oracle_over_float_range():
+    ys = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-12, 1e300, 4001)])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with np.errstate(all="raise"):
+            got = hyp_one_one_neg(4.0, ys)
+    assert got[0] == 1.0
+    np.testing.assert_allclose(got, hyp_from_series(4.0, ys), rtol=1e-15, atol=0)
+
+
+# The branch is taken at alpha == 4 exactly; its neighbours take the series,
+# so the interference weight must not jump there: at the rate rule's 132
+# thresholds and the baseline's tau = 0.1, over the bias ratios of power laws
+# of exponent up to 4 on 11 levels (11^4 = 14641).
+@pytest.mark.parametrize("step", [-4e-12, 4e-12])
+def test_interference_factor_continuous_across_closed_form(step):
+    taus = np.append(2.0**analytics._RATE_NODES - 1.0, 0.1)[:, None]
+    ratios = np.geomspace(1.0 / 14641.0, 14641.0, 161)[None, :]
+    at_four = interference_factor(taus, 4.0, ratios)
+    near = interference_factor(taus, 4.0 + step, ratios)
+    assert taus.size == 133
+    np.testing.assert_allclose(near, at_four, rtol=1e-9, atol=0)
 
 
 def test_hyp_at_zero_and_array_input():
