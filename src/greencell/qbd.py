@@ -112,14 +112,16 @@ class SteadyState:
     pi has shape (T+1, N+1) and sums to one; level_marginals is the battery
     marginal; residual is the max-norm of pi @ A over the flattened states;
     marginal_slope, if asked for, is the derivative of level_marginals along
-    a direction of the arrival rates.  A stacked generator gives a leading
-    batch axis on all of them, with ``residual`` an array.
+    a path of the arrival rates, and marginal_curvature its second
+    derivative.  A stacked generator gives a leading batch axis on all of
+    them, with ``residual`` an array.
     """
 
     pi: np.ndarray
     level_marginals: np.ndarray
     residual: float | np.ndarray
     marginal_slope: np.ndarray | None = None
+    marginal_curvature: np.ndarray | None = None
 
 
 def _inverse(q: np.ndarray) -> np.ndarray:
@@ -185,7 +187,7 @@ def channel_top(p: ChainParams, rho) -> np.ndarray:
     return below.argmax(axis=-1)
 
 
-def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
+def solve_steady_state(gen: QbdGenerator, drho=None, ddrho=None) -> SteadyState:
     """Stationary solve by backward block recursion, one inverse per level.
 
     The levels are those of :func:`fold_shape`, battery levels (couplings
@@ -235,9 +237,14 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
     x A = b = -pi A' with sum(x) = 0, by the same recursion through the
     inverses already held: c_K = b_K and c_k = b_k - (c_{k+1} R_{k+1}) W_{k+1}
     down, the head solve with sum(x_0) = 0, x_k = (c_k - x_{k-1} U) R_k up,
-    then the multiple of pi that zeroes the sum is taken out.  Where the level masses span many
+    then the multiple of pi that zeroes the sum is taken out
+    (:func:`_solve_through`).  Where the level masses span many
     decades, the rounding of that multiple alone exceeds SLOPE_RTOL of the
-    slope, and the chain's slope is NaN.
+    slope, and the chain's slope is NaN.  With ``ddrho`` as well, the second
+    derivative of the rates along the path, the state also carries the
+    marginals' second derivative: with x' that slope of pi, x2 solves
+    x2 A = -2 x' A' - pi A'' with sum(x2) = 0, one more pass through the same
+    inverses.  It is NaN wherever the slope is.
     """
     p = gen.params
     t = p.t_levels
@@ -272,9 +279,10 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
                 flat[..., ::n + 1] = 0.0
                 np.subtract(neg_down[k], q @ ones, out=flat[..., ::n + 1])
                 if k:
-                    r[k] = np.minimum(_inverse(q), 0.0)
+                    r[k] = _inverse(q)
+                    np.minimum(r[k], 0.0, out=r[k])
                     r[k][k > top] = 0.0  # no mass above a chain's top level
-                    q = r[k] * (up[..., :, None] * neg_down[k])
+                    np.multiply(r[k], up[..., :, None] * neg_down[k], out=q)
             q[..., -1] = 1.0
             head = np.swapaxes(q, -1, -2)
             pi = np.zeros(batch + (t + 1, p.n_channels + 1))
@@ -282,8 +290,10 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
             lev[..., 0, :] = np.linalg.solve(head, unit)[..., 0]
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular block during stationary solve: {exc}") from exc
+        row = np.empty(batch + (1, n))
         for k in range(1, levels):
-            np.matmul(lev[..., k - 1, None, :] * lift, r[k], out=lev[..., k, None, :])
+            np.multiply(lev[..., k - 1, None, :], lift, out=row)
+            np.matmul(row, r[k], out=lev[..., k, None, :])
 
     chain_axes = (-2, -1)
     if not np.isfinite(pi).all():
@@ -297,25 +307,46 @@ def solve_steady_state(gen: QbdGenerator, drho=None) -> SteadyState:
     worst = residual.max()
     if not np.isfinite(worst) or worst > RESIDUAL_TOL:
         raise SolverError(f"stationary residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
-    marginals, slope = pi.sum(axis=-1), None
+    marginals, slope, curvature = pi.sum(axis=-1), None, None
     if drho is not None:
         with np.errstate(all="ignore"):  # a slope lost to rounding is flagged below
-            c = np.diff(pi[..., :-1] * np.asarray(drho, dtype=float)[..., None],
-                        axis=-1, prepend=0.0, append=0.0)
-            x = np.zeros_like(pi)
-            c, x_lev = np.swapaxes(c, *swap), np.swapaxes(x, *swap)
-            for k in range(levels - 2, -1, -1):
-                c[..., k, :] -= (c[..., k + 1, None, :] @ r[k + 1])[..., 0, :] * down[k + 1]
-            c[..., 0, -1] = 0.0
-            x_lev[..., 0, :] = np.linalg.solve(head, c[..., 0, :, None])[..., 0]
-            for k in range(1, levels):
-                np.matmul((c[..., k, :] - up * x_lev[..., k - 1, :])[..., None, :], r[k],
-                          out=x_lev[..., k, None, :])
+            drho = np.asarray(drho, dtype=float)[..., None]
+            x = _solve_through(pi * drho, swap, r, head, up, down, row)
             shift = x.sum(axis=chain_axes)
             slope = x.sum(axis=-1) - shift[..., None] * marginals
-            slope[np.abs(shift) * np.finfo(float).eps > SLOPE_RTOL * np.abs(slope).max(axis=-1)] = np.nan
-    return SteadyState(pi=pi, level_marginals=marginals,
-                       residual=residual if batch else float(residual), marginal_slope=slope)
+            lost = np.abs(shift) * np.finfo(float).eps > SLOPE_RTOL * np.abs(slope).max(axis=-1)
+            slope[lost] = np.nan
+            if ddrho is not None:
+                x -= shift[..., None, None] * pi  # the slope of pi itself
+                x = _solve_through(2.0 * x * drho + pi * np.asarray(ddrho, dtype=float)[..., None],
+                                   swap, r, head, up, down, row)
+                curvature = x.sum(axis=-1) - x.sum(axis=chain_axes)[..., None] * marginals
+                curvature[lost] = np.nan
+    return SteadyState(pi=pi, level_marginals=marginals, residual=residual if batch else float(residual),
+                       marginal_slope=slope, marginal_curvature=curvature)
+
+
+def _solve_through(v, swap, r, head, up, down, row) -> np.ndarray:
+    """x A = b with sum(x_0) = 0 by the recursion of :func:`solve_steady_state`, through the held ``r``.
+
+    b_ij = v_ij [j < N] - v_i,j-1, so b = -pi A' for v = pi drho; b and x
+    are (..., T+1, N+1), read by fold level through ``swap``, and ``row``
+    is scratch space for one level.
+    """
+    b = np.diff(v[..., :-1], axis=-1, prepend=0.0, append=0.0)
+    x = np.zeros_like(b)
+    c, x_lev = np.swapaxes(b, *swap), np.swapaxes(x, *swap)
+    for k in range(len(r) - 2, -1, -1):
+        np.matmul(c[..., k + 1, None, :], r[k + 1], out=row)
+        row *= down[k + 1]
+        c[..., k, :] -= row[..., 0, :]
+    c[..., 0, -1] = 0.0
+    x_lev[..., 0, :] = np.linalg.solve(head, c[..., 0, :, None])[..., 0]
+    for k in range(1, len(r)):
+        np.multiply(up, x_lev[..., k - 1, :], out=row[..., 0, :])
+        np.subtract(c[..., k, :], row[..., 0, :], out=row[..., 0, :])
+        np.matmul(row, r[k], out=x_lev[..., k, None, :])
+    return x
 
 
 def stationary_residual(gen: QbdGenerator, pi: np.ndarray) -> np.ndarray:

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,12 +9,14 @@ from hypothesis import given, settings, strategies as st
 
 from greencell import fixedpoint, qbd
 from greencell.analytics import BiasVector, average_users, bias_weights, compute_metrics, users_at_load
+from greencell.config import config_from_dict
 from greencell.fixedpoint import CHAIN_ELEMENTS, EPS, MAX_CHAIN_SOLVES, _next_load, solve, solve_batch
 from greencell.numerics import NumericError
 from greencell.optimizer import power_law_bias
 from greencell.qbd import SolverError
 
 from oracles import erlang_b, flat_bias, picard_fixed_point
+from test_cli import _VALID_CONFIGS
 
 
 def test_baseline_beta_one_converges(baseline_cfg):
@@ -115,9 +118,22 @@ def test_mixed_step_falls_back_to_plain_step():
     assert _next_load(2.0, 5.0, 0.1, None, [1.0, 5.0]) == 3.0
 
 
+def test_halley_point_comes_before_newton():
+    # Slope -0.5 and curvature 0.5: Halley's denominator -0.5 + 0.25, so the point 4.
+    assert _next_load(2.0, 0.5, -0.5, None, [1.0, 5.0], 0.5) == 4.0
+    # A Halley point outside the bracket, a NaN or a zero denominator: the Newton point.
+    assert _next_load(2.0, 0.5, -0.5, None, [1.0, 4.0], 0.5) == 3.0
+    assert _next_load(2.0, 0.5, -0.5, None, [1.0, 5.0], math.nan) == 3.0
+    assert _next_load(2.0, 0.5, -0.5, None, [1.0, 5.0], 1.0) == 3.0
+    # f f'' / (2 f'^2) = -2: Halley's point 7/3 lies in the bracket but is refused.
+    assert _next_load(2.0, 0.5, -0.5, None, [1.0, 5.0], -2.0) == 3.0
+    # With a zero slope neither is defined: the plain step.
+    assert _next_load(2.0, 0.5, 0.0, None, [1.0, 4.0], 1.0) == 2.5
+
+
 @pytest.mark.parametrize("forced", ["singular", "negative"])
 def test_forced_fallback_is_picard(small_cfg, monkeypatch, forced):
-    """With every Newton step refused and no secant history, solve() is Picard iteration.
+    """With every Newton or Halley step refused and no secant history, solve() is Picard iteration.
 
     The plain step s + f(s) = sum_j w_j pi_j(s) from s = sum_j w_j pi0_j is
     the Picard map on the marginals seen through the load, started from the
@@ -126,11 +142,11 @@ def test_forced_fallback_is_picard(small_cfg, monkeypatch, forced):
     real_next = fixedpoint._next_load
     calls = []
 
-    def rigged(s, f, slope, previous, bracket):
+    def rigged(s, f, slope, previous, bracket, curvature):
         calls.append(s)
         # A zero slope, or one whose Newton point is the negative load -s.
         forced_slope = 0.0 if forced == "singular" else f / (2.0 * s)
-        return real_next(s, f, forced_slope, None, bracket)
+        return real_next(s, f, forced_slope, None, bracket, None)
 
     monkeypatch.setattr(fixedpoint, "_next_load", rigged)
     bias = power_law_bias(2.0, small_cfg.t_levels)
@@ -149,8 +165,8 @@ def test_nan_slope_falls_back_and_converges(small_cfg, monkeypatch):
     real = qbd.solve_steady_state
     lost = []
 
-    def no_slope(gen, drho=None):
-        ss = real(gen, drho=drho)
+    def no_slope(gen, drho=None, ddrho=None):
+        ss = real(gen, drho=drho, ddrho=ddrho)
         lost.append(ss.marginal_slope.size)
         return dataclasses.replace(ss, marginal_slope=np.full_like(ss.marginal_slope, np.nan))
 
@@ -160,6 +176,26 @@ def test_nan_slope_falls_back_and_converges(small_cfg, monkeypatch):
     assert res.residual < EPS and res.iterations <= iterations
     assert np.abs(res.level_marginals - ref.level_marginals).max() <= EPS
     assert np.abs(res.level_marginals - pi).max() <= EPS
+
+
+@settings(max_examples=100, deadline=None)
+@given(raw=_VALID_CONFIGS)
+def test_halley_takes_no_more_chain_solves_than_newton(raw):
+    """On the CLI's fuzzed configs, the Halley first step never costs an item a chain solve."""
+    cfg = config_from_dict(raw)
+    biases = [power_law_bias(1.0, cfg.t_levels), power_law_bias(3.0, cfg.t_levels),
+              *_ga_like_biases(cfg.t_levels, 2, seed=cfg.t_levels)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        halley = solve_batch(cfg, biases)
+        real = qbd.solve_steady_state
+        with mock.patch.object(qbd, "solve_steady_state", lambda gen, drho=None, ddrho=None: real(gen, drho=drho)):
+            newton = solve_batch(cfg, biases)
+    for got, ref in zip(halley, newton):
+        if isinstance(ref, Exception):
+            continue
+        assert not isinstance(got, Exception)
+        assert got.converged >= ref.converged and got.iterations <= ref.iterations
 
 
 def _bias_from_spec(spec, t_levels):
@@ -205,10 +241,10 @@ def test_failing_item_leaves_others_unchanged(baseline_cfg, monkeypatch):
     shape = bias_weights(starve, cfg) / bias_weights(starve, cfg)[0]
     real = qbd.solve_steady_state
 
-    def overflowing(gen, drho=None):
+    def overflowing(gen, drho=None, ddrho=None):
         if any(np.allclose(rho / rho[0], shape) for rho in np.atleast_2d(gen.rho)):
             raise SolverError("stationary solve overflowed the float range")
-        return real(gen, drho=drho)
+        return real(gen, drho=drho, ddrho=ddrho)
 
     monkeypatch.setattr(qbd, "solve_steady_state", overflowing)
     biases = [power_law_bias(0.0, 56), starve, power_law_bias(2.0, 56)]
@@ -225,9 +261,9 @@ def test_stacks_hold_at_most_chain_elements(baseline_cfg, monkeypatch):
     sizes = []
     real = qbd.solve_steady_state
 
-    def recording(gen, drho=None):
+    def recording(gen, drho=None, ddrho=None):
         sizes.append(gen.diag.size * (baseline_cfg.n_channels + 1))  # block entries
-        return real(gen, drho=drho)
+        return real(gen, drho=drho, ddrho=ddrho)
 
     monkeypatch.setattr(qbd, "solve_steady_state", recording)
     per_item = (baseline_cfg.t_levels + 1) * (baseline_cfg.n_channels + 1) ** 2
@@ -260,8 +296,8 @@ def test_wide_cell_stacks_are_sized_by_kept_levels(baseline_cfg, monkeypatch):
     stacks = _count_chains(monkeypatch)
     biases = [power_law_bias(beta, cfg.t_levels) for beta in np.arange(0.0, 4.01, 0.5)]
     results = solve_batch(cfg, biases)
-    assert stacks == [9, 8, 7]
-    assert [r.iterations for r in results] == [1, 3, 2, 3, 3, 3, 3, 3, 3]
+    assert stacks == [9, 8]
+    assert [r.iterations for r in results] == [1, 2, 2, 2, 2, 2, 2, 2, 2]
     tops = [np.flatnonzero(r.chain_state.pi.any(axis=0))[-1] for r in results]
     assert min(tops) == 48 and max(tops) == 65
     assert CHAIN_ELEMENTS // ((max(tops) + 1) * block**2) == 16
@@ -276,10 +312,10 @@ def test_wide_cell_failing_item_fails_alone(baseline_cfg, monkeypatch):
     shape = bias_weights(failing, cfg) / bias_weights(failing, cfg)[0]
     real = qbd.solve_steady_state
 
-    def raising(gen, drho=None):
+    def raising(gen, drho=None, ddrho=None):
         if any(np.allclose(rho / rho[0], shape) for rho in np.atleast_2d(gen.rho)):
             raise SolverError("stationary solve overflowed the float range")
-        return real(gen, drho=drho)
+        return real(gen, drho=drho, ddrho=ddrho)
 
     monkeypatch.setattr(qbd, "solve_steady_state", raising)
     biases = [power_law_bias(beta, cfg.t_levels) for beta in (0.0, 1.0, 2.0, 3.0)]
@@ -306,9 +342,9 @@ def _count_chains(monkeypatch) -> list[int]:
     stacks = []
     real = qbd.solve_steady_state
 
-    def recording(gen, drho=None):
+    def recording(gen, drho=None, ddrho=None):
         stacks.append(gen.rho.size // gen.rho.shape[-1])
-        return real(gen, drho=drho)
+        return real(gen, drho=drho, ddrho=ddrho)
 
     monkeypatch.setattr(qbd, "solve_steady_state", recording)
     return stacks
@@ -343,7 +379,7 @@ def test_sweep_box_chain_solve_budget(baseline_cfg, monkeypatch):
     for nu in (36.0, 38.0, 40.0, 42.0, 44.0):
         results = solve_batch(dataclasses.replace(baseline_cfg, nu=nu), biases)
         assert all(r.converged for r in results)
-    assert sum(stacks) <= 119 and len(stacks) <= 15
+    assert sum(stacks) <= 90 and len(stacks) <= 13
 
 
 def test_sweep_box_point_by_point_chain_solve_budget(baseline_cfg, monkeypatch):
@@ -353,7 +389,7 @@ def test_sweep_box_point_by_point_chain_solve_budget(baseline_cfg, monkeypatch):
         cfg = dataclasses.replace(baseline_cfg, nu=nu)
         for beta in np.arange(0.0, 4.01, 0.5):
             assert solve(cfg, power_law_bias(beta, cfg.t_levels)).converged
-    assert sum(stacks) <= 119
+    assert sum(stacks) <= 90
 
 
 def test_corners_chain_solve_budget(baseline_cfg, monkeypatch):
@@ -365,7 +401,7 @@ def test_corners_chain_solve_budget(baseline_cfg, monkeypatch):
         cfg = dataclasses.replace(baseline_cfg, **overrides)
         for beta in (0.0, 1.0, 3.0):
             assert solve(cfg, power_law_bias(beta, cfg.t_levels)).converged
-    assert sum(stacks) <= 19
+    assert sum(stacks) <= 17
 
 
 @pytest.mark.parametrize("overrides", [
@@ -393,9 +429,9 @@ def _record_loads(monkeypatch) -> list[list[float]]:
     loads = []
     real = fixedpoint._chain_images
 
-    def recording(cfg, params, weights, step_loads):
+    def recording(cfg, params, weights, step_loads, curvature):
         loads.append(step_loads)
-        return real(cfg, params, weights, step_loads)
+        return real(cfg, params, weights, step_loads, curvature)
 
     monkeypatch.setattr(fixedpoint, "_chain_images", recording)
     return loads

@@ -177,6 +177,28 @@ def test_slope_lost_to_rounding_is_nan(baseline_cfg):
     assert ss.residual <= RESIDUAL_TOL
 
 
+@pytest.mark.parametrize("corner", ["baseline", *CORNERS])
+def test_marginal_curvature_matches_central_second_difference(baseline_cfg, corner):
+    # Along the load path rho(s) = u / s at s = 1: rho' = -u and rho'' = 2 u.
+    cfg = dataclasses.replace(baseline_cfg, **CORNERS.get(corner, {}))
+    params = ChainParams.from_config(cfg)
+    u = solve(cfg, power_law_bias(1.0, cfg.t_levels)).users
+    ss = solve_steady_state(build_generator(params, u), drho=-u, ddrho=2.0 * u)
+    plain = solve_steady_state(build_generator(params, u), drho=-u)
+    assert np.array_equal(ss.pi, plain.pi)
+    assert np.array_equal(ss.marginal_slope, plain.marginal_slope, equal_nan=True)
+    assert plain.marginal_curvature is None
+    assert np.array_equal(np.isnan(ss.marginal_curvature), np.isnan(ss.marginal_slope))
+    if corner == "nu_1e6":  # the slope is lost to rounding, and the curvature with it
+        assert np.isnan(ss.marginal_curvature).all()
+        return
+    h = 1e-3
+    at = [solve_steady_state(build_generator(params, u / s)).level_marginals for s in (1.0 + h, 1.0, 1.0 - h)]
+    central = (at[0] - 2.0 * at[1] + at[2]) / h**2
+    assert np.abs(ss.marginal_curvature - central).max() <= 1e-5 * np.abs(central).max()
+    assert abs(ss.marginal_curvature.sum()) <= 1e-12 * np.abs(ss.marginal_curvature).max()
+
+
 def test_inverse_rounding_is_clamped():
     # Recharge 1e8 times the static drain: rounding gives the level inverses
     # entries of the wrong sign, which then read as negative mass unless
@@ -341,6 +363,21 @@ def test_both_fold_axes_match_gth_oracle_and_each_other(monkeypatch):
     # The wide chain's channel fold stopped at three different counts.
     tops = [np.flatnonzero(pi.any(axis=0))[-1] for pi in got["channel"].pi]
     assert tops[0] < tops[1] < tops[2] == params.n_channels
+
+
+@pytest.mark.parametrize("axis", list(_AXES))
+def test_stacked_curvature_is_each_lone_curvature(monkeypatch, axis):
+    monkeypatch.setattr(qbd, "SPLIT_ABOVE", _AXES[axis])
+    rng = np.random.default_rng(25)
+    for params, rho, drho in [*(_random_chain(rng) for _ in range(20)), _mixed_load_wide_chain()]:
+        ddrho = rng.uniform(-1.0, 1.0, rho.shape)
+        stacked = solve_steady_state(build_generator(params, rho), drho=drho, ddrho=ddrho)
+        assert np.isfinite(stacked.marginal_curvature).all()
+        for k in range(len(rho)):
+            alone = solve_steady_state(build_generator(params, rho[k]), drho=drho[k], ddrho=ddrho[k])
+            assert np.array_equal(alone.pi, stacked.pi[k])
+            assert np.array_equal(alone.marginal_slope, stacked.marginal_slope[k])
+            assert np.array_equal(alone.marginal_curvature, stacked.marginal_curvature[k])
 
 
 @pytest.mark.parametrize("a", [0.0, 1e-3, 10.6, 106.0, 1000.0])
