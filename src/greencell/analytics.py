@@ -57,25 +57,15 @@ class BiasVector:
         return len(self.values)
 
 
-@dataclass(frozen=True)
-class TierSplit:
-    """Association probabilities and thinned densities per battery level."""
-
-    p_assoc: np.ndarray
-    lambda_tier: np.ndarray
-
-
-def association_split(level_marginals, bias: BiasVector, cfg) -> TierSplit:
+def association_split(level_marginals, bias: BiasVector, cfg) -> np.ndarray:
     """Probability that the typical user associates with each level class.
 
     Biased max-power association over ``T+1`` independent thinned Poisson
     layers: layer i wins with probability proportional to its density times
     its bias raised to 2/alpha.
     """
-    pi = np.asarray(level_marginals, dtype=float)
-    lam = cfg.lambda_b * pi
-    weights = lam * bias_weights(bias, cfg)
-    return TierSplit(p_assoc=weights / weights.sum(), lambda_tier=lam)
+    weights = cfg.lambda_b * np.asarray(level_marginals, dtype=float) * bias_weights(bias, cfg)
+    return weights / weights.sum()
 
 
 def interference_factor(tau, alpha: float, bias_ratio) -> np.ndarray | float:
@@ -183,7 +173,7 @@ def expected_rates(level_marginals, bias: BiasVector, p_occu, p_block, cfg):
         for k in range(0, taus.size, step)
     ])
     tier_at_tau = grid[-1]
-    p_succ = float((tier_at_tau * association_split(level_marginals, bias, cfg).p_assoc).sum())
+    p_succ = float((tier_at_tau * association_split(level_marginals, bias, cfg)).sum())
     rates = cfg.rate_scale * (1.0 - np.asarray(p_block, float)) * tier_at_tau * (_RATE_WEIGHTS @ grid[:-1])
     return rates, tier_at_tau, p_succ
 
@@ -241,9 +231,8 @@ class NetworkMetrics:
 
 def compute_metrics(cfg, bias: BiasVector, level_marginals, lm) -> NetworkMetrics:
     """Full analytic pipeline downstream of a chain solution."""
-    split = association_split(level_marginals, bias, cfg)
     rates, tier_at_tau, p_succ = expected_rates(level_marginals, bias, lm.p_occu, lm.p_block, cfg)
-    area = area_throughput(rates, split.p_assoc, cfg)
+    area = area_throughput(rates, association_split(level_marginals, bias, cfg), cfg)
     power = power_and_carbon(level_marginals, lm, cfg)
     eta_ee, eta_ce = efficiencies(area, power.p_tot, power.e_tot, cfg)
     return NetworkMetrics(

@@ -235,16 +235,20 @@ def run_command(args, command: str) -> int:
     tables, code = args.handler(args, cfg)
     h = config_hash(cfg)
     headers = header_lines(__version__, h, args.seed, command)
-    for path, rows in tables.items():
-        write_csv(path, headers, list(rows[0]), rows)
-    write_manifest(args.manifest(args.out), RunManifest(
-        command=command,
-        config_hash=h,
-        seed=args.seed,
-        outputs=[os.path.abspath(p) for p in tables],
-        wall_clock_s=time.time() - t0,
-        tool_version=__version__,
-    ))
+    try:
+        for path, rows in tables.items():
+            write_csv(path, headers, list(rows[0]), rows)
+        path = args.manifest(args.out)
+        write_manifest(path, RunManifest(
+            command=command,
+            config_hash=h,
+            seed=args.seed,
+            outputs=[os.path.abspath(p) for p in tables],
+            wall_clock_s=time.time() - t0,
+            tool_version=__version__,
+        ))
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     for path in tables:
         print(f"wrote {path}")
     return code

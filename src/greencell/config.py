@@ -111,13 +111,17 @@ class NetworkConfig:
         return self.lambda_p * self.mean_cluster_users + self.lambda_u1
 
 
-def _is_int(v) -> bool:
-    # bool subclasses int, but a flag is never a valid count or rate.
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _is_real(v) -> bool:
-    return (_is_int(v) or isinstance(v, float)) and math.isfinite(v)
+    """A number that converts to a finite float.  bool subclasses int, but a
+    flag is never a valid count or rate; nor is an int past the float range."""
+    try:
+        return isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+    except OverflowError:
+        return False
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and _is_real(v)
 
 
 def _validate(cfg: NetworkConfig) -> None:
@@ -164,7 +168,7 @@ def config_from_dict(raw: dict) -> NetworkConfig:
                 raise ConfigError(f"give either {target} or {alt}, not both")
             x = data.pop(alt)
             # A bool is not a level; +-inf is (-inf dBm means no noise).
-            if not (_is_int(x) or isinstance(x, float)):
+            if not isinstance(x, (int, float)) or isinstance(x, bool):
                 raise ConfigError(f"{alt} must be a number, got {x!r}")
             try:
                 data[target] = dbm_to_watts(x) if alt.endswith("_dbm") else db_to_linear(x)

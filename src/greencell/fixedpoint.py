@@ -157,22 +157,17 @@ def _chain_images(cfg, params, weights, loads, curvature: bool) -> list[qbd.Stea
     """Chain state, with its marginals' slope in the load (and their curvature
     if ``curvature``), at ``loads[k]`` under ``weights[k]``.
 
-    Stacked solves of at most ``CHAIN_ELEMENTS`` block entries each, levels
-    times states per level squared per chain (:func:`qbd.fold_shape`), where
-    a fold along channel counts keeps the levels up to the stack's highest
-    top (:func:`qbd.channel_top`); if one raises, its items are solved one at
-    a time, so only the failing items fail, each with the error it gives on
-    its own.  With zero arrivals the channel fold stops at count 1, so an
-    absorbed item keeps 2 (T+1)^2 entries, above the battery-fold estimate
-    if 2 (T+1) > (N+1)^2: 8 MB for 50 items at T = 100, N = 1.
+    Stacked solves of at most ``CHAIN_ELEMENTS`` block entries each, the
+    stack's kept levels times states per level squared per chain
+    (:func:`qbd.fold_plan`); if one raises, its items are solved one at a
+    time, so only the failing items fail, each with the error it gives on
+    its own.
     """
     s = np.array(loads)[:, None]
     try:
         rho = analytics.users_at_load(s, np.stack(weights), cfg)
-        levels, block = qbd.fold_shape(params)
-        if levels > params.t_levels + 1:  # channel counts, kept up to the highest top
-            levels = int(qbd.channel_top(params, rho).max()) + 1
-        group = max(1, CHAIN_ELEMENTS // (levels * block ** 2))
+        _, top, block = qbd.fold_plan(params, rho)
+        group = max(1, CHAIN_ELEMENTS // ((int(np.max(top)) + 1) * block ** 2))
         if len(weights) > group:  # each part returns its own failures
             return [image for lo in range(0, len(weights), group) for image in
                     _chain_images(cfg, params, weights[lo:lo + group], loads[lo:lo + group], curvature)]

@@ -7,10 +7,7 @@ gives the generator a block-tridiagonal quasi-birth-death structure.  Each
 level's block is tridiagonal and the couplings are diagonal, so the generator
 is kept as rate vectors; only the stationary solve forms dense blocks, the
 folded ones, one level at a time.  Grouped by channel count instead, the
-chain has the same structure, and the solve folds whichever grouping has the
-smaller blocks once they exceed SPLIT_ABOVE states (:func:`fold_shape`).
-On channel counts it stops at the first count that an M/M/inf bound leaves
-less than TAIL_MASS of the mass at or above (:func:`poisson_tail`).
+chain has the same structure; :func:`fold_plan` picks the grouping.
 """
 
 from __future__ import annotations
@@ -150,18 +147,6 @@ def _inverse(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def fold_shape(p: ChainParams) -> tuple[int, int]:
-    """(levels, states per level) that :func:`solve_steady_state` folds over.
-
-    The battery levels, each a block of N+1 channel states; or, once N+1
-    exceeds SPLIT_ABOVE and N > T, the channel counts, each a block of T+1
-    battery states, so that the cubic block inverses run on the smaller side.
-    A fold along channel counts may stop below the last one.
-    """
-    t, n = p.t_levels + 1, p.n_channels + 1
-    return (n, t) if n > SPLIT_ABOVE and n > t else (t, n)
-
-
 def poisson_tail(a, n: int) -> np.ndarray:
     """P(X >= c) for X ~ Poisson(a) and c = 0, ..., n, one row per entry of ``a``.
 
@@ -180,17 +165,36 @@ def poisson_tail(a, n: int) -> np.ndarray:
     return np.where(np.arange(pmf.shape[-1]) <= a, lower, upper)[..., :n + 1]
 
 
-def channel_top(p: ChainParams, rho) -> np.ndarray:
-    """Per chain, the first count whose M/M/inf tail at load max rho / mu is below TAIL_MASS, or N."""
+def fold_plan(p: ChainParams, rho) -> tuple[bool, int | np.ndarray, int]:
+    """(channel, top, states per level) of the fold of :func:`solve_steady_state`.
+
+    The fold runs on battery levels, each a block of N+1 channel states, up to
+    top = T; or, on channel counts (``channel`` true), each a block of T+1
+    battery states, up to a top level per chain of ``rho`` (one entry per
+    chain).  It takes channel counts once N+1 exceeds SPLIT_ABOVE and N > T,
+    so that the cubic block inverses run on the smaller side, and for a stack
+    of absorbed chains: T > 0, no static drain, and omega = 0 or rho_T = 0 in
+    every chain, so that the battery can never leave level T.  Their head
+    level j = 0 holds the absorbing state (T, 0).
+
+    The count J moves up at some rho_i <= max rho and down at j mu, whatever
+    the battery does, so an M/M/inf queue of load a = max rho / mu dominates
+    it: P(J >= c) <= P(Poisson(a) >= c) (:func:`poisson_tail`).  A chain's
+    top count is the first whose tail is below TAIL_MASS, or N.
+    """
+    t, n = p.t_levels + 1, p.n_channels + 1
+    absorbed = p.t_levels and p.static_drain == 0.0 and (p.omega == 0.0 or not np.any(rho[..., -1]))
+    if not (absorbed or n > SPLIT_ABOVE and n > t):
+        return False, p.t_levels, n
     below = poisson_tail(np.max(rho, axis=-1) / p.mu, p.n_channels) < TAIL_MASS
     below[..., -1] = True
-    return below.argmax(axis=-1)
+    return True, below.argmax(axis=-1), t
 
 
 def solve_steady_state(gen: QbdGenerator, drho=None, ddrho=None) -> SteadyState:
     """Stationary solve by backward block recursion, one inverse per level.
 
-    The levels are those of :func:`fold_shape`, battery levels (couplings
+    The levels are those of :func:`fold_plan`, battery levels (couplings
     U = nu I up, W_i = diag(m_i) down) or channel counts (U = diag(rho) up,
     W_j = j mu I down; see :class:`QbdGenerator`), each with a tridiagonal
     block D_k.  Censoring levels k..K onto level k leaves the block
@@ -205,26 +209,16 @@ def solve_steady_state(gen: QbdGenerator, drho=None, ddrho=None) -> SteadyState:
     is (Grassmann, Taksar & Heyman, Oper. Res. 1985).  The head is the null
     vector of Q_0 normalized to sum one, from one solve with the last column
     of Q_0 replaced by ones; the levels above unroll as
-    pi_{k+1} = (pi_k (-U)) R_{k+1}.
+    pi_{k+1} = (pi_k (-U)) R_{k+1} (:func:`_unroll`).
     Channel levels are transposed back, so pi is (T+1, N+1) on either axis.
 
-    On channel levels the fold stops early.  The count J moves up at some
-    rho_i <= max rho and down at j mu, whatever the battery does, so an
-    M/M/inf queue of load a = max rho / mu dominates it:
-    P(J >= c) <= P(Poisson(a) >= c) (:func:`poisson_tail`).  Each chain's top
-    level is the first count whose tail is below TAIL_MASS, or N
-    (:func:`channel_top`).  Its R is
-    zero above that level, so its fold starts there from Q = 0, its states
-    at higher counts are zero in pi and in the slope, and a stacked chain
-    does the arithmetic of its lone solve.  This solves the chain with
-    calls blocked at the top level: it leaves out less than TAIL_MASS of the
-    mass, and the residual check, run on the whole chain, sees the blocked
-    inflow, at most TAIL_MASS max rho.
-
-    A chain whose battery can never leave level T (T > 0, no static drain,
-    and omega = 0 or rho_T = 0) is absorbed there.  A stack of only such
-    chains folds on channel counts, whose head level j = 0 holds the
-    absorbing state (T, 0); a mixed stack raises on battery levels.
+    R is zero above a chain's top level, so its fold starts there from
+    Q = 0, its states at higher counts are zero in pi and in the slope, and a
+    stacked chain does the arithmetic of its lone solve.  On channel counts
+    this solves the chain with calls blocked at the top level: it leaves out
+    less than TAIL_MASS of the mass, and the residual check, run on the whole
+    chain, sees the blocked inflow, at most TAIL_MASS max rho.  On battery
+    levels a stack that mixes absorbed chains with others raises.
 
     A stacked generator runs the recursion once for the whole stack: the
     inverses, the solve and the products broadcast over the batch axis and
@@ -247,26 +241,20 @@ def solve_steady_state(gen: QbdGenerator, drho=None, ddrho=None) -> SteadyState:
     inverses.  It is NaN wherever the slope is.
     """
     p = gen.params
-    t = p.t_levels
-    levels, n = fold_shape(p)
+    channel, top, n = fold_plan(p, gen.rho)
+    levels = int(np.max(top)) + 1
     batch = gen.rho.shape[:-1]
-    absorbed = t and p.static_drain == 0.0 and (p.omega == 0.0 or not gen.rho[..., -1].any())
-    if levels == t + 1 and not absorbed:
-        top = levels - 1
-        swap, up, down = (-1, -1), np.full(n, p.nu), gen.m
-        sup = np.moveaxis(gen.rho, -1, 0)[..., None]                    # admit a call
-        sub = np.broadcast_to(np.arange(1, n) * p.mu, (levels, n - 1))  # complete one
-    else:
-        n = t + 1
-        top = channel_top(p, gen.rho)
-        levels = int(top.max()) + 1
+    if channel:
         swap, up, down = (-2, -1), gen.rho, np.arange(levels) * p.mu
         sup = np.full((levels, 1), p.nu)                                # recharge
         sub = gen.m[1:].T                                               # drain
-    neg_down, lift = -down, -up[..., None, :]
+    else:
+        swap, up, down = (-1, -1), np.full(n, p.nu), gen.m
+        sup = np.moveaxis(gen.rho, -1, 0)[..., None]                    # admit a call
+        sub = np.broadcast_to(np.arange(1, n) * p.mu, (levels, n - 1))  # complete one
+    neg_down = -down
     ones = np.ones(n)
-    unit = np.zeros(batch + (n, 1))
-    unit[..., -1, :] = 1.0
+    row = np.empty(batch + (1, n))
 
     with np.errstate(all="ignore"):  # a near-singular chain is caught by the checks below
         try:
@@ -285,15 +273,12 @@ def solve_steady_state(gen: QbdGenerator, drho=None, ddrho=None) -> SteadyState:
                     np.multiply(r[k], up[..., :, None] * neg_down[k], out=q)
             q[..., -1] = 1.0
             head = np.swapaxes(q, -1, -2)
-            pi = np.zeros(batch + (t + 1, p.n_channels + 1))
+            pi = np.zeros(batch + (p.t_levels + 1, p.n_channels + 1))
             lev = np.swapaxes(pi, *swap)  # pi by fold level
-            lev[..., 0, :] = np.linalg.solve(head, unit)[..., 0]
+            lev[..., 0, -1] = 1.0
+            _unroll(lev, head, r, up, row)
         except np.linalg.LinAlgError as exc:
             raise SolverError(f"singular block during stationary solve: {exc}") from exc
-        row = np.empty(batch + (1, n))
-        for k in range(1, levels):
-            np.multiply(lev[..., k - 1, None, :], lift, out=row)
-            np.matmul(row, r[k], out=lev[..., k, None, :])
 
     chain_axes = (-2, -1)
     if not np.isfinite(pi).all():
@@ -331,22 +316,27 @@ def _solve_through(v, swap, r, head, up, down, row) -> np.ndarray:
 
     b_ij = v_ij [j < N] - v_i,j-1, so b = -pi A' for v = pi drho; b and x
     are (..., T+1, N+1), read by fold level through ``swap``, and ``row``
-    is scratch space for one level.
+    is scratch space for one level.  b is folded into c and c into x in place.
     """
-    b = np.diff(v[..., :-1], axis=-1, prepend=0.0, append=0.0)
-    x = np.zeros_like(b)
-    c, x_lev = np.swapaxes(b, *swap), np.swapaxes(x, *swap)
+    x = np.diff(v[..., :-1], axis=-1, prepend=0.0, append=0.0)
+    c = np.swapaxes(x, *swap)
+    c[..., len(r):, :] = 0.0  # no mass above the kept levels
     for k in range(len(r) - 2, -1, -1):
         np.matmul(c[..., k + 1, None, :], r[k + 1], out=row)
         row *= down[k + 1]
         c[..., k, :] -= row[..., 0, :]
     c[..., 0, -1] = 0.0
-    x_lev[..., 0, :] = np.linalg.solve(head, c[..., 0, :, None])[..., 0]
-    for k in range(1, len(r)):
-        np.multiply(up, x_lev[..., k - 1, :], out=row[..., 0, :])
-        np.subtract(c[..., k, :], row[..., 0, :], out=row[..., 0, :])
-        np.matmul(row, r[k], out=x_lev[..., k, None, :])
+    _unroll(c, head, r, up, row)
     return x
+
+
+def _unroll(c, head, r, up, row) -> None:
+    """x_0 from the head solve, then x_k = (c_k - x_{k-1} U) R_k, over c by fold level in place."""
+    c[..., 0, :] = np.linalg.solve(head, c[..., 0, :, None])[..., 0]
+    for k in range(1, len(r)):
+        np.multiply(up, c[..., k - 1, :], out=row[..., 0, :])
+        np.subtract(c[..., k, :], row[..., 0, :], out=row[..., 0, :])
+        np.matmul(row, r[k], out=c[..., k, None, :])
 
 
 def stationary_residual(gen: QbdGenerator, pi: np.ndarray) -> np.ndarray:

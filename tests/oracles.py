@@ -248,8 +248,7 @@ def success_probability(level_marginals, bias, p_occu, cfg, tau: float | None = 
     if tau is None:
         tau = cfg.tau
     tier = _success_grid(np.array([tau]), level_marginals, bias, p_occu, cfg)[0]
-    split = association_split(level_marginals, bias, cfg)
-    return tier, float((tier * split.p_assoc).sum())
+    return tier, float((tier * association_split(level_marginals, bias, cfg)).sum())
 
 
 def success_grid_per_pair(taus, level_marginals, bias, p_occu, cfg) -> np.ndarray:

@@ -134,6 +134,34 @@ class TestErrorPaths:
         assert f"config error: {field} = {value!r} overflows" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("field", ["mu", "n_channels", "t_levels", "bias file"])
+    def test_integer_past_the_float_range_is_a_config_error(self, field, tmp_path, capsys):
+        # Unchecked, a real field raised OverflowError, and a count ran without end.
+        huge = 10**400
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = ["analyze", baseline_with(tmp_path, **({} if field == "bias file" else {field: huge})),
+                "--out", str(out / "o.csv"), "--beta", "1"]
+        if field == "bias file":
+            bias_file = tmp_path / "bias.json"
+            bias_file.write_text(json.dumps([1, huge] + [1] * 9))
+            argv[-2:] = ["--bias-file", str(bias_file)]
+        assert run(argv) == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and "Traceback" not in err
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command, out", [(["analyze", "--beta", "1"], "missing/o.csv"),
+                                              (["analyze", "--beta", "1"], "taken"),
+                                              (["optimize", "--pop", "4", "--iters", "1"], "missing/ga")])
+    def test_unwritable_output_is_a_config_error(self, cfg_path, tmp_path, capsys, command, out):
+        (tmp_path / "taken").mkdir()
+        code = run([command[0], cfg_path, "--out", str(tmp_path / out), *command[1:]])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {tmp_path / out}" in err and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
     def test_numeric_failure_exit_code(self, cfg_path, tmp_path, monkeypatch, capsys):
         def boom(*a, **kw):
             raise SolverError("synthetic blowup")

@@ -274,11 +274,26 @@ def test_stacks_hold_at_most_chain_elements(baseline_cfg, monkeypatch):
     assert sizes[0] == group * per_item and per_item * 3 in sizes
 
 
+def test_absorbed_stacks_are_sized_by_kept_levels(baseline_cfg, monkeypatch):
+    """With no users and no static drain the chain is absorbed at (T, 0) and folds on
+    channel counts, which stop at count 1: a chain keeps 2 (T+1)^2 block entries,
+    against (T+1) (N+1)^2 on battery levels, and a stack holds at most CHAIN_ELEMENTS."""
+    cfg = dataclasses.replace(baseline_cfg, t_levels=40, n_channels=5, lambda_u1=0.0, lambda_u2=0.0,
+                              static_drain_override=0.0)
+    stacks = _count_chains(monkeypatch)
+    biases = _ga_like_biases(cfg.t_levels, 50, seed=11)
+    results = solve_batch(cfg, biases)
+    assert stacks and max(stacks) * 2 * (cfg.t_levels + 1) ** 2 <= CHAIN_ELEMENTS
+    for bias, got in zip(biases, results):
+        _assert_same_point(cfg, bias, got, solve(cfg, bias))
+
+
 def test_wide_cell_chains_stack(baseline_cfg, monkeypatch):
     """A 9-beta sweep at N = 100 folds along channels, blocks of T+1 states, and stacks."""
     cfg = dataclasses.replace(baseline_cfg, n_channels=100)
-    levels, block = qbd.fold_shape(qbd.ChainParams.from_config(cfg))
-    assert (levels, block) == (101, 11)
+    channel, top, block = qbd.fold_plan(qbd.ChainParams.from_config(cfg), np.full(cfg.t_levels + 1, 1e6))
+    levels = int(top) + 1  # a load of 1e6 keeps every count
+    assert channel and (levels, block) == (101, 11)
     stacks = _count_chains(monkeypatch)
     biases = [power_law_bias(beta, cfg.t_levels) for beta in np.arange(0.0, 4.01, 0.5)]
     assert all(r.converged for r in solve_batch(cfg, biases))
@@ -291,8 +306,9 @@ def test_wide_cell_stacks_are_sized_by_kept_levels(baseline_cfg, monkeypatch):
     most 66 of 201 levels: 16 chains fit a call, and each lockstep step of the
     9-beta sweep is one call.  Sizing by all 201 levels took 6 calls."""
     cfg = dataclasses.replace(baseline_cfg, n_channels=200)
-    levels, block = qbd.fold_shape(qbd.ChainParams.from_config(cfg))
-    assert (levels, block) == (201, 11) and CHAIN_ELEMENTS // (levels * block**2) == 5
+    channel, top, block = qbd.fold_plan(qbd.ChainParams.from_config(cfg), np.full(cfg.t_levels + 1, 1e6))
+    levels = int(top) + 1  # a load of 1e6 keeps every count
+    assert channel and (levels, block) == (201, 11) and CHAIN_ELEMENTS // (levels * block**2) == 5
     stacks = _count_chains(monkeypatch)
     biases = [power_law_bias(beta, cfg.t_levels) for beta in np.arange(0.0, 4.01, 0.5)]
     results = solve_batch(cfg, biases)

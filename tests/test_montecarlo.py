@@ -174,8 +174,7 @@ class TestEstimateShares:
         pi = np.array([0.1, 0.2, 0.3, 0.4])
         bias = flat_bias(3)
         est = estimate_shares(small_cfg, pi, bias, 150, seed=0)
-        split = association_split(pi, bias, small_cfg)
-        np.testing.assert_allclose(est.assoc_share, split.p_assoc, atol=0.03)
+        np.testing.assert_allclose(est.assoc_share, association_split(pi, bias, small_cfg), atol=0.03)
         # Flat bias: every station carries the same mean load.
         users = average_users(pi, bias, small_cfg)
         np.testing.assert_allclose(est.users_per_bs, users, rtol=0.08)
@@ -188,8 +187,7 @@ class TestEstimateShares:
         est_heavy = estimate_shares(small_cfg, pi, heavy, 120, seed=1)
         assert est_heavy.assoc_share[3] > est_flat.assoc_share[3]
         assert est_heavy.assoc_share[0] < est_flat.assoc_share[0]
-        split = association_split(pi, heavy, small_cfg)
-        np.testing.assert_allclose(est_heavy.assoc_share, split.p_assoc, atol=0.04)
+        np.testing.assert_allclose(est_heavy.assoc_share, association_split(pi, heavy, small_cfg), atol=0.04)
 
     def test_determinism(self, small_cfg):
         pi = np.full(4, 0.25)

@@ -18,7 +18,7 @@ from greencell.qbd import (
     SolverError,
     SteadyState,
     build_generator,
-    fold_shape,
+    fold_plan,
     level_metrics,
     poisson_tail,
     solve_steady_state,
@@ -317,7 +317,9 @@ def test_large_block_chain_matches_gth_oracle():
     (100, 100, (101, 101)), (100, 130, (131, 101)), (200, 0, (201, 1)),
 ])
 def test_fold_shape_takes_the_smaller_block_above_split(n_channels, t_levels, shape):
-    assert fold_shape(ChainParams(n_channels, t_levels, 1.0, 1.0, 1.0, 1.0)) == shape
+    # A load of 1e6 keeps every channel count, so the kept levels are all of them on either axis.
+    _, top, n = fold_plan(ChainParams(n_channels, t_levels, 1.0, 1.0, 1.0, 1.0), np.full(t_levels + 1, 1e6))
+    assert (int(top) + 1, n) == shape
 
 
 _AXES = {"battery": 10**9, "channel": 1}  # SPLIT_ABOVE that forces each fold axis
@@ -345,7 +347,9 @@ def test_both_fold_axes_match_gth_oracle_and_each_other(monkeypatch):
         got = {}
         for axis, split in _AXES.items():
             monkeypatch.setattr(qbd, "SPLIT_ABOVE", split)
-            assert fold_shape(params)[0] == (params.t_levels if axis == "battery" else params.n_channels) + 1
+            channel, top, _ = fold_plan(params, np.full(params.t_levels + 1, 1e6))
+            assert (channel, int(top) + 1) == (axis == "channel", (params.t_levels if axis == "battery"
+                                                                   else params.n_channels) + 1)
             gen = build_generator(params, rho)
             stacked = solve_steady_state(gen, drho=drho)
             for k in range(len(rho)):
