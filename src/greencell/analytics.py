@@ -72,9 +72,14 @@ def interference_factor(tau, alpha: float, bias_ratio) -> np.ndarray | float:
     """Normalized interference weight of one base-station class.
 
     For SINR threshold ``tau`` and a class whose bias exceeds the serving
-    one's by ``bias_ratio``, this is the extra interference mass the class
+    one's by ``bias_ratio`` r, this is the extra interference mass the class
     contributes per unit density, relative to the serving-class distance
-    scale.  Broadcasts over ``tau`` and ``bias_ratio``.
+    scale: 2 tau / (alpha - 2) r^(2/alpha - 1) F(-tau / r), F from
+    :func:`hyp_one_one_neg`.  At alpha = 4 F(-y) = arctan(sqrt(y)) / sqrt(y)
+    (Andrews, Baccelli & Ganti, IEEE Trans. Commun. 2011), so the weight is
+    sqrt(tau) arctan(sqrt(tau) r^(-1/2)), three passes over the broadcast
+    grid.  The checks run on each input; tau / r overflows iff the largest
+    tau over the smallest r does, which raises :class:`NumericError`.
     """
     tau = np.asarray(tau, dtype=float)
     r = np.asarray(bias_ratio, dtype=float)
@@ -82,46 +87,50 @@ def interference_factor(tau, alpha: float, bias_ratio) -> np.ndarray | float:
         raise ValueError("tau must be nonnegative")
     if np.any(r <= 0.0):
         raise ValueError("bias_ratio must be positive")
-    with np.errstate(over="ignore"):  # an overflow is raised below as a typed failure
-        x = tau / r
-    if not np.isfinite(x).all():
+    with np.errstate(over="ignore", invalid="ignore"):  # raised below as a typed failure
+        largest = tau.max(initial=0.0) / r.min(initial=math.inf)
+    if not np.isfinite(largest):
         raise NumericError("interference argument tau / bias_ratio overflows a float")
-    f = hyp_one_one_neg(alpha, x)
-    return 2.0 * tau / (alpha - 2.0) * r ** (2.0 / alpha - 1.0) * f
+    if alpha == 4.0:
+        root = np.sqrt(tau)
+        return root * np.arctan(root * r**-0.5)
+    return 2.0 * tau / (alpha - 2.0) * r ** (2.0 / alpha - 1.0) * hyp_one_one_neg(alpha, tau / r)
 
 
 def _success_grid(taus: np.ndarray, level_marginals, bias: BiasVector, p_occu, cfg) -> np.ndarray:
     """Success probability for every (threshold, tier) pair, shape (K, T+1).
 
-    Evaluates the hypergeometric once per distinct bias ratio B_j / B_i (one
-    column at a flat bias) and reduces each fading integral to the canonical
-    exp(-kappa v^{alpha/2} - v) form, so sweeping thresholds costs a handful
-    of array operations.
+    The bias ratios B_j / B_i, their distinct values (one at a flat bias) and
+    the tier weights are built once; the thresholds then run in chunks of at
+    most GRID_ELEMENTS (tau, i, j) terms (:func:`_grid_chunk`).
     """
     taus = np.asarray(taus, dtype=float)
     pi = np.asarray(level_marginals, dtype=float)
     b = bias.as_array()
     lam = cfg.lambda_b * pi
-    p_occ = np.asarray(p_occu, dtype=float)
     ratios = b[None, :] / b[:, None]            # [i, j] = B_j / B_i
-    geom = ratios ** (2.0 / cfg.alpha)
-    scale = geom @ lam                          # per-tier total geometric weight
-
+    scale = ratios ** (2.0 / cfg.alpha) @ lam   # per-tier total geometric weight
     distinct, index = np.unique(ratios, return_inverse=True)
-    # np.take keeps z contiguous, so the product below rounds as on the full grid;
-    # the reshape is needed because the inverse's shape differs across numpy versions.
-    z = np.take(interference_factor(taus[:, None], cfg.alpha, distinct[None, :]),
-                index.reshape(ratios.shape), axis=1)
-    c = scale[None, :] + z @ (lam * p_occ)      # (K, T+1)
+    # The reshape is needed because the inverse's shape differs across numpy versions.
+    tiers = scale, distinct, index.reshape(ratios.shape), lam * np.asarray(p_occu, dtype=float)
+    step = max(1, GRID_ELEMENTS // b.size ** 2)
+    p = np.concatenate([_grid_chunk(taus[k:k + step], *tiers, cfg) for k in range(0, taus.size, step)])
+    p[:, pi == 0.0] = 0.0
+    return p
 
+
+def _grid_chunk(taus, scale, distinct, index, load, cfg) -> np.ndarray:
+    """Success grid rows of ``taus``: one interference column per distinct
+    ratio, and each fading integral in the canonical exp(-kappa v^{alpha/2} - v) form."""
+    # np.take keeps z contiguous, so the product below rounds as on the full grid.
+    z = np.take(interference_factor(taus[:, None], cfg.alpha, distinct[None, :]), index, axis=1)
+    c = scale[None, :] + z @ load               # (K, T+1)
     half_alpha = cfg.alpha / 2.0
     with np.errstate(over="ignore"):  # kappa = inf is a valid input: G = 0
         noise_coef = taus * cfg.noise_power / cfg.p_t
         kappa = noise_coef[:, None] / (math.pi * c) ** half_alpha
     g = exp_power_integral_vec(kappa.reshape(-1), half_alpha).reshape(kappa.shape)
-    p = np.clip(scale[None, :] * g / c, 0.0, 1.0)
-    p[:, pi == 0.0] = 0.0
-    return p
+    return np.clip(scale[None, :] * g / c, 0.0, 1.0)
 
 
 def average_users(level_marginals, bias, cfg) -> np.ndarray:
@@ -159,19 +168,16 @@ def expected_rates(level_marginals, bias: BiasVector, p_occu, p_block, cfg):
 
     The rate of tier i is rate_scale (1 - p_block_i) P_i(tau) times the
     integral of P_i(2^t - 1) over t in [0, 128] by the fixed rule.  The 132
-    rule nodes and tau itself make one success grid, evaluated in chunks of
-    at most GRID_ELEMENTS (tau, i, j) terms: one call at T = 10, seven at
+    rule nodes and tau itself make one success grid (:func:`_success_grid`),
+    its threshold-free terms built once and its thresholds run in chunks of
+    at most GRID_ELEMENTS (tau, i, j) terms: one chunk at T = 10, seven at
     T = 40.  Where interference dominates, P_i(2^t - 1) ~ K 2^(-2t/alpha), so
     the tail left beyond t = 128 is K alpha / (2 ln 2) 2^(-256/alpha): below
     1e-18 K at alpha = 4, 1e-12 K at alpha = 6 and 2e-9 K at alpha = 8.
     Noise only makes the integrand decay faster.
     """
     taus = np.append(2.0**_RATE_NODES - 1.0, cfg.tau)
-    step = max(1, GRID_ELEMENTS // len(bias) ** 2)
-    grid = np.concatenate([
-        _success_grid(taus[k:k + step], level_marginals, bias, p_occu, cfg)
-        for k in range(0, taus.size, step)
-    ])
+    grid = _success_grid(taus, level_marginals, bias, p_occu, cfg)
     tier_at_tau = grid[-1]
     p_succ = float((tier_at_tau * association_split(level_marginals, bias, cfg)).sum())
     rates = cfg.rate_scale * (1.0 - np.asarray(p_block, float)) * tier_at_tau * (_RATE_WEIGHTS @ grid[:-1])

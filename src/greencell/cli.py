@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import dataclasses
+import errno
 import json
 import math
 import os
@@ -212,25 +213,42 @@ def cmd_optimize(args, cfg: NetworkConfig) -> tuple[dict, int]:
         "delta_eta_ce_pct": math.nan if r.delta_eta_ce_pct is None else r.delta_eta_ce_pct,
         **_indexed("bias", r.bias.values),
     } for r in comparison.rows]
-    tables = {args.out + "_best.csv": [best_row],
-              args.out + "_history.csv": hist_rows,
-              args.out + "_comparison.csv": comp_rows}
+    tables = dict(zip(args.outputs(args.out), ([best_row], hist_rows, comp_rows)))
     if not best.feasible:
         print("no feasible bias vector found", file=sys.stderr)
         return tables, EXIT_INFEASIBLE
     return tables, EXIT_OK
 
 
+def _check_writable(path: str) -> None:
+    """Raise ConfigError unless a file can be written at ``path``."""
+    folder = os.path.dirname(path) or "."
+    if not os.path.isdir(folder):
+        code = errno.ENOENT
+    elif os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.access(path if os.path.exists(path) else folder, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise ConfigError(f"cannot write {path}: {os.strerror(code)}")
+
+
 def run_command(args, command: str) -> int:
     """Run one subcommand and write its tables with the reproducibility contract.
 
+    The output paths, ``args.outputs(args.out)`` and the manifest at
+    ``args.manifest(args.out)``, are checked before anything is computed.
     The handler ``args.handler(args, cfg)`` returns ``(tables, exit_code)``,
     ``tables`` mapping each output CSV path to its rows.  Every CSV gets the
-    same ``#`` header lines; the manifest, at ``args.manifest(args.out)``,
-    lists the CSVs in the order written.
+    same ``#`` header lines; the manifest lists the CSVs in the order written.
+    A write that still fails (say, the folder went away meanwhile) is a
+    config error too.
     """
     t0 = time.time()
     cfg = load_config(args.config)
+    for path in [*args.outputs(args.out), args.manifest(args.out)]:
+        _check_writable(path)
     print(f"seed: {args.seed}")
     tables, code = args.handler(args, cfg)
     h = config_hash(cfg)
@@ -263,8 +281,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p: argparse.ArgumentParser, handler, out_help: str = "output CSV path") -> None:
-        # The manifest of one CSV is <stem>.manifest.json; optimize overrides it.
-        p.set_defaults(handler=handler,
+        # One CSV at --out, with its manifest at <stem>.manifest.json; optimize overrides both.
+        p.set_defaults(handler=handler, outputs=lambda out: [out],
                        manifest=lambda out: os.path.splitext(out)[0] + ".manifest.json")
         p.add_argument("config", help="JSON config file")
         p.add_argument("--out", required=True, help=out_help)
@@ -289,7 +307,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("optimize", help="genetic bias search plus scheme comparison")
     common(p, cmd_optimize, out_help="output file prefix (_best/_history/_comparison CSVs)")
     # The prefix is kept whole, dots included: --out ga.v2 gives ga.v2_manifest.json.
-    p.set_defaults(manifest=lambda out: out + "_manifest.json")
+    p.set_defaults(manifest=lambda out: out + "_manifest.json",
+                   outputs=lambda out: [out + table for table in ("_best.csv", "_history.csv", "_comparison.csv")])
     p.add_argument("--pop", type=int, default=50)
     p.add_argument("--iters", type=int, default=100)
     return parser

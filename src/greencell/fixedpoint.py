@@ -6,10 +6,11 @@ arrivals only through the bias-weighted load s = sum_j w_j pi_j with
 w = B^(2/alpha) (:func:`analytics.users_at_load`), so the loop is one scalar
 equation, f(s) = sum_j w_j pi_j(s) - s = 0, with pi(s) the chain's
 marginals at the arrivals of load s.  Newton's method solves it, with the
-slope that each chain solve also returns (:func:`qbd.solve_steady_state`),
-kept inside the sign bracket [min w, max w] by secant and bisection steps.
-The first step is Halley's (Gander, Amer. Math. Monthly 92(2), 1985), with
-the curvature that the first chain solve also returns: from the closed-form
+slope that a chain solve also returns when its item steps again
+(:func:`qbd.solve_steady_state`), kept inside the sign bracket
+[min w, max w] by secant and bisection steps.  The first step is Halley's
+(Gander, Amer. Math. Monthly 92(2), 1985), with the curvature that the
+first chain solve also returns then: from the closed-form
 start it lands below ``EPS`` where Newton's step leaves up to 2.4e-6 on the
 baseline's power laws, so a biased point takes two chain solves, not three.
 
@@ -62,7 +63,9 @@ def solve_batch(cfg, biases) -> list[FixedPointResult | NumericError]:
     An item with constant weights (all 1) starts at its root s = 1, the flat
     chain; every other item starts at s = sum_j w_j pi_j of the closed-form
     law pi of :func:`_battery_law`, or at s = mean(w) if the arrivals
-    overflow.  Each step takes one chain solve per item.
+    overflow.  Each step takes one chain solve per item, which returns the
+    marginals' slope in s only for the items that step again
+    (:func:`_chain_images`).
     The next load is the Newton point, and after the first chain solve,
     which also returns the marginals' curvature in s, the Halley point before
     it (:func:`_next_load`); if none is finite and inside the
@@ -87,15 +90,14 @@ def solve_batch(cfg, biases) -> list[FixedPointResult | NumericError]:
         if not active:
             break
         still = []
-        images = _chain_images(cfg, params, [weights[k] for k in active], [load[k] for k in active],
-                               sweep == 1)
+        images = _chain_images(cfg, params, [weights[k] for k in active], [load[k] for k in active], sweep)
         for k, ss in zip(active, images):
             if isinstance(ss, Exception):
                 outcome[k] = ss
                 continue
             s, w = load[k], weights[k]
-            f = float((ss.level_marginals * w).sum()) - s
-            if abs(f) < EPS * s or sweep == MAX_CHAIN_SOLVES:
+            f, stops = _residual(ss.level_marginals, w, s, sweep)
+            if stops:
                 users = analytics.average_users(ss.level_marginals, biases[k], cfg)
                 outcome[k] = FixedPointResult(
                     ss.level_marginals, users, sweep, abs(f) / s,
@@ -153,9 +155,17 @@ def _next_load(s: float, f: float, slope: float, previous, bracket: list[float],
     return 0.5 * (lo + hi)
 
 
-def _chain_images(cfg, params, weights, loads, curvature: bool) -> list[qbd.SteadyState | NumericError]:
-    """Chain state, with its marginals' slope in the load (and their curvature
-    if ``curvature``), at ``loads[k]`` under ``weights[k]``.
+def _residual(marginals, w, s: float, sweep: int) -> tuple[float, bool]:
+    """f(s) = sum_j w_j pi_j - s for the chain's marginals pi at load s, and whether
+    the item stops after chain solve ``sweep``: once |f| < EPS s, or out of solves."""
+    f = float((marginals * w).sum()) - s
+    return f, abs(f) < EPS * s or sweep == MAX_CHAIN_SOLVES
+
+
+def _chain_images(cfg, params, weights, loads, sweep: int) -> list[qbd.SteadyState | NumericError]:
+    """Chain state at ``loads[k]`` under ``weights[k]`` in chain solve ``sweep``,
+    with its marginals' slope in the load (and their curvature on the first
+    solve) if :func:`_residual` says the item steps again, NaN if it stops.
 
     Stacked solves of at most ``CHAIN_ELEMENTS`` block entries each, the
     stack's kept levels times states per level squared per chain
@@ -170,14 +180,19 @@ def _chain_images(cfg, params, weights, loads, curvature: bool) -> list[qbd.Stea
         group = max(1, CHAIN_ELEMENTS // ((int(np.max(top)) + 1) * block ** 2))
         if len(weights) > group:  # each part returns its own failures
             return [image for lo in range(0, len(weights), group) for image in
-                    _chain_images(cfg, params, weights[lo:lo + group], loads[lo:lo + group], curvature)]
-        # users_at_load is proportional to 1 / s: rho' = -rho / s and rho'' = 2 rho / s^2.
-        ss = qbd.solve_steady_state(qbd.build_generator(params, rho), drho=-rho / s,
-                                    ddrho=2.0 * rho / s**2 if curvature else None)
+                    _chain_images(cfg, params, weights[lo:lo + group], loads[lo:lo + group], sweep)]
+
+        def direction(marginals):  # rho' = -rho / s for the items that step again, NaN for the rest
+            again = [not _residual(m, w, x, sweep)[1] for m, w, x in zip(marginals, weights, loads)]
+            return np.where(np.array(again)[:, None], -rho / s, np.nan)
+
+        # users_at_load is proportional to 1 / s, so rho'' = 2 rho / s^2.
+        ss = qbd.solve_steady_state(qbd.build_generator(params, rho), drho=direction,
+                                    ddrho=2.0 * rho / s**2 if sweep == 1 else None)
     except (NumericError, FloatingPointError) as exc:
         if len(weights) == 1:
             return [exc]
-        return [_chain_images(cfg, params, [w], [x], curvature)[0] for w, x in zip(weights, loads)]
+        return [_chain_images(cfg, params, [w], [x], sweep)[0] for w, x in zip(weights, loads)]
     curvatures = [None] * len(weights) if ss.marginal_curvature is None else ss.marginal_curvature
     return [qbd.SteadyState(*item) for item in zip(ss.pi, ss.level_marginals, ss.residual.tolist(),
                                                    ss.marginal_slope, curvatures)]

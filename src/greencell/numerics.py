@@ -3,7 +3,8 @@
 Everything here is plain numpy so that array-valued inputs vectorize; the
 callers in :mod:`greencell.analytics` lean on that to evaluate whole grids of
 interference terms in one shot.  The interference kernel is a Gauss series
-evaluated by Horner's rule, or its arctan closed form at alpha = 4.  Every
+evaluated by Horner's rule (the arctan closed form at alpha = 4 lives in
+:func:`greencell.analytics.interference_factor`).  Every
 integral is done by one fixed 12-point Gauss-Legendre rule on fixed panels
 (:func:`gauss_legendre_panels`); the fading integral takes a rigorous
 small-kappa series instead where its remainder bound allows.  :func:`stream`
@@ -89,24 +90,20 @@ def _series_one_one(c: float, x: np.ndarray) -> np.ndarray:
 def hyp_one_one_neg(alpha: float, y) -> np.ndarray | float:
     """F(1, 1 - 2/alpha; 2 - 2/alpha; -y) for y >= 0, alpha > 2.
 
-    At alpha = 4 it is arctan(sqrt(y)) / sqrt(y), 1 at y = 0 (Andrews,
-    Baccelli & Ganti, IEEE Trans. Commun. 2011), taken in that closed form.
-    For every other alpha a fractional-linear transform maps the argument to
-    w = y/(1+y) in [0, 1) at the price of a 1/(1+y) prefactor and parameters
-    (1, 1; 2 - 2/alpha).  The series in w stalls as w -> 1, so past w = 0.5
-    the value is assembled from the complementary-argument connection: two
-    gamma-weighted pieces in 1 - w = 1/(1+y), both of which converge as fast
-    as the small-w branch.
+    A fractional-linear transform maps the argument to w = y/(1+y) in [0, 1)
+    at the price of a 1/(1+y) prefactor and parameters (1, 1; 2 - 2/alpha).
+    The series in w stalls as w -> 1, so past w = 0.5 the value is assembled
+    from the complementary-argument connection: two gamma-weighted pieces in
+    1 - w = 1/(1+y), both of which converge as fast as the small-w branch.
+    This holds for every alpha; at alpha = 4 the success grid takes the
+    arctan closed form in :func:`greencell.analytics.interference_factor`
+    instead.
     """
     y_arr = np.asarray(y, dtype=float)
     scalar = y_arr.ndim == 0
     y_arr = np.atleast_1d(y_arr)
     if np.any(y_arr < 0) or not np.all(np.isfinite(y_arr)):
         raise ValueError("argument must be finite and nonnegative")
-    if alpha == 4.0:
-        root = np.sqrt(y_arr)
-        out = np.divide(np.arctan(root), root, out=np.ones_like(root), where=root > 0)
-        return float(out[0]) if scalar else out
     c = 2.0 - 2.0 / alpha
     om = 1.0 / (1.0 + y_arr)   # 1 - w, computed without cancellation
     w = y_arr * om

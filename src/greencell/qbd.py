@@ -109,9 +109,9 @@ class SteadyState:
     pi has shape (T+1, N+1) and sums to one; level_marginals is the battery
     marginal; residual is the max-norm of pi @ A over the flattened states;
     marginal_slope, if asked for, is the derivative of level_marginals along
-    a path of the arrival rates, and marginal_curvature its second
-    derivative.  A stacked generator gives a leading batch axis on all of
-    them, with ``residual`` an array.
+    a path of the arrival rates (NaN for a chain not asked for), and
+    marginal_curvature its second derivative.  A stacked generator gives a
+    leading batch axis on all of them, with ``residual`` an array.
     """
 
     pi: np.ndarray
@@ -239,6 +239,12 @@ def solve_steady_state(gen: QbdGenerator, drho=None, ddrho=None) -> SteadyState:
     marginals' second derivative: with x' that slope of pi, x2 solves
     x2 A = -2 x' A' - pi A'' with sum(x2) = 0, one more pass through the same
     inverses.  It is NaN wherever the slope is.
+
+    A chain whose row of ``drho`` holds a NaN runs neither pass, and its rows
+    are NaN.  ``drho`` may be a function of the (batch, T+1) marginals, called
+    once pi is known, so a caller can leave out the chains whose derivatives
+    it will not read.  The others' inverses form a smaller stack, so each
+    still does the arithmetic of its lone solve.
     """
     p = gen.params
     channel, top, n = fold_plan(p, gen.rho)
@@ -294,19 +300,27 @@ def solve_steady_state(gen: QbdGenerator, drho=None, ddrho=None) -> SteadyState:
         raise SolverError(f"stationary residual {worst:.3e} exceeds {RESIDUAL_TOL:.0e}")
     marginals, slope, curvature = pi.sum(axis=-1), None, None
     if drho is not None:
-        with np.errstate(all="ignore"):  # a slope lost to rounding is flagged below
-            drho = np.asarray(drho, dtype=float)[..., None]
-            x = _solve_through(pi * drho, swap, r, head, up, down, row)
-            shift = x.sum(axis=chain_axes)
-            slope = x.sum(axis=-1) - shift[..., None] * marginals
-            lost = np.abs(shift) * np.finfo(float).eps > SLOPE_RTOL * np.abs(slope).max(axis=-1)
-            slope[lost] = np.nan
-            if ddrho is not None:
-                x -= shift[..., None, None] * pi  # the slope of pi itself
-                x = _solve_through(2.0 * x * drho + pi * np.asarray(ddrho, dtype=float)[..., None],
-                                   swap, r, head, up, down, row)
-                curvature = x.sum(axis=-1) - x.sum(axis=chain_axes)[..., None] * marginals
-                curvature[lost] = np.nan
+        drho = np.asarray(drho(marginals) if callable(drho) else drho, dtype=float)
+        keep = ~np.isnan(drho).any(axis=-1)
+        slope = np.full(marginals.shape, np.nan)
+        curvature = None if ddrho is None else slope.copy()
+        if keep.any():
+            k = ... if keep.all() else keep  # every chain as a view, or a copy of the kept ones
+            held = swap, [None] + [q[k] for q in r[1:]], head[k], up[k] if channel else up, down, row[k]
+            with np.errstate(all="ignore"):  # a slope lost to rounding is flagged below
+                x = _solve_through(pi[k] * drho[k][..., None], *held)
+                shift = x.sum(axis=chain_axes)
+                part = x.sum(axis=-1) - shift[..., None] * marginals[k]
+                lost = np.abs(shift) * np.finfo(float).eps > SLOPE_RTOL * np.abs(part).max(axis=-1)
+                part[lost] = np.nan
+                slope[k] = part
+                if ddrho is not None:
+                    x -= shift[..., None, None] * pi[k]  # the slope of pi itself
+                    x = _solve_through(2.0 * x * drho[k][..., None]
+                                       + pi[k] * np.asarray(ddrho, dtype=float)[k][..., None], *held)
+                    part = x.sum(axis=-1) - x.sum(axis=chain_axes)[..., None] * marginals[k]
+                    part[lost] = np.nan
+                    curvature[k] = part
     return SteadyState(pi=pi, level_marginals=marginals, residual=residual if batch else float(residual),
                        marginal_slope=slope, marginal_curvature=curvature)
 

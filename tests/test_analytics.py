@@ -138,22 +138,25 @@ class TestSuccessProbability:
         rng = np.random.default_rng(t_levels)
         pi = rng.dirichlet(np.ones(t_levels + 1))
         occ = rng.uniform(0.0, 1.0, t_levels + 1)
-        taus = np.append(np.geomspace(1e-4, 1e4, 60), cfg.tau)
+        # 61 thresholds, and the rate rule's 133: at T = 40 both span several chunks.
+        rule = np.append(2.0**analytics._RATE_NODES - 1.0, cfg.tau)
         ga_like = BiasVector((1.0, *np.exp(rng.uniform(0.0, math.log(64.0), t_levels))))
-        for bias in [power_law_bias(beta, t_levels) for beta in (0.0, 1.0, 3.0)] + [ga_like]:
-            assert np.array_equal(_success_grid(taus, pi, bias, occ, cfg),
-                                  success_grid_per_pair(taus, pi, bias, occ, cfg))
-        # A flat bias has one ratio, so one hypergeometric column.
-        sizes = []
-        real = analytics.hyp_one_one_neg
+        for taus in (np.append(np.geomspace(1e-4, 1e4, 60), cfg.tau), rule):
+            for bias in [power_law_bias(beta, t_levels) for beta in (0.0, 1.0, 3.0)] + [ga_like]:
+                assert np.array_equal(_success_grid(taus, pi, bias, occ, cfg),
+                                      success_grid_per_pair(taus, pi, bias, occ, cfg))
+        # A flat bias has one ratio, so each chunk's interference grid has one column.
+        columns = []
+        real = analytics.interference_factor
 
-        def recording(alpha, y):
-            sizes.append(np.size(y))
-            return real(alpha, y)
+        def recording(tau, alpha, bias_ratio):
+            z = real(tau, alpha, bias_ratio)
+            columns.append(z.shape[1])
+            return z
 
-        monkeypatch.setattr(analytics, "hyp_one_one_neg", recording)
-        _success_grid(taus, pi, power_law_bias(0.0, t_levels), occ, cfg)
-        assert sizes == [taus.size]
+        monkeypatch.setattr(analytics, "interference_factor", recording)
+        _success_grid(rule, pi, power_law_bias(0.0, t_levels), occ, cfg)
+        assert columns and set(columns) == {1}
 
     def test_grid_matches_scalar_path(self, small_cfg):
         pi = np.array([0.4, 0.3, 0.2, 0.1])
@@ -227,13 +230,13 @@ class TestExpectedRates:
     def test_grid_rows_per_point(self, baseline_cfg, t_levels, chunks, monkeypatch):
         cfg = dataclasses.replace(baseline_cfg, t_levels=t_levels)
         sizes = []
-        real = analytics._success_grid
+        real = analytics._grid_chunk
 
         def recording(taus, *args):
             sizes.append(len(taus))
             return real(taus, *args)
 
-        monkeypatch.setattr(analytics, "_success_grid", recording)
+        monkeypatch.setattr(analytics, "_grid_chunk", recording)
         pi = np.full(t_levels + 1, 1.0 / (t_levels + 1))
         occ = np.full(t_levels + 1, 0.3)
         expected_rates(pi, power_law_bias(1.0, t_levels), occ, np.zeros(t_levels + 1), cfg)

@@ -154,13 +154,35 @@ class TestErrorPaths:
     @pytest.mark.parametrize("command, out", [(["analyze", "--beta", "1"], "missing/o.csv"),
                                               (["analyze", "--beta", "1"], "taken"),
                                               (["optimize", "--pop", "4", "--iters", "1"], "missing/ga")])
-    def test_unwritable_output_is_a_config_error(self, cfg_path, tmp_path, capsys, command, out):
+    def test_unwritable_output_is_a_config_error(self, cfg_path, tmp_path, capsys, monkeypatch, command, out):
+        def unreachable(*a, **kw):
+            raise AssertionError("the point was computed before the output path was checked")
+
+        # Checked before any work: nothing is computed and nothing is written.
+        monkeypatch.setattr(cli, "evaluate_bias", unreachable)
+        monkeypatch.setattr(cli, "compare_schemes", unreachable)
         (tmp_path / "taken").mkdir()
         code = run([command[0], cfg_path, "--out", str(tmp_path / out), *command[1:]])
         assert code == cli.EXIT_CONFIG
         err = capsys.readouterr().err
         assert f"config error: cannot write {tmp_path / out}" in err and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == ["taken"]
+
+    def test_output_folder_removed_during_the_run_is_a_config_error(self, cfg_path, tmp_path, monkeypatch,
+                                                                     capsys):
+        folder = tmp_path / "gone"
+        folder.mkdir()
+        real = cli.evaluate_bias
+
+        def removing(*a, **kw):
+            folder.rmdir()
+            return real(*a, **kw)
+
+        monkeypatch.setattr(cli, "evaluate_bias", removing)
+        code = run(["analyze", cfg_path, "--out", str(folder / "o.csv"), "--beta", "1"])
+        assert code == cli.EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert f"config error: cannot write {folder / 'o.csv'}" in err and "Traceback" not in err
 
     def test_numeric_failure_exit_code(self, cfg_path, tmp_path, monkeypatch, capsys):
         def boom(*a, **kw):

@@ -366,6 +366,62 @@ def _count_chains(monkeypatch) -> list[int]:
     return stacks
 
 
+def _count_passes(monkeypatch) -> list[int]:
+    """Chains in each derivative pass (a slope or a curvature pass) from here on."""
+    passes = []
+    real = qbd._solve_through
+
+    def recording(v, *args):
+        passes.append(len(v))
+        return real(v, *args)
+
+    monkeypatch.setattr(qbd, "_solve_through", recording)
+    return passes
+
+
+def test_unasked_derivatives_are_never_read(baseline_cfg, monkeypatch):
+    """A chain that gets no derivatives is one whose item stops on that solve: with its
+    rows replaced by None, which no arithmetic accepts, every result is unchanged."""
+    cases = [(baseline_cfg, [flat_bias(10), *(power_law_bias(b, 10) for b in (1.0, 2.5, 4.0)),
+                             *_ga_like_biases(10, 4, seed=5)]),
+             (dataclasses.replace(baseline_cfg, nu=1e6), [power_law_bias(b, 10) for b in (0.0, 3.0)]),
+             (dataclasses.replace(baseline_cfg, n_channels=100, lambda_u1=200.0),
+              [power_law_bias(b, 10) for b in (0.0, 2.0, 4.0)])]
+    expected = [solve_batch(cfg, biases) for cfg, biases in cases]
+    real = qbd.solve_steady_state
+    unasked = []
+
+    def poisoned(gen, drho=None, ddrho=None):
+        asked = []
+        ss = real(gen, drho=lambda m: asked.append(drho(m)) or asked[0], ddrho=ddrho)
+        skip = np.isnan(asked[0]).any(axis=-1)
+        unasked.append(int(skip.sum()))
+        rows = {}
+        for name in ("marginal_slope", "marginal_curvature"):
+            if getattr(ss, name) is not None:
+                assert np.isnan(getattr(ss, name)[skip]).all()
+                rows[name] = [None if cut else row for row, cut in zip(getattr(ss, name), skip)]
+        return dataclasses.replace(ss, **rows)
+
+    monkeypatch.setattr(qbd, "solve_steady_state", poisoned)
+    for (cfg, biases), results in zip(cases, expected):
+        for bias, got, ref in zip(biases, solve_batch(cfg, biases), results):
+            _assert_same_point(cfg, bias, got, ref)
+    assert sum(unasked) >= sum(len(biases) for _, biases in cases)
+
+
+def test_points_settled_on_their_solve_run_no_derivative_pass(baseline_cfg, monkeypatch):
+    """The flat bias starts at its root; with no users, and at nu = 1e6, every point of
+    beta 0, 1 and 3 settles on its first solve.  None of them reads a slope."""
+    passes = _count_passes(monkeypatch)
+    assert solve(baseline_cfg, flat_bias(baseline_cfg.t_levels)).iterations == 1
+    for overrides in ({"lambda_u1": 0.0, "lambda_u2": 0.0}, {"nu": 1e6}):
+        cfg = dataclasses.replace(baseline_cfg, **overrides)
+        for beta in (0.0, 1.0, 3.0):
+            assert solve(cfg, power_law_bias(beta, cfg.t_levels)).iterations == 1
+    assert passes == []
+
+
 def test_one_stacked_call_per_step(small_cfg, monkeypatch):
     """One stacked call per step, holding each item's own chain solves and no other."""
     stacks = _count_chains(monkeypatch)
@@ -390,12 +446,13 @@ def test_flat_bias_and_no_users_take_one_or_two_solves(baseline_cfg, monkeypatch
 
 def test_sweep_box_chain_solve_budget(baseline_cfg, monkeypatch):
     """The benchmark sweep's 45-point box, one request per recharge rate as `sweep` solves it."""
-    stacks = _count_chains(monkeypatch)
+    stacks, passes = _count_chains(monkeypatch), _count_passes(monkeypatch)
     biases = [power_law_bias(beta, baseline_cfg.t_levels) for beta in np.arange(0.0, 4.01, 0.5)]
     for nu in (36.0, 38.0, 40.0, 42.0, 44.0):
         results = solve_batch(dataclasses.replace(baseline_cfg, nu=nu), biases)
         assert all(r.converged for r in results)
     assert sum(stacks) <= 90 and len(stacks) <= 13
+    assert len(passes) <= 13
 
 
 def test_sweep_box_point_by_point_chain_solve_budget(baseline_cfg, monkeypatch):
@@ -412,12 +469,13 @@ def test_corners_chain_solve_budget(baseline_cfg, monkeypatch):
     """The benchmark's stress configs at beta 0, 1 and 3, one request per point."""
     corners = [{"lambda_u1": 0.0, "lambda_u2": 0.0}, {"t_levels": 40, "n_channels": 100},
                {"nu": 1e6}, {"lambda_u1": 500.0}]
-    stacks = _count_chains(monkeypatch)
+    stacks, passes = _count_chains(monkeypatch), _count_passes(monkeypatch)
     for overrides in corners:
         cfg = dataclasses.replace(baseline_cfg, **overrides)
         for beta in (0.0, 1.0, 3.0):
             assert solve(cfg, power_law_bias(beta, cfg.t_levels)).converged
     assert sum(stacks) <= 17
+    assert len(passes) <= 9
 
 
 @pytest.mark.parametrize("overrides", [

@@ -33,21 +33,28 @@ def arctan_form(y):
     return math.atan(math.sqrt(y)) / math.sqrt(y) if y > 0 else 1.0
 
 
+# The weight at alpha = 4 is tau F(-tau / r) r^(-1/2) with F the arctan
+# reduction; at r = 1 and tau = y it is y arctan_form(y).
 @pytest.mark.parametrize("y", [1e-12, 1e-6, 0.3, 0.5, 0.9, 1.0, 7.0, 1e3, 1e8, 6.4e13])
 def test_hyp_matches_arctan_reduction(y):
-    assert hyp_one_one_neg(4.0, y) == pytest.approx(arctan_form(y), rel=5e-15)
+    assert interference_factor(y, 4.0, 1.0) == pytest.approx(y * arctan_form(y), rel=5e-15)
+    assert interference_factor(4.0 * y, 4.0, 4.0) == pytest.approx(2.0 * y * arctan_form(y), rel=5e-15)
 
 
-# alpha = 4 takes the closed form; it must agree with the series oracle over
-# the whole float range of y, the subnormals included, and raise no warning.
+# alpha = 4 takes the closed form; it must agree with the general weight
+# 2 tau / (alpha - 2) r^(2/alpha - 1) F(-tau / r), F from the series oracle,
+# over the whole float range of tau / r, the subnormals included, and raise
+# no warning.
 def test_hyp_closed_form_matches_series_oracle_over_float_range():
     ys = np.concatenate([[0.0, 5e-324, 1e-300], np.geomspace(1e-12, 1e300, 4001)])
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with np.errstate(all="raise"):
-            got = hyp_one_one_neg(4.0, ys)
-    assert got[0] == 1.0
-    np.testing.assert_allclose(got, hyp_from_series(4.0, ys), rtol=1e-15, atol=0)
+    for taus, r in [(ys, 1.0), (1e-3 * ys, 1e-3), (64.0 * np.minimum(ys, 1e306), 64.0)]:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with np.errstate(all="raise"):
+                got = interference_factor(taus, 4.0, r)
+        assert got[0] == 0.0
+        ref = 2.0 * taus / (4.0 - 2.0) * r ** (2.0 / 4.0 - 1.0) * hyp_from_series(4.0, taus / r)
+        np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
 
 
 # The branch is taken at alpha == 4 exactly; its neighbours take the series,
@@ -66,9 +73,11 @@ def test_interference_factor_continuous_across_closed_form(step):
 
 def test_hyp_at_zero_and_array_input():
     assert hyp_one_one_neg(3.7, 0.0) == 1.0
+    assert interference_factor(0.0, 4.0, 3.0) == 0.0
     ys = np.array([0.0, 0.2, 2.0, 50.0])
-    out = hyp_one_one_neg(4.0, ys)
-    ref = np.array([arctan_form(v) for v in ys])
+    out = interference_factor(ys[:, None], 4.0, np.array([[0.5, 1.0]]))
+    ref = np.array([[v * arctan_form(v / r) / math.sqrt(r) for r in (0.5, 1.0)] for v in ys])
+    assert out.shape == (4, 2)
     np.testing.assert_allclose(out, ref, rtol=1e-14)
 
 

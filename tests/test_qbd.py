@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import math
 import warnings
 
@@ -369,6 +370,31 @@ def test_both_fold_axes_match_gth_oracle_and_each_other(monkeypatch):
     assert tops[0] < tops[1] < tops[2] == params.n_channels
 
 
+def _assert_subsets_match(params, rho, drho, ddrho):
+    """The derivatives asked of each subset of a stack are those of the full stack
+    and of each lone solve, bit for bit, and NaN for the chains not asked."""
+    gen = build_generator(params, rho)
+    full = solve_steady_state(gen, drho=drho, ddrho=ddrho)
+    names = ("marginal_slope", "marginal_curvature")
+    for mask in itertools.product((False, True), repeat=len(rho)):
+        seen = []
+        asked = lambda m: seen.append(m) or np.where(np.array(mask)[:, None], drho, np.nan)
+        part = solve_steady_state(gen, drho=asked, ddrho=ddrho)
+        assert len(seen) == 1 and np.array_equal(seen[0], full.level_marginals)
+        assert np.array_equal(part.pi, full.pi) and np.array_equal(part.residual, full.residual)
+        for k, kept in enumerate(mask):
+            for name in names:
+                got = getattr(part, name)[k]
+                assert np.array_equal(got, getattr(full, name)[k], equal_nan=True) if kept else np.isnan(got).all()
+    for k in range(len(rho)):
+        lone = build_generator(params, rho[k])
+        alone = solve_steady_state(lone, drho=drho[k], ddrho=ddrho[k])
+        for name in names:
+            assert np.array_equal(getattr(alone, name), getattr(full, name)[k], equal_nan=True)
+            assert np.isnan(getattr(solve_steady_state(lone, drho=np.nan * drho[k], ddrho=ddrho[k]),
+                                    name)).all()
+
+
 @pytest.mark.parametrize("axis", list(_AXES))
 def test_stacked_curvature_is_each_lone_curvature(monkeypatch, axis):
     monkeypatch.setattr(qbd, "SPLIT_ABOVE", _AXES[axis])
@@ -380,8 +406,18 @@ def test_stacked_curvature_is_each_lone_curvature(monkeypatch, axis):
         for k in range(len(rho)):
             alone = solve_steady_state(build_generator(params, rho[k]), drho=drho[k], ddrho=ddrho[k])
             assert np.array_equal(alone.pi, stacked.pi[k])
-            assert np.array_equal(alone.marginal_slope, stacked.marginal_slope[k])
-            assert np.array_equal(alone.marginal_curvature, stacked.marginal_curvature[k])
+        _assert_subsets_match(params, rho, drho, ddrho)
+
+
+@pytest.mark.parametrize("corner", ["baseline", "t40_n100", "n200", "nu_1e6"])
+def test_derivatives_of_a_subset_of_model_chains(baseline_cfg, corner):
+    """The fixed point's chains at beta 0, 1 and 3 along the load path rho(s) = u / s:
+    battery folds, the channel folds of T = 40, N = 100 and of N = 200 (which stop at
+    different counts), and nu = 1e6, whose slope is lost to rounding."""
+    overrides = {"n200": {"n_channels": 200}}.get(corner, CORNERS.get(corner, {}))
+    cfg = dataclasses.replace(baseline_cfg, **overrides)
+    u = np.stack([solve(cfg, power_law_bias(beta, cfg.t_levels)).users for beta in (0.0, 1.0, 3.0)])
+    _assert_subsets_match(ChainParams.from_config(cfg), u, -u, 2.0 * u)
 
 
 @pytest.mark.parametrize("a", [0.0, 1e-3, 10.6, 106.0, 1000.0])
