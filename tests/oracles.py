@@ -572,44 +572,64 @@ def estimate_success_per_drop(cfg, level_marginals, bias, p_occu, n_drops: int,
 def estimate_success_blockwise(cfg, level_marginals, bias, p_occu, n_drops: int,
                                seed: int = 0, r_sim: float | None = None,
                                block: int = 128) -> float:
-    """Coverage from the batched estimator's draws, reduced drop by drop.
+    """Mean conditional success probability from the batched estimator's draws.
 
-    Block k draws from Philox (seed, k), in this order: a Poisson count per
-    (drop, class) with class 2 * level + (0 active, 1 idle) and mean
-    lambda_b * area * pi_level * (p_occu or 1 - p_occu); one uniform per
-    station, stations laid out by drop then class, scaled to r^2; one Exp(1)
-    fading per interferer in station order; one per drop with a station for
-    its serving link.  Each drop then takes a plain argmax and sum.
+    Block k draws from Philox (seed, k), in this order: a Poisson count of
+    active stations per (drop, level), of mean lambda_b * area * pi_level *
+    p_occu; one Exp(1) per (drop, level), the nearest idle station of the
+    level at r^2 = R^2 E / m (none if E >= m), m the level's idle mean; one
+    uniform U per active station, laid out by drop then level, at
+    r^2 = R^2 (1 - U).  Each drop then takes a plain argmin of r^2 B^(-2/alpha)
+    over the (level, active/idle) candidates and multiplies its success
+    probability out: noise, one 1 / (1 + tau (r_s/x)^alpha) per other active
+    station, and the active stations beyond R by the far-field weight.
     """
     r_sim = _window(cfg, r_sim)
     pi = np.asarray(level_marginals, dtype=float)
     b = _bias_array(bias)
     occ = np.clip(np.asarray(p_occu, dtype=float), 0.0, 1.0)
-    means = (cfg.lambda_b * math.pi * r_sim**2 * pi[:, None]
-             * np.column_stack((occ, 1.0 - occ))).ravel()
-    classes = np.arange(means.size)
+    area = cfg.lambda_b * math.pi * r_sim**2
+    active_mean, idle_mean = area * pi * occ, area * pi * (1.0 - occ)
+    lam_act = cfg.lambda_b * float(pi @ occ)
+    tau, alpha = cfg.tau, cfg.alpha
 
-    hits = 0
+    def far_weight(ratio: float) -> float:
+        if alpha == 4.0:
+            return math.sqrt(tau) * math.atan(math.sqrt(tau / ratio))
+        return interference_weight(tau, alpha, ratio)
+
+    total = 0.0
     for k, first in enumerate(range(0, n_drops, block)):
         rng = _philox(seed, k)
         m = min(block, n_drops - first)
-        counts = rng.poisson(means, size=(m, means.size))
-        r2 = r_sim**2 * rng.random(counts.sum())
-        station_class = np.repeat(np.tile(classes, m), counts.ravel())
-        path = r2 ** (-cfg.alpha / 2.0)
-        ends = np.cumsum(counts.sum(axis=1))
-        drops = [(lo, hi) for lo, hi in zip(np.r_[0, ends[:-1]], ends) if hi > lo]
-        servers = [lo + int(np.argmax(b[station_class[lo:hi] // 2] * path[lo:hi]))
-                   for lo, hi in drops]
-        interferer = station_class % 2 == 0
-        interferer[servers] = False
-        fading = np.zeros(r2.size)
-        fading[interferer] = rng.standard_exponential(np.count_nonzero(interferer))
-        serving_fading = rng.standard_exponential(len(drops))
-        for (lo, hi), s, h in zip(drops, servers, serving_fading):
-            interference = cfg.p_t * (fading[lo:hi] * path[lo:hi]).sum()
-            hits += cfg.p_t * h * path[s] > cfg.tau * (cfg.noise_power + interference)
-    return hits / n_drops
+        counts = rng.poisson(active_mean, size=(m, pi.size))
+        idle_e = rng.standard_exponential((m, pi.size))
+        u = iter(rng.random(counts.sum()))
+        for d in range(m):
+            active = [[r_sim**2 * (1.0 - next(u)) for _ in range(c)] for c in counts[d]]
+            candidates = []  # (rank, r^2, level, is_active)
+            for level in range(pi.size):
+                shrink = b[level] ** (-2.0 / alpha)
+                if active[level]:
+                    r2 = min(active[level])
+                    candidates.append((r2 * shrink, r2, level, True))
+                if idle_e[d, level] < idle_mean[level]:
+                    r2 = r_sim**2 * idle_e[d, level] / idle_mean[level]
+                    candidates.append((r2 * shrink, r2, level, False))
+            if not candidates:
+                continue
+            _, r2_s, level_s, active_s = min(candidates, key=lambda c: c[0])
+            value = math.exp(-tau * r2_s ** (alpha / 2.0) * cfg.noise_power / cfg.p_t)
+            for level, stations in enumerate(active):
+                skip = active_s and level == level_s
+                for r2 in stations:
+                    if skip and r2 == r2_s:
+                        skip = False
+                        continue
+                    value /= 1.0 + tau * (r2_s / r2) ** (alpha / 2.0)
+            value *= math.exp(-lam_act * math.pi * r2_s * far_weight((r_sim**2 / r2_s) ** (alpha / 2.0)))
+            total += value
+    return total / n_drops
 
 
 def _disc_points(rng: np.random.Generator, n: int, radius: float, center=None) -> np.ndarray:

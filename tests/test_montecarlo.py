@@ -1,11 +1,13 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from greencell.analytics import BiasVector, association_split, average_users
 from greencell.montecarlo import BLOCK, default_window, estimate_success
+from greencell.optimizer import evaluate_bias, power_law_bias
 from oracles import (
     Realization,
     estimate_shares,
@@ -98,7 +100,8 @@ class TestEstimateSuccess:
         pi = np.full(4, 0.25)
         est = estimate_success(small_cfg, pi, flat_bias(3), np.zeros(4), 1, seed=2)
         assert est.half_width_95 == 0.0
-        assert est.mean in (0.0, 1.0)
+        assert est.mean == pytest.approx(estimate_success_blockwise(
+            small_cfg, pi, flat_bias(3), np.zeros(4), 1, seed=2), rel=1e-12)
 
     def test_no_interference_no_noise_always_succeeds(self, small_cfg):
         cfg = dataclasses.replace(small_cfg, noise_power=0.0)
@@ -136,11 +139,13 @@ class TestEstimateSuccess:
         ((1.0, 3.0, 9.0, 27.0), (1.0, 1.0, 1.0, 1.0), 1),
     ])
     def test_matches_blockwise_oracle(self, small_cfg, bias, occ, n_drops):
-        # Same draws, reduced drop by drop with a plain argmax: exact match.
+        # Same draws, each drop's success probability multiplied out in a
+        # plain loop: equal up to rounding.
         pi = np.array([0.05, 0.15, 0.3, 0.5])
         est = estimate_success(small_cfg, pi, BiasVector(bias), np.array(occ), n_drops, seed=6)
-        assert est.mean == estimate_success_blockwise(
-            small_cfg, pi, BiasVector(bias), np.array(occ), n_drops, seed=6, block=BLOCK)
+        assert est.mean == pytest.approx(estimate_success_blockwise(
+            small_cfg, pi, BiasVector(bias), np.array(occ), n_drops, seed=6, block=BLOCK),
+            rel=1e-12)
 
     @pytest.mark.parametrize("n_drops", [1, BLOCK - 1, BLOCK, BLOCK + 1, 300])
     def test_block_edges(self, small_cfg, n_drops):
@@ -153,9 +158,35 @@ class TestEstimateSuccess:
         if n_drops == 1:
             assert est.half_width_95 == 0.0
         else:
+            # Values in [0, 1] with mean p have a sample variance of at most
+            # n p (1 - p) / (n - 1), the Bernoulli case.
             p = est.mean
-            assert est.half_width_95 == pytest.approx(
-                1.96 * math.sqrt(p * (1 - p) / (n_drops - 1)), rel=1e-12)
+            assert 0.0 < est.half_width_95 <= 1.96 * math.sqrt(p * (1 - p) / (n_drops - 1))
+
+    def test_far_field_removes_window_bias(self, baseline_cfg):
+        # At alpha = 2.5 a quarter of the interference comes from beyond the
+        # window; left out, it put the estimate about 40 half-widths high.
+        cfg = dataclasses.replace(baseline_cfg, alpha=2.5)
+        bias = power_law_bias(3.0, cfg.t_levels)
+        metrics, fp = evaluate_bias(cfg, bias)
+        est = estimate_success(cfg, fp.level_marginals, bias, fp.chain_metrics.p_occu,
+                               100_000, seed=0)
+        assert abs(est.mean - metrics.p_succ) <= 3.0 * est.half_width_95
+
+    @pytest.mark.parametrize("alpha", [2.05, 300.0, 1000.0])
+    @pytest.mark.parametrize("tau, noise", [(0.1, 1e-7), (1e-300, 1e-7), (0.0, 1e-7), (0.1, 0.0)])
+    def test_extreme_parameters_are_finite_and_warning_free(self, small_cfg, alpha, tau, noise):
+        # Ranked and multiplied on logarithms, no power overflows, even where
+        # every station nearer than 0.99 R would weigh inf at alpha = 1000.
+        cfg = dataclasses.replace(small_cfg, alpha=alpha, tau=tau, noise_power=noise)
+        pi = np.array([0.1, 0.2, 0.3, 0.4])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est = estimate_success(cfg, pi, BiasVector((1.0, 2.0, 4.0, 8.0)),
+                                   np.array([0.1, 0.3, 0.5, 0.9]), 2 * BLOCK, seed=8)
+        assert 0.0 <= est.mean <= 1.0 and math.isfinite(est.half_width_95)
+        if tau == 0.0:
+            assert est.mean == 1.0
 
     def test_occupancy_rounded_above_one(self, small_cfg):
         pi = np.full(4, 0.25)
