@@ -55,11 +55,14 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
     the product over the active stations x_k in the window other than the
     serving one, and the last factor the active stations beyond the window
     radius R, of density lambda_act = lambda_b sum_i pi_i p_occu_i, through
-    :func:`greencell.analytics.interference_factor` Z.  Each drop adds that
-    value, not a Bernoulli outcome, so ``mean`` estimates the same success
-    probability.  Its variance is the Bernoulli variance less the part due
-    to fading, so the 95% half-width is 2-4 times narrower at the baseline.
-    A drop with an empty window adds 0.
+    :func:`greencell.analytics.interference_factor` Z.  Without that factor
+    the window reads high: on the baseline at 1e5 drops, a mean z of +0.56
+    to +0.96 over seeds 0-23 at beta 0-3, and +40 at alpha = 2.5, beta = 3.
+
+    Each drop adds that value, not a Bernoulli outcome, so ``mean``
+    estimates the same success probability.  Its variance is the Bernoulli
+    variance less the part due to fading, so the 95% half-width is 2-4
+    times narrower at the baseline.  A drop with an empty window adds 0.
 
     Only what the value reads is drawn.  Block k draws from stream
     (seed, k), in this order:
