@@ -178,7 +178,7 @@ def expected_rates(level_marginals, bias: BiasVector, p_occu, p_block, cfg):
     """
     taus = np.append(2.0**_RATE_NODES - 1.0, cfg.tau)
     grid = _success_grid(taus, level_marginals, bias, p_occu, cfg)
-    tier_at_tau = grid[-1]
+    tier_at_tau = grid[-1].copy()  # owned, so a kept result does not pin the whole grid
     p_succ = float((tier_at_tau * association_split(level_marginals, bias, cfg)).sum())
     rates = cfg.rate_scale * (1.0 - np.asarray(p_block, float)) * tier_at_tau * (_RATE_WEIGHTS @ grid[:-1])
     return rates, tier_at_tau, p_succ

@@ -194,5 +194,6 @@ def _chain_images(cfg, params, weights, loads, sweep: int) -> list[qbd.SteadySta
             return [exc]
         return [_chain_images(cfg, params, [w], [x], sweep)[0] for w, x in zip(weights, loads)]
     curvatures = [None] * len(weights) if ss.marginal_curvature is None else ss.marginal_curvature
-    return [qbd.SteadyState(*item) for item in zip(ss.pi, ss.level_marginals, ss.residual.tolist(),
-                                                   ss.marginal_slope, curvatures)]
+    items = zip(ss.pi, ss.level_marginals, ss.residual.tolist(), ss.marginal_slope, curvatures)
+    # Each item owns copies of its rows, so a result kept in a memo does not pin its whole stack.
+    return [qbd.SteadyState(*(row.copy() if isinstance(row, np.ndarray) else row for row in item)) for item in items]

@@ -87,7 +87,7 @@ def _series_one_one(c: float, x: np.ndarray) -> np.ndarray:
     return total
 
 
-def hyp_one_one_neg(alpha: float, y) -> np.ndarray | float:
+def hyp_one_one_neg(alpha: float, y) -> np.ndarray:
     """F(1, 1 - 2/alpha; 2 - 2/alpha; -y) for y >= 0, alpha > 2.
 
     A fractional-linear transform maps the argument to w = y/(1+y) in [0, 1)
@@ -100,8 +100,6 @@ def hyp_one_one_neg(alpha: float, y) -> np.ndarray | float:
     instead.
     """
     y_arr = np.asarray(y, dtype=float)
-    scalar = y_arr.ndim == 0
-    y_arr = np.atleast_1d(y_arr)
     if np.any(y_arr < 0) or not np.all(np.isfinite(y_arr)):
         raise ValueError("argument must be finite and nonnegative")
     c = 2.0 - 2.0 / alpha
@@ -121,7 +119,7 @@ def hyp_one_one_neg(alpha: float, y) -> np.ndarray | float:
         ) * w[hi] ** (1.0 - c)
 
     out *= om
-    return float(out[0]) if scalar else out
+    return out
 
 
 # Panels [0, 2^-10], [2^-10, 2^-9], ..., [32, 64] for the scaled fading

@@ -211,10 +211,7 @@ def _roulette(rng: np.random.Generator, fitness: np.ndarray, n: int) -> np.ndarr
     if not np.isfinite(fitness).all():
         return rng.integers(0, fitness.size, size=n)
     shifted = fitness - fitness.min() + 1e-12
-    total = shifted.sum()
-    if not np.isfinite(total) or total <= 0:
-        return rng.integers(0, fitness.size, size=n)
-    return np.searchsorted(np.cumsum(shifted) / total, rng.random(n), side="right").clip(
+    return np.searchsorted(np.cumsum(shifted) / shifted.sum(), rng.random(n), side="right").clip(
         0, fitness.size - 1
     )
 
@@ -343,8 +340,7 @@ def _band_shares(cfg: NetworkConfig, fp: FixedPointResult) -> tuple[float, float
     )
 
 
-def compare_schemes(cfg: NetworkConfig, ga: GaConfig | None = None,
-                    betas=POWER_GRID_DEFAULT) -> ComparisonResult:
+def compare_schemes(cfg: NetworkConfig, ga: GaConfig | None = None) -> ComparisonResult:
     """Nearest-station baseline vs best feasible power law vs genetic search.
 
     Percentage deltas are relative to the nearest-station row (positive
@@ -364,18 +360,18 @@ def compare_schemes(cfg: NetworkConfig, ga: GaConfig | None = None,
         )
 
     flat = power_law_bias(0.0, cfg.t_levels)
-    grid = [power_law_bias(float(beta), cfg.t_levels) for beta in betas]
+    grid = [power_law_bias(beta, cfg.t_levels) for beta in POWER_GRID_DEFAULT]
     outcomes = evaluator.many([flat, *grid])[1:]
     nearest = build_row("nearest", flat)
     rows.append(nearest)
 
     best_beta, best_eta = 0.0, -math.inf
-    for beta, outcome in zip(betas, outcomes):
+    for beta, outcome in zip(POWER_GRID_DEFAULT, outcomes):
         if isinstance(outcome, Exception):
             continue
         metrics, fp = outcome
         if _feasible(cfg, metrics, fp) and metrics.eta_ce > best_eta:
-            best_beta, best_eta = float(beta), metrics.eta_ce
+            best_beta, best_eta = beta, metrics.eta_ce
     rows.append(build_row(f"power_law_beta_{best_beta:g}", power_law_bias(best_beta, cfg.t_levels)))
 
     ga_result = ga_optimize(evaluator, ga)

@@ -12,7 +12,6 @@ chain has the same structure; :func:`fold_plan` picks the grouping.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -147,24 +146,6 @@ def _inverse(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def poisson_tail(a, n: int) -> np.ndarray:
-    """P(X >= c) for X ~ Poisson(a) and c = 0, ..., n, one row per entry of ``a``.
-
-    From the pmf, built in logs so that no load underflows it: one minus the
-    lower sum up to the mean, where the tail is at least about a half, and the
-    upper sum above it.  The upper sum runs to n + 64 + 10 sqrt(a) (a capped
-    at n), past which the terms are below e^-50 of the tail's first one.
-    """
-    a = np.asarray(a, dtype=float)[..., None]
-    k = np.arange(1, n + 65 + math.ceil(10.0 * math.sqrt(min(float(a.max()), n))))
-    with np.errstate(all="ignore"):  # a = 0 gives log 0; its pmf is the point mass at 0
-        log_pmf = np.cumsum(np.log(a / k), axis=-1) - a
-        pmf = np.exp(np.concatenate([-a, log_pmf], axis=-1))
-    upper = np.cumsum(pmf[..., ::-1], axis=-1)[..., ::-1]
-    lower = 1.0 - (np.cumsum(pmf, axis=-1) - pmf)
-    return np.where(np.arange(pmf.shape[-1]) <= a, lower, upper)[..., :n + 1]
-
-
 def fold_plan(p: ChainParams, rho) -> tuple[bool, int | np.ndarray, int]:
     """(channel, top, states per level) of the fold of :func:`solve_steady_state`.
 
@@ -179,16 +160,24 @@ def fold_plan(p: ChainParams, rho) -> tuple[bool, int | np.ndarray, int]:
 
     The count J moves up at some rho_i <= max rho and down at j mu, whatever
     the battery does, so an M/M/inf queue of load a = max rho / mu dominates
-    it: P(J >= c) <= P(Poisson(a) >= c) (:func:`poisson_tail`).  A chain's
-    top count is the first whose tail is below TAIL_MASS, or N.
+    it: P(J >= c) <= P(Poisson(a) >= c).  Past c + 1 > a the Poisson terms
+    fall by at least a / (c + 1) per count, so that tail is at most
+    pmf(c) (c + 1) / (c + 1 - a), with log pmf(c) = c ln a - a - ln c!.  A
+    chain's top count is the first c >= 1 with c + 1 > a whose bound is below
+    TAIL_MASS, or N (c = 0, whose tail is 1, never is).  The bound is above
+    the exact tail, so the top is never below the exact tail's first count
+    under TAIL_MASS and can be one count higher, leaving out even less mass.
     """
     t, n = p.t_levels + 1, p.n_channels + 1
     absorbed = p.t_levels and p.static_drain == 0.0 and (p.omega == 0.0 or not np.any(rho[..., -1]))
     if not (absorbed or n > SPLIT_ABOVE and n > t):
         return False, p.t_levels, n
-    below = poisson_tail(np.max(rho, axis=-1) / p.mu, p.n_channels) < TAIL_MASS
+    a, c = np.max(rho, axis=-1)[..., None] / p.mu, np.arange(1, n)
+    with np.errstate(all="ignore"):  # a = 0 gives log 0; counts with c + 1 <= a are masked
+        log_bound = c * np.log(a) - a - np.cumsum(np.log(c)) + np.log((c + 1) / (c + 1 - a))
+        below = (c + 1 > a) & (log_bound < np.log(TAIL_MASS))
     below[..., -1] = True
-    return True, below.argmax(axis=-1), t
+    return True, below.argmax(axis=-1) + 1, t
 
 
 def solve_steady_state(gen: QbdGenerator, drho=None, ddrho=None) -> SteadyState:

@@ -27,6 +27,18 @@ def erlang_b(offered_load: float, n_servers: int) -> float:
     return b
 
 
+def poisson_tail(a: float, c: int) -> float:
+    """P(X >= c) for X ~ Poisson(a): the ``math.fsum`` of the pmf from c on.
+
+    Each term is taken in logs, and the sum runs 60 + 20 sqrt(a) counts past
+    max(c, a), where the terms have fallen below e^-200 of the mode's.
+    """
+    if a == 0.0:
+        return float(c == 0)
+    stop = max(c, math.ceil(a)) + 60 + math.ceil(20.0 * math.sqrt(a))
+    return math.fsum(math.exp(k * math.log(a) - a - math.lgamma(k + 1.0)) for k in range(c, stop))
+
+
 def dense_null_pi(a: np.ndarray) -> np.ndarray:
     """Stationary row vector of generator `a` via SVD null space, normalized."""
     _, s, vt = np.linalg.svd(a.T)

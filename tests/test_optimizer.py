@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from greencell import optimizer
+from greencell import analytics, optimizer
 from greencell.analytics import BiasVector, compute_metrics
 from greencell.numerics import NumericError, stream
 from greencell.optimizer import (
@@ -195,7 +195,7 @@ def test_level_bands():
 
 def test_compare_schemes_tiny(small_cfg):
     ga = GaConfig(pop_size=6, max_iters=2, seed=0)
-    result = compare_schemes(small_cfg, ga, betas=(0.0, 1.0, 2.0))
+    result = compare_schemes(small_cfg, ga)
     assert [r.name.split("_beta_")[0] for r in result.rows] == ["nearest", "power_law", "ga"]
     nearest, power, ga_row = result.rows
     assert nearest.bias.values == (1.0,) * 4
@@ -304,6 +304,19 @@ class TestEvaluator:
         assert str(together[1]) == str(alone.value) == "synthetic kernel failure"
         for bias, got in zip(biases[::2], together[::2]):
             _assert_same_outcome(got, evaluate_bias(small_cfg, bias))
+
+    def test_outcomes_hold_no_more_than_their_arrays(self, small_cfg, monkeypatch):
+        # The memo keeps every outcome, so none may pin its stacked chain solve or its
+        # success grid: each array owns its memory or views a buffer of its own size.
+        grids, real = [], analytics._success_grid
+        monkeypatch.setattr(analytics, "_success_grid", lambda *args: grids.append(real(*args)) or grids[-1])
+        outcomes = evaluate_biases(small_cfg, [power_law_bias(beta, small_cfg.t_levels) for beta in (1.0, 2.0, 3.0)])
+        arrays = [a for metrics, fp in outcomes for a in (metrics.p_succ_tier, metrics.rate_tier, fp.users,
+                                                          *vars(fp.chain_state).values()) if isinstance(a, np.ndarray)]
+        assert len(grids) == 3 and len(arrays) >= 18
+        for x in arrays:
+            assert (x if x.base is None else x.base).nbytes == x.nbytes
+            assert not any(np.shares_memory(x, grid) for grid in grids)
 
     def test_compare_schemes_solves_each_bias_once(self, small_cfg, monkeypatch):
         calls = _count_calls(monkeypatch)

@@ -1,3 +1,4 @@
+import bisect
 import dataclasses
 import itertools
 import math
@@ -21,7 +22,6 @@ from greencell.qbd import (
     build_generator,
     fold_plan,
     level_metrics,
-    poisson_tail,
     solve_steady_state,
     _inverse,
     stationary_residual,
@@ -33,6 +33,7 @@ from oracles import (
     dense_null_pi,
     erlang_b,
     gth_stationary,
+    poisson_tail,
     simulate_trajectory,
 )
 
@@ -420,15 +421,25 @@ def test_derivatives_of_a_subset_of_model_chains(baseline_cfg, corner):
     _assert_subsets_match(ChainParams.from_config(cfg), u, -u, 2.0 * u)
 
 
-@pytest.mark.parametrize("a", [0.0, 1e-3, 10.6, 106.0, 1000.0])
-def test_poisson_tail_matches_fsum(a):
-    n = 300
-    pmf = [math.exp(-a)]  # 0 at a = 1000, where every tail up to n rounds to 1
-    for k in range(1, n + 2000):
-        pmf.append(pmf[-1] * a / k)
-    ref = [math.fsum(pmf[c:]) if c > a else 1.0 - math.fsum(pmf[:c]) for c in range(n + 1)]
-    np.testing.assert_allclose(poisson_tail(a, n), ref, rtol=1e-12, atol=1e-300)
-    np.testing.assert_array_equal(poisson_tail([a, a], n), [poisson_tail(a, n)] * 2)
+def _exact_top(a, n_channels):
+    """First count c < N whose exact Poisson(a) tail is below TAIL_MASS, else N."""
+    return bisect.bisect_left(range(n_channels), True, key=lambda c: poisson_tail(a, c) < qbd.TAIL_MASS)
+
+
+@given(a=st.floats(0.0, 2000.0), n_channels=st.integers(1, 1000))
+@example(a=0.0, n_channels=1)
+@example(a=0.0, n_channels=300)
+@example(a=1e-3, n_channels=300)
+@example(a=10.6, n_channels=300)
+@example(a=106.0, n_channels=300)
+@example(a=1000.0, n_channels=300)
+def test_fold_top_bounds_the_exact_tail(a, n_channels):
+    # An absorbed chain (no drain, omega = 0) folds on channel counts at any N,
+    # with a top from a = max rho / mu alone.
+    _, top, _ = fold_plan(ChainParams(n_channels, 1, 1.0, 0.0, 1.0, 0.0), np.array([a, a]))
+    exact = _exact_top(a, n_channels)
+    assert exact <= top <= exact + 1
+    assert top == n_channels or poisson_tail(a, top) < qbd.TAIL_MASS
 
 
 @pytest.mark.parametrize("n_channels, t_levels, load", [(300, 10, 0.9), (100, 40, 9.5), (100, 3, 30.0),
@@ -440,7 +451,10 @@ def test_channel_fold_stops_where_the_tail_bound_allows(monkeypatch, n_channels,
     params = ChainParams(n_channels, t_levels, 1.0, 1.0, 40.0, 25.0)
     rho = load * np.linspace(0.9, 1.0, t_levels + 1)
     gen = build_generator(params, rho)
-    top = [*np.flatnonzero(poisson_tail(rho.max(), n_channels) < qbd.TAIL_MASS), n_channels][0]
+    # The first count c past the load a whose tail bound pmf(c) (c + 1) / (c + 1 - a) is below TAIL_MASS.
+    a = rho.max()
+    top = next((c for c in range(1, n_channels) if c + 1 > a and math.exp(
+        c * math.log(a) - a - math.lgamma(c + 1.0)) * (c + 1) / (c + 1 - a) < qbd.TAIL_MASS), n_channels)
     cut = solve_steady_state(gen, drho=-rho)
     monkeypatch.setattr(qbd, "TAIL_MASS", 0.0)
     full = solve_steady_state(gen, drho=-rho)
