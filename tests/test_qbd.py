@@ -442,6 +442,24 @@ def test_fold_top_bounds_the_exact_tail(a, n_channels):
     assert top == n_channels or poisson_tail(a, top) < qbd.TAIL_MASS
 
 
+@pytest.mark.parametrize("a", [0.0, 1e-3, 10.6, 106.0, 1000.0])
+def test_fold_bound_is_above_the_exact_tail_at_every_count(monkeypatch, a):
+    # With TAIL_MASS set to the exact tail at count c, a bound at or above the
+    # exact tail at every count below the top puts the top past c.  Stacked
+    # with other loads, each chain keeps its lone top.
+    n_channels = 3000
+    params = ChainParams(n_channels, 1, 1.0, 0.0, 1.0, 0.0)
+    lone = fold_plan(params, np.array([a, a]))[1]
+    assert lone == 1 if a == 0.0 else lone > a
+    stack = np.array([[a, a], [0.0, 0.0], [2.0 * a, a]])
+    np.testing.assert_array_equal(fold_plan(params, stack)[1], [lone, 1, fold_plan(params, stack[2])[1]])
+    counts = [c for c in range(1, n_channels) if 1e-250 < poisson_tail(a, c) < 1.0]
+    assert bool(counts) == (a > 0.0)
+    for c in counts:
+        monkeypatch.setattr(qbd, "TAIL_MASS", poisson_tail(a, c))
+        assert c < fold_plan(params, np.array([a, a]))[1] < n_channels
+
+
 @pytest.mark.parametrize("n_channels, t_levels, load", [(300, 10, 0.9), (100, 40, 9.5), (100, 3, 30.0),
                                                         (100, 3, 40.0)])
 def test_channel_fold_stops_where_the_tail_bound_allows(monkeypatch, n_channels, t_levels, load):
