@@ -6,7 +6,8 @@ those stations; the interference from beyond the window enters in closed
 form.  Drops are simulated in blocks of ``BLOCK``; block k draws from the
 counter-based stream keyed (seed, k), so results are reproducible and
 independent of evaluation order.  The block size is part of that stream
-layout: changing it changes every estimate.
+layout: changing it changes every estimate.  Active-station counts come
+from inverting a Poisson CDF table, one uniform per (drop, level).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from .analytics import interference_factor
 from .numerics import stream
 
-BLOCK = 128
+BLOCK = 256
 
 
 def default_window(cfg) -> float:
@@ -37,6 +38,30 @@ class McEstimate:
 
 def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
+
+
+def _poisson_table(means) -> tuple[np.ndarray, np.ndarray]:
+    """Poisson CDF tables of the given means, for counts by inversion.
+
+    Level i's CDF F_i(c), c = 0 .. ceil(m_i + 14 sqrt(m_i) + 40), is shifted up
+    by i, and the tables are laid end to end; ``first[i]`` is the index of
+    level i's F_i(0).  So for uniforms U in [0, 1),
+    ``searchsorted(table, U + i, side="right") - first[i]`` is
+    #{c : F_i(c) <= U}, the inverse-CDF count, for all levels in one call.
+    The shift costs log2(T + 1) bits: each CDF step is resolved to about
+    (T + 1) 2^-53 (1.2e-15 at T = 10).  The last entry of each table is 1,
+    so no count exceeds the table, and a zero mean always gives 0.
+    """
+    parts = []
+    for level, mean in enumerate(np.asarray(means, dtype=float)):
+        c = np.arange(math.ceil(mean + 14.0 * math.sqrt(mean) + 40.0))  # all but the last
+        cdf = np.ones(c.size + 1)
+        if mean > 0.0:
+            log_fact = np.concatenate(([0.0], np.cumsum(np.log(c[1:]))))
+            cdf[:-1] = np.minimum(np.cumsum(np.exp(c * math.log(mean) - mean - log_fact)), 1.0)
+        parts.append(cdf + level)
+    first = np.cumsum([0] + [part.size for part in parts[:-1]])
+    return np.concatenate(parts), first
 
 
 def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
@@ -67,15 +92,17 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
     Only what the value reads is drawn.  Block k draws from stream
     (seed, k), in this order:
 
-    1. a Poisson count of active stations per (drop, level), of mean
-       lambda_b pi R^2 pi_i p_occu_i;
+    1. one uniform U per (drop, level), turned into a Poisson count of active
+       stations of mean lambda_b pi R^2 pi_i p_occu_i by inverting the CDF
+       table of :func:`_poisson_table`, built once per call;
     2. one Exp(1) E per (drop, level): the nearest idle station of the level
        is at r^2 = R^2 E / m_i, m_i = lambda_b pi R^2 pi_i (1 - p_occu_i),
        or absent if E >= m_i, which is the law of the nearest of a
        Poisson(m_i) number of uniform points in the disc; farther idle
        stations never enter;
-    3. one uniform U per active station, laid out drop by drop and level by
-       level within a drop, at r^2 = R^2 (1 - U).
+    3. one Exp(1) E per active station, laid out drop by drop and level by
+       level within a drop, at r^2 = R^2 exp(-E), i.e. g = -(alpha / 2) E:
+       the law of r^2 = R^2 (1 - U), a uniform point in the disc.
 
     The candidates for serving are, per level, the nearest active station
     and the nearest idle one; ties go to the lower level, and to the active
@@ -108,24 +135,36 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
     far_mass = float(active_mean.sum())  # lambda_act pi R^2
     n_lev = pi.size
 
+    table, table_start = _poisson_table(active_mean)
+    level_shift = np.arange(n_lev)
+    # The stations of a block and one pad slot, in a buffer that every block
+    # of this call reuses, so the nearest station per (drop, level) and the
+    # sum per drop are reductions over its segments.
+    buf = np.empty(0)
+
     def block_moments(rng: np.random.Generator, m: int) -> tuple[float, float]:
         """Sum and sum of squared deviations of ``m`` drops' success probabilities.
 
         Only one block's arrays live at a time, so memory does not grow with
         the number of drops.
         """
-        counts = rng.poisson(active_mean, size=(m, n_lev))
+        nonlocal buf
+        u = rng.random((m, n_lev)) + level_shift
+        counts = np.searchsorted(table, u, side="right") - table_start
         with np.errstate(divide="ignore"):  # E = 0 puts a station at the origin
             idle = np.log(rng.standard_exponential((m, n_lev)))
-        g = rng.random(int(counts.sum()))
-        np.log1p(np.negative(g, out=g), out=g)
-        g *= half_alpha
-
         seg = counts.ravel()
-        filled = seg > 0
-        nearest = np.full(seg.size, np.inf)
-        if filled.any():
-            nearest[filled] = np.minimum.reduceat(g, (np.cumsum(seg) - seg)[filled])
+        n = int(seg.sum())
+        if n >= buf.size:  # room for twice the stations: later blocks rarely need more
+            buf = np.empty(2 * n + 1)
+        g = buf[:n]
+        rng.standard_exponential(out=g)
+        g *= -half_alpha  # r^2 = R^2 exp(-E)
+
+        buf[n] = np.inf  # the pad
+        starts = np.cumsum(seg) - seg
+        nearest = np.minimum.reduceat(buf[:n + 1], starts)
+        nearest[seg == 0] = np.inf  # reduceat reads an empty segment as the element after it
         idle -= log_idle_mean
         idle[(idle >= 0.0) | no_idle] = np.inf  # E >= m_i: no idle station in the window
         cand = np.stack((nearest.reshape(m, n_lev), idle * half_alpha), axis=2).reshape(m, -1)
@@ -138,14 +177,13 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
         # serving station's own term.  A term past exp's range gives a drop
         # whose value is below 1e-308, i.e. 0.
         per_drop = counts.sum(axis=1)
-        terms = np.subtract(np.repeat(log_tau + g_s, per_drop), g, out=g)
+        np.subtract(np.repeat(log_tau + g_s, per_drop), g, out=g)
         with np.errstate(over="ignore"):
-            np.exp(terms, out=terms)
-        np.log1p(terms, out=terms)
-        log_p = np.zeros(m)
-        some = per_drop > 0
-        if some.any():
-            log_p[some] = np.add.reduceat(terms, (np.cumsum(per_drop) - per_drop)[some])
+            np.exp(g, out=g)
+        np.log1p(g, out=g)
+        buf[n] = 0.0  # the pad
+        log_p = np.add.reduceat(buf[:n + 1], starts[::n_lev])
+        log_p[per_drop == 0] = 0.0  # as above, for a drop with no active station
         log_p[served & (best % 2 == 0)] -= own_term
         with np.errstate(over="ignore"):  # a huge exponent means a factor of 0
             log_p += np.exp(noise_log + g_s)

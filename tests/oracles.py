@@ -581,17 +581,32 @@ def estimate_success_per_drop(cfg, level_marginals, bias, p_occu, n_drops: int,
     return float(hits.mean()), 1.96 * std / math.sqrt(n_drops)
 
 
+def poisson_inverse(u: float, mean: float) -> int:
+    """Smallest count c with Poisson(mean) CDF F(c) > u, by the pmf recurrence.
+
+    Stops where the pmf underflows, should the summed CDF round below u.
+    """
+    c, pmf = 0, math.exp(-mean)
+    cdf = pmf
+    while cdf <= u and pmf > 0.0:
+        c += 1
+        pmf *= mean / c
+        cdf += pmf
+    return c
+
+
 def estimate_success_blockwise(cfg, level_marginals, bias, p_occu, n_drops: int,
                                seed: int = 0, r_sim: float | None = None,
-                               block: int = 128) -> float:
+                               block: int = 256) -> float:
     """Mean conditional success probability from the batched estimator's draws.
 
-    Block k draws from Philox (seed, k), in this order: a Poisson count of
-    active stations per (drop, level), of mean lambda_b * area * pi_level *
-    p_occu; one Exp(1) per (drop, level), the nearest idle station of the
-    level at r^2 = R^2 E / m (none if E >= m), m the level's idle mean; one
-    uniform U per active station, laid out by drop then level, at
-    r^2 = R^2 (1 - U).  Each drop then takes a plain argmin of r^2 B^(-2/alpha)
+    Block k draws from Philox (seed, k), in this order: one uniform per
+    (drop, level), turned into a Poisson count of active stations of mean
+    lambda_b * area * pi_level * p_occu by a sequential search of the CDF
+    (:func:`poisson_inverse`); one Exp(1) per (drop, level), the nearest idle
+    station of the level at r^2 = R^2 E / m (none if E >= m), m the level's
+    idle mean; one Exp(1) E per active station, laid out by drop then level,
+    at r^2 = R^2 exp(-E).  Each drop then takes a plain argmin of r^2 B^(-2/alpha)
     over the (level, active/idle) candidates and multiplies its success
     probability out: noise, one 1 / (1 + tau (r_s/x)^alpha) per other active
     station, and the active stations beyond R by the far-field weight.
@@ -614,11 +629,12 @@ def estimate_success_blockwise(cfg, level_marginals, bias, p_occu, n_drops: int,
     for k, first in enumerate(range(0, n_drops, block)):
         rng = _philox(seed, k)
         m = min(block, n_drops - first)
-        counts = rng.poisson(active_mean, size=(m, pi.size))
+        counts = [[poisson_inverse(u, mean) for u, mean in zip(row, active_mean)]
+                  for row in rng.random((m, pi.size))]
         idle_e = rng.standard_exponential((m, pi.size))
-        u = iter(rng.random(counts.sum()))
+        e = iter(rng.standard_exponential(sum(map(sum, counts))))
         for d in range(m):
-            active = [[r_sim**2 * (1.0 - next(u)) for _ in range(c)] for c in counts[d]]
+            active = [[r_sim**2 * math.exp(-next(e)) for _ in range(c)] for c in counts[d]]
             candidates = []  # (rank, r^2, level, is_active)
             for level in range(pi.size):
                 shrink = b[level] ** (-2.0 / alpha)

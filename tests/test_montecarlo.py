@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from greencell.analytics import BiasVector, association_split, average_users
-from greencell.montecarlo import BLOCK, default_window, estimate_success
+from greencell.montecarlo import BLOCK, _poisson_table, default_window, estimate_success
+from greencell.numerics import stream
 from greencell.optimizer import evaluate_bias, power_law_bias
 from oracles import (
     Realization,
@@ -14,6 +15,7 @@ from oracles import (
     estimate_success_blockwise,
     estimate_success_per_drop,
     flat_bias,
+    poisson_inverse,
     sample_realization,
     success_probability,
 )
@@ -137,6 +139,7 @@ class TestEstimateSuccess:
         ((1.0, 64.0, 1.5, 3.0), (1.0, 0.0, 1.0, 0.2), BLOCK + 1),
         ((1.0, 2.0, 4.0, 8.0), (0.0, 0.0, 0.0, 0.0), 40),
         ((1.0, 3.0, 9.0, 27.0), (1.0, 1.0, 1.0, 1.0), 1),
+        ((1.0, 2.0, 4.0, 8.0), (0.002, 0.0, 0.001, 0.003), BLOCK + 9),  # most drops empty
     ])
     def test_matches_blockwise_oracle(self, small_cfg, bias, occ, n_drops):
         # Same draws, each drop's success probability multiplied out in a
@@ -146,6 +149,19 @@ class TestEstimateSuccess:
         assert est.mean == pytest.approx(estimate_success_blockwise(
             small_cfg, pi, BiasVector(bias), np.array(occ), n_drops, seed=6, block=BLOCK),
             rel=1e-12)
+
+    @pytest.mark.parametrize("levels, occ, n_drops", [
+        (41, 0.3, BLOCK + 5),  # level 40's CDF table sits at +40
+        (4, 1.0, BLOCK + 3),  # fully occupied: every level's mean is 225 pi_i
+    ])
+    def test_matches_blockwise_oracle_wide(self, small_cfg, levels, occ, n_drops):
+        pi = np.linspace(1.0, 3.0, levels)
+        pi /= pi.sum()
+        bias = BiasVector(tuple(1.0 + 0.1 * i for i in range(levels)))
+        occ = np.full(levels, occ)
+        est = estimate_success(small_cfg, pi, bias, occ, n_drops, seed=13)
+        assert est.mean == pytest.approx(estimate_success_blockwise(
+            small_cfg, pi, bias, occ, n_drops, seed=13, block=BLOCK), rel=1e-12)
 
     @pytest.mark.parametrize("n_drops", [1, BLOCK - 1, BLOCK, BLOCK + 1, 300])
     def test_block_edges(self, small_cfg, n_drops):
@@ -198,6 +214,58 @@ class TestEstimateSuccess:
     def test_rejects_empty_sample(self, small_cfg):
         with pytest.raises(ValueError):
             estimate_success(small_cfg, np.full(4, 0.25), flat_bias(3), np.zeros(4), 0)
+
+
+class TestPoissonTable:
+    @pytest.mark.parametrize("mean", [0.0, 1e-3, 0.5, 9.0, 99.0, 225.0])
+    def test_counts_match_sequential_inversion(self, mean):
+        # On a grid of uniforms and just either side of every CDF step the
+        # oracle's recurrence takes.
+        table, first = _poisson_table([mean])
+        assert first.tolist() == [0] and table[-1] == 1.0
+        steps, cdf, pmf, c = [], math.exp(-mean), math.exp(-mean), 0
+        while cdf < 1.0 - 1e-9:
+            steps.append(cdf)
+            c += 1
+            pmf *= mean / c
+            cdf += pmf
+        u = np.concatenate((np.arange(10_000) / 10_000,
+                            np.array(steps) - 1e-9, np.array(steps) + 1e-9))
+        u = u[(u >= 0.0) & (u < 1.0)]
+        counts = np.searchsorted(table, u, side="right")
+        np.testing.assert_array_equal(counts, [poisson_inverse(x, mean) for x in u])
+        if mean == 0.0:
+            assert not counts.any()
+
+    def test_shifted_levels(self):
+        means = np.array([0.0, 0.5, 9.0, 0.0, 99.0])
+        table, first = _poisson_table(means)
+        # Shifted by 4, F(c) below 4.4e-16 rounds to 4: a U that small would
+        # count those steps, a resolution the docstring states.
+        u = (np.arange(1000) + 0.5) / 1000
+        ends = np.append(first[1:], table.size)
+        for level, mean in enumerate(means):
+            assert table[ends[level] - 1] == level + 1.0
+            counts = np.searchsorted(table, u + level, side="right") - first[level]
+            np.testing.assert_array_equal(counts, [poisson_inverse(x, mean) for x in u])
+
+    def test_block_counts_track_means(self, baseline_cfg):
+        # The estimator's own draws: 200 blocks of the baseline at beta = 1.
+        bias = power_law_bias(1.0, baseline_cfg.t_levels)
+        _, fp = evaluate_bias(baseline_cfg, bias)
+        means = (baseline_cfg.lambda_b * math.pi * default_window(baseline_cfg) ** 2
+                 * fp.level_marginals * np.clip(fp.chain_metrics.p_occu, 0.0, 1.0))
+        table, first = _poisson_table(means)
+        shift = np.arange(means.size)
+        counts = np.concatenate([
+            np.searchsorted(table, stream(0, k).random((BLOCK, means.size)) + shift,
+                            side="right") - first
+            for k in range(200)])
+        n = counts.shape[0]
+        # Poisson: Var(sample mean) = m / n, Var(sample variance) ~ (m + 2 m^2) / n.
+        assert (abs(counts.mean(axis=0) - means) < 4.0 * np.sqrt(means / n)).all()
+        assert (abs(counts.var(axis=0, ddof=1) - means)
+                < 4.0 * np.sqrt((means + 2.0 * means**2) / n)).all()
 
 
 class TestEstimateShares:
