@@ -3,6 +3,9 @@
 All outputs are CSV (plotting happens elsewhere).  Every file carries
 reproducibility headers and a JSON manifest sidecar.  Exit codes: 0 ok,
 2 config error, 3 numeric failure, 4 GA found no feasible bias.
+
+Each table is built where its values are computed: the ``optimize`` tables
+by :func:`optimizer.compare_schemes`, the others here.
 """
 
 from __future__ import annotations
@@ -23,18 +26,11 @@ import numpy as np
 from . import __version__
 from .analytics import BiasVector
 from .config import ConfigError, NetworkConfig, _is_real, config_hash, load_config
-from .csvio import RunManifest, header_lines, write_csv, write_manifest
+from .csvio import header_lines, indexed, metric_columns, write_csv, write_manifest
 from .montecarlo import estimate_success
 from .numerics import NumericError
-from .optimizer import (
-    POWER_GRID_DEFAULT,
-    GaConfig,
-    SweepPoint,
-    beta_sweep,
-    compare_schemes,
-    evaluate_bias,
-    power_law_bias,
-)
+from .optimizer import (POWER_GRID_DEFAULT, Evaluator, GaConfig, compare_schemes, evaluate_bias,
+                        power_law_bias)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -92,39 +88,45 @@ def _map(fn, tasks) -> list:
     return [fn(t) for t in tasks]
 
 
-def _indexed(stem: str, values) -> dict:
-    """Columns ``stem_0``, ``stem_1``, ... holding ``values`` as floats."""
-    return {f"{stem}_{i}": float(v) for i, v in enumerate(values)}
-
-
-def _metric_columns(m, names) -> dict:
-    """Fields ``names`` of the metrics ``m``, each NaN when ``m`` is None."""
-    return {name: math.nan if m is None else getattr(m, name) for name in names}
-
-
 def cmd_analyze(args, cfg: NetworkConfig) -> tuple[dict, int]:
     bias = _load_bias(cfg, args)
     metrics, fp = evaluate_bias(cfg, bias)
     row = {
-        **_indexed("bias", bias.values),
-        **_metric_columns(metrics, ("p_succ", "area_rate", "p_tot", "p_grid", "e_tot",
-                                    "eta_ee", "eta_ce")),
+        **indexed("bias", bias.values),
+        **metric_columns(metrics, ("p_succ", "area_rate", "p_tot", "p_grid", "e_tot",
+                                   "eta_ee", "eta_ce")),
         "converged": fp.converged,
         "iterations": fp.iterations,
         "residual": fp.residual,
-        **_indexed("pi", fp.level_marginals),
-        **_indexed("users", fp.users),
-        **_indexed("p_block", fp.chain_metrics.p_block),
-        **_indexed("p_occu", fp.chain_metrics.p_occu),
-        **_indexed("p_succ_tier", metrics.p_succ_tier),
-        **_indexed("rate_tier", metrics.rate_tier),
+        **indexed("pi", fp.level_marginals),
+        **indexed("users", fp.users),
+        **indexed("p_block", fp.chain_metrics.p_block),
+        **indexed("p_occu", fp.chain_metrics.p_occu),
+        **indexed("p_succ_tier", metrics.p_succ_tier),
+        **indexed("rate_tier", metrics.rate_tier),
     }
     return {args.out: [row]}, EXIT_OK
 
 
-def _sweep_task(task) -> list[SweepPoint]:
+def _sweep_task(task) -> list[tuple[dict, str | None]]:
+    """Sweep rows of the power-law ``betas`` at recharge rate ``nu``, each with
+    its solver error or None; the betas are solved together."""
     cfg, betas, nu = task
-    return beta_sweep(cfg if nu == cfg.nu else dataclasses.replace(cfg, nu=nu), betas)
+    cfg = cfg if nu == cfg.nu else dataclasses.replace(cfg, nu=nu)
+    biases = [power_law_bias(float(beta), cfg.t_levels) for beta in betas]
+    pairs = []
+    for beta, outcome in zip(betas, Evaluator(cfg).many(biases)):
+        failed = isinstance(outcome, Exception)
+        metrics, fp = (None, None) if failed else outcome
+        pairs.append(({
+            "beta": float(beta),
+            "nu": float(cfg.nu),
+            **metric_columns(metrics, ("p_succ", "e_tot", "eta_ee", "eta_ce", "p_grid")),
+            "converged": not failed and fp.converged,
+            "iterations": math.nan if failed else fp.iterations,
+            "residual": math.nan if failed else fp.residual,
+        }, str(outcome) if failed else None))
+    return pairs
 
 
 def cmd_sweep(args, cfg: NetworkConfig) -> tuple[dict, int]:
@@ -136,23 +138,13 @@ def cmd_sweep(args, cfg: NetworkConfig) -> tuple[dict, int]:
     runs = min(worker_count(), len(betas))
     chunks = [betas[k * len(betas) // runs:(k + 1) * len(betas) // runs] for k in range(runs)]
     tasks = [(cfg, chunk, nu) for nu in nus for chunk in chunks]
-    points = [p for chunk in _map(_sweep_task, tasks) for p in chunk]
-    points.sort(key=lambda p: (p.nu, p.beta))
-
-    rows = []
-    for p in points:
-        if p.error is not None:
-            print(f"warning: sweep point beta={p.beta:g} nu={p.nu:g} failed: {p.error}",
+    pairs = [p for chunk in _map(_sweep_task, tasks) for p in chunk]
+    pairs.sort(key=lambda p: (p[0]["nu"], p[0]["beta"]))
+    for row, error in pairs:
+        if error is not None:
+            print(f"warning: sweep point beta={row['beta']:g} nu={row['nu']:g} failed: {error}",
                   file=sys.stderr)
-        rows.append({
-            "beta": p.beta,
-            "nu": p.nu,
-            **_metric_columns(p.metrics, ("p_succ", "e_tot", "eta_ee", "eta_ce", "p_grid")),
-            "converged": p.converged,
-            "iterations": p.iterations,
-            "residual": p.residual,
-        })
-    return {args.out: rows}, EXIT_OK
+    return {args.out: [row for row, _ in pairs]}, EXIT_OK
 
 
 def _validate_task(task) -> dict:
@@ -183,41 +175,13 @@ def cmd_validate(args, cfg: NetworkConfig) -> tuple[dict, int]:
 
 
 def cmd_optimize(args, cfg: NetworkConfig) -> tuple[dict, int]:
-    ga = GaConfig(pop_size=args.pop, max_iters=args.iters, seed=args.seed)
-    comparison = compare_schemes(cfg, ga)
-    result = comparison.ga_result
-    best = result.best
-    best_row = {
-        "feasible": best.feasible,
-        "fitness": best.fitness,
-        **_metric_columns(best.metrics, ("p_succ", "e_tot", "eta_ce")),
-        "n_evaluations": result.n_evaluations,
-        **_indexed("bias", best.bias.values),
-    }
-    hist_rows = [{
-        "generation": g.generation,
-        "best_fitness": g.best_fitness,
-        "mean_fitness": g.mean_fitness,
-        "best_feasible": g.best_feasible,
-        **_indexed("bias", g.best_bias),
-    } for g in result.history]
-    comp_rows = [{
-        "scheme": r.name,
-        "feasible": r.feasible,
-        "converged": r.converged,
-        **_metric_columns(r.metrics, ("p_succ", "e_tot", "eta_ce")),
-        "share_low": r.share_low,
-        "share_mid": r.share_mid,
-        "share_high": r.share_high,
-        "delta_e_tot_pct": math.nan if r.delta_e_tot_pct is None else r.delta_e_tot_pct,
-        "delta_eta_ce_pct": math.nan if r.delta_eta_ce_pct is None else r.delta_eta_ce_pct,
-        **_indexed("bias", r.bias.values),
-    } for r in comparison.rows]
-    tables = dict(zip(args.outputs(args.out), ([best_row], hist_rows, comp_rows)))
-    if not best.feasible:
-        print("no feasible bias vector found", file=sys.stderr)
-        return tables, EXIT_INFEASIBLE
-    return tables, EXIT_OK
+    best, history, comparison = compare_schemes(
+        cfg, GaConfig(pop_size=args.pop, max_iters=args.iters, seed=args.seed))
+    tables = dict(zip(args.outputs(args.out), (best, history, comparison)))
+    if best[0]["feasible"]:
+        return tables, EXIT_OK
+    print("no feasible bias vector found", file=sys.stderr)
+    return tables, EXIT_INFEASIBLE
 
 
 def _check_writable(path: str) -> None:
@@ -257,14 +221,14 @@ def run_command(args, command: str) -> int:
         for path, rows in tables.items():
             write_csv(path, headers, list(rows[0]), rows)
         path = args.manifest(args.out)
-        write_manifest(path, RunManifest(
-            command=command,
-            config_hash=h,
-            seed=args.seed,
-            outputs=[os.path.abspath(p) for p in tables],
-            wall_clock_s=time.time() - t0,
-            tool_version=__version__,
-        ))
+        write_manifest(path, {
+            "command": command,
+            "config_hash": h,
+            "seed": args.seed,
+            "outputs": [os.path.abspath(p) for p in tables],
+            "wall_clock_s": time.time() - t0,
+            "tool_version": __version__,
+        })
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
     for path in tables:

@@ -1,4 +1,4 @@
-"""CSV and manifest writing with reproducibility headers.
+"""CSV and manifest writing with reproducibility headers; shared column helpers.
 
 Every CSV starts with `#` comment lines carrying the tool version, the
 config hash, the seed, and the command line, so any output file can be
@@ -8,11 +8,10 @@ traced back to the exact run that produced it.  Writes are atomic
 
 from __future__ import annotations
 
-import dataclasses
 import json
+import math
 import os
 import tempfile
-from dataclasses import dataclass
 
 
 def format_value(value) -> str:
@@ -21,6 +20,16 @@ def format_value(value) -> str:
     if isinstance(value, float):
         return repr(value)
     return str(value)
+
+
+def indexed(stem: str, values) -> dict:
+    """Columns ``stem_0``, ``stem_1``, ... holding ``values`` as floats."""
+    return {f"{stem}_{i}": float(v) for i, v in enumerate(values)}
+
+
+def metric_columns(m, names) -> dict:
+    """Fields ``names`` of the metrics ``m``, each NaN when ``m`` is None."""
+    return {name: math.nan if m is None else getattr(m, name) for name in names}
 
 
 def header_lines(version: str, config_hash: str, seed: int, command: str) -> list[str]:
@@ -55,15 +64,5 @@ def write_csv(path: str | os.PathLike, headers: list[str],
     atomic_write_text(path, "\n".join(lines) + "\n")
 
 
-@dataclass
-class RunManifest:
-    command: str
-    config_hash: str
-    seed: int
-    outputs: list[str]
-    wall_clock_s: float
-    tool_version: str
-
-
-def write_manifest(path: str | os.PathLike, manifest: RunManifest) -> None:
-    atomic_write_text(path, json.dumps(dataclasses.asdict(manifest), indent=2) + "\n")
+def write_manifest(path: str | os.PathLike, manifest: dict) -> None:
+    atomic_write_text(path, json.dumps(manifest, indent=2) + "\n")

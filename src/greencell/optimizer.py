@@ -1,4 +1,4 @@
-"""Bias-vector optimization: power-law sweeps and a genetic search.
+"""Bias-vector optimization: power-law profiles, genetic search, scheme comparison.
 
 Every bias vector is solved through one memoizing :class:`Evaluator`, so a
 run that meets the same vector again (a power-law profile seeded into the
@@ -6,6 +6,9 @@ GA, an unchanged offspring, a comparison row) solves it only once.  A
 request for many vectors (the betas of a sweep, a GA generation, the
 power-law grid of a comparison) solves its new vectors together, in one
 lockstep fixed-point run (:func:`fixedpoint.solve_batch`).
+
+:func:`compare_schemes` returns the rows of the three ``optimize`` tables;
+the genetic search builds its history rows itself, one per generation.
 
 The genetic algorithm maximizes carbon efficiency subject to the coverage
 floor.  Infeasible individuals carry a large penalty proportional to the
@@ -23,6 +26,7 @@ import numpy as np
 
 from .analytics import BiasVector, NetworkMetrics, compute_metrics
 from .config import NetworkConfig
+from .csvio import indexed, metric_columns
 from .fixedpoint import FixedPointResult, solve_batch
 from .fixedpoint import solve  # noqa: F401  (perfbench/tracer.py wraps optimizer.solve)
 from .numerics import NumericError, stream
@@ -99,35 +103,6 @@ class Evaluator:
         return [self._outcomes[b] for b in biases]
 
 
-@dataclass
-class SweepPoint:
-    beta: float
-    nu: float
-    metrics: NetworkMetrics | None
-    converged: bool
-    iterations: float = math.nan  # chain solves of the fixed point; NaN for a failed point
-    residual: float = math.nan
-    error: str | None = None
-
-
-def beta_sweep(cfg: NetworkConfig, betas) -> list[SweepPoint]:
-    """Power-law biases of exponents ``betas`` at the config's recharge rate, solved together.
-
-    Solver failures at a grid point are captured in the point instead of
-    aborting the sweep.
-    """
-    nu, points = float(cfg.nu), []
-    biases = [power_law_bias(float(beta), cfg.t_levels) for beta in betas]
-    for beta, outcome in zip(betas, Evaluator(cfg).many(biases)):
-        if isinstance(outcome, Exception):
-            points.append(SweepPoint(float(beta), nu, None, False, error=str(outcome)))
-        else:
-            metrics, fp = outcome
-            points.append(SweepPoint(float(beta), nu, metrics, fp.converged,
-                                     fp.iterations, fp.residual))
-    return points
-
-
 @dataclass(frozen=True)
 class GaConfig:
     pop_size: int = 50
@@ -150,18 +125,9 @@ class Individual:
 
 
 @dataclass
-class GenerationStats:
-    generation: int
-    best_fitness: float
-    mean_fitness: float
-    best_feasible: bool
-    best_bias: tuple
-
-
-@dataclass
 class GaResult:
     best: Individual
-    history: list[GenerationStats]
+    history: list[dict]  # one CSV row per generation
     n_evaluations: int
 
 
@@ -284,38 +250,15 @@ def ga_optimize(evaluator: Evaluator, ga: GaConfig | None = None) -> GaResult:
     return GaResult(best=population[0], history=history, n_evaluations=n_evals)
 
 
-def _stats(generation: int, population: list[Individual]) -> GenerationStats:
+def _stats(generation: int, population: list[Individual]) -> dict:
     best = population[0]
-    mean = float(np.mean([ind.fitness for ind in population]))
-    return GenerationStats(
-        generation=generation,
-        best_fitness=best.fitness,
-        mean_fitness=mean,
-        best_feasible=best.feasible,
-        best_bias=best.bias.values,
-    )
-
-
-@dataclass
-class SchemeRow:
-    """One comparison row: a bias scheme with its metrics and level shares."""
-
-    name: str
-    bias: BiasVector
-    metrics: NetworkMetrics | None
-    converged: bool
-    feasible: bool
-    share_low: float
-    share_mid: float
-    share_high: float
-    delta_e_tot_pct: float | None = None
-    delta_eta_ce_pct: float | None = None
-
-
-@dataclass
-class ComparisonResult:
-    rows: list[SchemeRow]
-    ga_result: GaResult | None = None
+    return {
+        "generation": generation,
+        "best_fitness": best.fitness,
+        "mean_fitness": float(np.mean([ind.fitness for ind in population])),
+        "best_feasible": best.feasible,
+        **indexed("bias", best.bias.values),
+    }
 
 
 def _level_bands(t_levels: int) -> tuple[int, int]:
@@ -327,62 +270,73 @@ def _level_bands(t_levels: int) -> tuple[int, int]:
     return low_end, mid_end
 
 
-def _band_shares(cfg: NetworkConfig, fp: FixedPointResult) -> tuple[float, float, float]:
-    total = fp.users.sum()
+def _band_shares(cfg: NetworkConfig, fp: FixedPointResult | None) -> dict:
+    """Columns ``share_low/mid/high``: the users' shares of the level bands."""
+    names = ("share_low", "share_mid", "share_high")
+    total = 0.0 if fp is None else fp.users.sum()
     if total <= 0:
-        return (math.nan,) * 3
+        return dict.fromkeys(names, math.nan)
     shares = fp.users / total
     low_end, mid_end = _level_bands(cfg.t_levels)
-    return (
-        float(shares[:low_end].sum()),
-        float(shares[low_end:mid_end].sum()),
-        float(shares[mid_end:].sum()),
-    )
+    return dict(zip(names, (float(shares[:low_end].sum()), float(shares[low_end:mid_end].sum()),
+                            float(shares[mid_end:].sum()))))
 
 
-def compare_schemes(cfg: NetworkConfig, ga: GaConfig | None = None) -> ComparisonResult:
+def _scheme_row(cfg: NetworkConfig, name: str, bias: BiasVector, outcome: Outcome,
+                base: NetworkMetrics | None) -> dict:
+    """One comparison row; the deltas are relative to the metrics ``base``."""
+    metrics, fp = (None, None) if isinstance(outcome, Exception) else outcome
+    delta_e, delta_eta = math.nan, math.nan
+    if base is not None and base.e_tot > 0 and metrics is not None:
+        delta_e = 100.0 * (1.0 - metrics.e_tot / base.e_tot)
+        if math.isfinite(base.eta_ce) and base.eta_ce > 0 and math.isfinite(metrics.eta_ce):
+            delta_eta = 100.0 * (metrics.eta_ce / base.eta_ce - 1.0)
+    return {
+        "scheme": name,
+        "feasible": fp is not None and _feasible(cfg, metrics, fp),
+        "converged": fp is not None and fp.converged,
+        **metric_columns(metrics, ("p_succ", "e_tot", "eta_ce")),
+        **_band_shares(cfg, fp),
+        "delta_e_tot_pct": delta_e,
+        "delta_eta_ce_pct": delta_eta,
+        **indexed("bias", bias.values),
+    }
+
+
+def compare_schemes(cfg: NetworkConfig,
+                    ga: GaConfig | None = None) -> tuple[list[dict], list[dict], list[dict]]:
     """Nearest-station baseline vs best feasible power law vs genetic search.
 
+    Returns the rows of the three ``optimize`` tables, in that order: the GA
+    best (one row), the GA history (one row per generation) and the
+    comparison (``nearest``, ``power_law_beta_<b>``, ``ga``).  A metric of a
+    failed solve, and a delta without a usable baseline, is NaN.
     Percentage deltas are relative to the nearest-station row (positive
     delta_e_tot_pct means lower energy draw than the baseline).
     """
-    rows: list[SchemeRow] = []
     evaluator = Evaluator(cfg)
-
-    def build_row(name: str, bias: BiasVector) -> SchemeRow:
-        outcome = evaluator(bias)
-        if isinstance(outcome, Exception):
-            return SchemeRow(name, bias, None, False, False, *(math.nan,) * 3)
-        metrics, fp = outcome
-        return SchemeRow(
-            name, bias, metrics, fp.converged, _feasible(cfg, metrics, fp),
-            *_band_shares(cfg, fp),
-        )
-
     flat = power_law_bias(0.0, cfg.t_levels)
     grid = [power_law_bias(beta, cfg.t_levels) for beta in POWER_GRID_DEFAULT]
-    outcomes = evaluator.many([flat, *grid])[1:]
-    nearest = build_row("nearest", flat)
-    rows.append(nearest)
+    nearest, *outcomes = evaluator.many([flat, *grid])
 
     best_beta, best_eta = 0.0, -math.inf
     for beta, outcome in zip(POWER_GRID_DEFAULT, outcomes):
-        if isinstance(outcome, Exception):
-            continue
-        metrics, fp = outcome
-        if _feasible(cfg, metrics, fp) and metrics.eta_ce > best_eta:
-            best_beta, best_eta = beta, metrics.eta_ce
-    rows.append(build_row(f"power_law_beta_{best_beta:g}", power_law_bias(best_beta, cfg.t_levels)))
+        feasible = not isinstance(outcome, Exception) and _feasible(cfg, *outcome)
+        if feasible and outcome[0].eta_ce > best_eta:
+            best_beta, best_eta = beta, outcome[0].eta_ce
 
-    ga_result = ga_optimize(evaluator, ga)
-    rows.append(build_row("ga", ga_result.best.bias))
-
-    base = nearest.metrics
-    if base is not None and base.e_tot > 0:
-        for row in rows:
-            if row.metrics is None:
-                continue
-            row.delta_e_tot_pct = 100.0 * (1.0 - row.metrics.e_tot / base.e_tot)
-            if math.isfinite(base.eta_ce) and base.eta_ce > 0 and math.isfinite(row.metrics.eta_ce):
-                row.delta_eta_ce_pct = 100.0 * (row.metrics.eta_ce / base.eta_ce - 1.0)
-    return ComparisonResult(rows=rows, ga_result=ga_result)
+    result = ga_optimize(evaluator, ga)
+    best = result.best
+    best_row = {
+        "feasible": best.feasible,
+        "fitness": best.fitness,
+        **metric_columns(best.metrics, ("p_succ", "e_tot", "eta_ce")),
+        "n_evaluations": result.n_evaluations,
+        **indexed("bias", best.bias.values),
+    }
+    base = None if isinstance(nearest, Exception) else nearest[0]
+    schemes = (("nearest", flat),
+               (f"power_law_beta_{best_beta:g}", power_law_bias(best_beta, cfg.t_levels)),
+               ("ga", best.bias))
+    comparison = [_scheme_row(cfg, name, bias, evaluator(bias), base) for name, bias in schemes]
+    return [best_row], result.history, comparison

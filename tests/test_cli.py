@@ -646,20 +646,28 @@ class TestOptimize:
         code = run(["optimize", cfg_path, "--out", prefix,
                     "--pop", "6", "--iters", "2"])
         assert code == cli.EXIT_OK
+        bias = [f"bias_{i}" for i in range(4)]
         _, best_fields, best_rows = read_csv(prefix + "_best.csv")
+        assert best_fields == ["feasible", "fitness", "p_succ", "e_tot", "eta_ce",
+                               "n_evaluations", *bias]
         best = best_rows[0]
         assert best["feasible"] == "true"
         assert best["bias_0"] == "1.0"
         assert float(best["p_succ"]) > 0.90
         _, hist_fields, hist_rows = read_csv(prefix + "_history.csv")
-        assert hist_fields[:4] == ["generation", "best_fitness", "mean_fitness",
-                                   "best_feasible"]
+        assert hist_fields == ["generation", "best_fitness", "mean_fitness",
+                               "best_feasible", *bias]
         assert len(hist_rows) == 3  # generations 0..2
         _, comp_fields, comp_rows = read_csv(prefix + "_comparison.csv")
+        assert comp_fields == ["scheme", "feasible", "converged", "p_succ", "e_tot", "eta_ce",
+                               "share_low", "share_mid", "share_high", "delta_e_tot_pct",
+                               "delta_eta_ce_pct", *bias]
         schemes = [r["scheme"] for r in comp_rows]
         assert schemes[0] == "nearest" and schemes[-1] == "ga"
         assert schemes[1].startswith("power_law_beta_")
         manifest = json.loads(open(prefix + "_manifest.json").read())
+        assert list(manifest) == ["command", "config_hash", "seed", "outputs",
+                                  "wall_clock_s", "tool_version"]
         assert len(manifest["outputs"]) == 3
 
     def test_infeasible_exit_code_still_writes(self, tmp_path, capsys):

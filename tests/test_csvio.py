@@ -3,7 +3,6 @@ import os
 import pytest
 
 from greencell.csvio import (
-    RunManifest,
     atomic_write_text,
     format_value,
     header_lines,
@@ -77,14 +76,14 @@ def test_manifest_round_trip(tmp_path):
     import json
 
     path = tmp_path / "run.manifest.json"
-    manifest = RunManifest(
-        command="greencell analyze cfg.json",
-        config_hash="ff00",
-        seed=3,
-        outputs=["/tmp/a.csv"],
-        wall_clock_s=1.25,
-        tool_version="0.1",
-    )
+    manifest = {
+        "command": "greencell analyze cfg.json",
+        "config_hash": "ff00",
+        "seed": 3,
+        "outputs": ["/tmp/a.csv"],
+        "wall_clock_s": 1.25,
+        "tool_version": "0.1",
+    }
     write_manifest(path, manifest)
     data = json.loads(path.read_text())
     assert data == {

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import math
 from unittest import mock
@@ -8,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from greencell import analytics, optimizer
 from greencell.analytics import BiasVector, compute_metrics
+from greencell.cli import _sweep_task, cmd_sweep
 from greencell.numerics import NumericError, stream
 from greencell.optimizer import (
     Evaluator,
@@ -19,7 +21,6 @@ from greencell.optimizer import (
     _mutate,
     _roulette,
     _seed_population,
-    beta_sweep,
     compare_schemes,
     evaluate_bias,
     evaluate_biases,
@@ -47,24 +48,25 @@ def test_evaluate_bias_consistency(small_cfg):
     assert metrics.p_succ == pytest.approx(direct.p_succ, rel=1e-12)
 
 
-class TestBetaSweep:
+class TestSweepTask:
     def test_grid_shape_and_order(self, small_cfg):
-        points = [p for nu in (40.0, 44.0)
-                  for p in beta_sweep(dataclasses.replace(small_cfg, nu=nu), betas=[0.0, 1.0])]
-        assert [(p.beta, p.nu) for p in points] == [
+        pairs = [p for nu in (40.0, 44.0) for p in _sweep_task((small_cfg, [0.0, 1.0], nu))]
+        assert [(row["beta"], row["nu"]) for row, _ in pairs] == [
             (0.0, 40.0), (1.0, 40.0), (0.0, 44.0), (1.0, 44.0)
         ]
-        assert all(p.converged and p.metrics is not None for p in points)
+        assert all(row["converged"] and error is None and math.isfinite(row["e_tot"])
+                   for row, error in pairs)
 
     def test_nu_override_changes_metrics(self, small_cfg):
-        (lo,), (hi,) = (beta_sweep(dataclasses.replace(small_cfg, nu=nu), betas=[1.0])
-                        for nu in (30.0, 50.0))
-        assert lo.metrics.e_tot > hi.metrics.e_tot
+        ((lo, _),), ((hi, _),) = (_sweep_task((small_cfg, [1.0], nu)) for nu in (30.0, 50.0))
+        assert lo["e_tot"] > hi["e_tot"]
         assert small_cfg.nu == 40.0  # original config untouched
 
     def test_default_nu_comes_from_config(self, small_cfg):
-        (point,) = beta_sweep(small_cfg, betas=[0.5])
-        assert point.nu == small_cfg.nu
+        args = argparse.Namespace(betas="0.5", nus="", out="sweep.csv")
+        tables, _ = cmd_sweep(args, small_cfg)
+        (row,) = tables["sweep.csv"]
+        assert row["nu"] == small_cfg.nu
 
     def test_solver_failure_is_captured(self, small_cfg, monkeypatch):
         def flaky(cfg, biases):
@@ -72,10 +74,11 @@ class TestBetaSweep:
                     for bias, outcome in zip(biases, evaluate_biases(cfg, biases))]
 
         monkeypatch.setattr(optimizer, "evaluate_biases", flaky)
-        ok, bad = beta_sweep(small_cfg, betas=[0.0, 1.0])
-        assert ok.metrics is not None and ok.error is None
-        assert bad.metrics is None and not bad.converged
-        assert "synthetic failure" in bad.error
+        (ok, ok_error), (bad, bad_error) = _sweep_task((small_cfg, [0.0, 1.0], small_cfg.nu))
+        assert math.isfinite(ok["e_tot"]) and ok_error is None
+        assert math.isnan(bad["e_tot"]) and not bad["converged"]
+        assert math.isnan(bad["iterations"]) and math.isnan(bad["residual"])
+        assert "synthetic failure" in bad_error
 
 
 @pytest.mark.parametrize(
@@ -166,9 +169,10 @@ class TestGaOptimize:
         assert res1.best.bias == res2.best.bias
         assert res1.best.fitness == res2.best.fitness
         assert len(res1.history) == 4
+        assert [h["generation"] for h in res1.history] == [0, 1, 2, 3]
         assert res1.n_evaluations == 6 + 3 * 6
         # Elitist selection: the (feasible, fitness) rank never degrades.
-        keys = [(h.best_feasible, h.best_fitness) for h in res1.history]
+        keys = [(h["best_feasible"], h["best_fitness"]) for h in res1.history]
         assert all(keys[i + 1] >= keys[i] for i in range(len(keys) - 1))
 
     def test_seeded_start_dominates_power_grid(self, small_cfg):
@@ -195,20 +199,20 @@ def test_level_bands():
 
 def test_compare_schemes_tiny(small_cfg):
     ga = GaConfig(pop_size=6, max_iters=2, seed=0)
-    result = compare_schemes(small_cfg, ga)
-    assert [r.name.split("_beta_")[0] for r in result.rows] == ["nearest", "power_law", "ga"]
-    nearest, power, ga_row = result.rows
-    assert nearest.bias.values == (1.0,) * 4
-    assert nearest.delta_e_tot_pct == pytest.approx(0.0, abs=1e-12)
-    assert nearest.delta_eta_ce_pct == pytest.approx(0.0, abs=1e-12)
-    for row in result.rows:
-        if row.converged:
-            assert row.share_low + row.share_mid + row.share_high == pytest.approx(1.0, abs=1e-9)
-    assert result.ga_result is not None
-    assert ga_row.feasible == result.ga_result.best.feasible
+    (best,), history, rows = compare_schemes(small_cfg, ga)
+    assert [r["scheme"].split("_beta_")[0] for r in rows] == ["nearest", "power_law", "ga"]
+    nearest, power, ga_row = rows
+    assert [nearest[f"bias_{i}"] for i in range(4)] == [1.0] * 4
+    assert nearest["delta_e_tot_pct"] == pytest.approx(0.0, abs=1e-12)
+    assert nearest["delta_eta_ce_pct"] == pytest.approx(0.0, abs=1e-12)
+    for row in rows:
+        if row["converged"]:
+            assert row["share_low"] + row["share_mid"] + row["share_high"] == pytest.approx(1.0, abs=1e-9)
+    assert len(history) == 3
+    assert ga_row["feasible"] == best["feasible"]
     # Deltas agree with the raw metrics.
-    assert power.delta_e_tot_pct == pytest.approx(
-        100.0 * (1.0 - power.metrics.e_tot / nearest.metrics.e_tot), rel=1e-12
+    assert power["delta_e_tot_pct"] == pytest.approx(
+        100.0 * (1.0 - power["e_tot"] / nearest["e_tot"]), rel=1e-12
     )
 
 
@@ -320,6 +324,6 @@ class TestEvaluator:
 
     def test_compare_schemes_solves_each_bias_once(self, small_cfg, monkeypatch):
         calls = _count_calls(monkeypatch)
-        result = compare_schemes(small_cfg, GaConfig(pop_size=6, max_iters=2, seed=0))
+        (best,), _, _ = compare_schemes(small_cfg, GaConfig(pop_size=6, max_iters=2, seed=0))
         assert len(calls) == len(set(calls))
-        assert result.ga_result.n_evaluations == 6 * 3
+        assert best["n_evaluations"] == 6 * 3
