@@ -159,6 +159,7 @@ def _validate_task(task) -> dict:
         "converged": fp.converged,
         "mc_mean": est.mean,
         "ci_half_width": est.half_width_95,
+        "omission_bound": est.omission_bound,
         "n_drops": drops,
         "seed": seed,
     }

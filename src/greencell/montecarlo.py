@@ -3,11 +3,14 @@
 Each drop samples the station pattern inside a disc window around the
 typical user at the origin and adds the user's success probability given
 those stations; the interference from beyond the window enters in closed
-form.  Drops are simulated in blocks of ``BLOCK``; block k draws from the
-counter-based stream keyed (seed, k), so results are reproducible and
-independent of evaluation order.  The block size is part of that stream
-layout: changing it changes every estimate.  Active-station counts come
-from inverting a Poisson CDF table, one uniform per (drop, level).
+form.  :func:`window` sizes the window per call so that a station beyond
+it would serve with probability at most ``EPS``, or the bound it reports
+where the cap of ``K2_CAP`` stations binds.  Drops are simulated in blocks
+of ``BLOCK``; block k draws from the counter-based stream keyed (seed, k),
+so results are reproducible and independent of evaluation order.  The
+block size is part of that stream layout: changing it changes every
+estimate.  Active-station counts come from inverting a Poisson CDF table,
+one uniform per (drop, level).
 """
 
 from __future__ import annotations
@@ -21,11 +24,28 @@ from .analytics import interference_factor
 from .numerics import stream
 
 BLOCK = 256
+EPS = 2.0**-53  # the omission bound the window is sized for
+K2_CAP = 225.0  # the most stations per drop in mean
 
 
-def default_window(cfg) -> float:
-    """Simulation disc radius: 225 stations per drop in mean, whatever the config."""
-    return 15.0 / math.sqrt(math.pi * cfg.lambda_b)
+def window(cfg, level_marginals, bias) -> tuple[float, float]:
+    """Disc radius R and a bound on the probability that a station beyond R serves.
+
+    Over the whole plane the nearest level-i station has
+    pi lambda_b pi_i r^2 ~ Exp(1), independently over levels.  A drop is
+    decided inside the window when its best score r^2 B^(-2/alpha) is at most
+    R^2 B_max^(-2/alpha), B_max the largest bias of a level with pi_i > 0: no
+    station beyond R can score lower.  With K^2 = pi lambda_b R^2 stations in
+    mean, the drop is undecided with probability exactly exp(-K^2 Sigma),
+    Sigma = sum_i pi_i (B_i / B_max)^(2/alpha) <= 1.  K^2 = ln(1/EPS) / Sigma,
+    at least 36.7, makes that EPS (to rounding), unless the cap ``K2_CAP``
+    binds and the bound is exp(-K2_CAP Sigma).
+    """
+    pi = np.asarray(level_marginals, dtype=float)
+    b = np.asarray(bias.values if hasattr(bias, "values") else bias, dtype=float)
+    sigma = float(pi @ (b / b[pi > 0.0].max()) ** (2.0 / cfg.alpha))
+    k2 = min(-math.log(EPS) / sigma, K2_CAP)
+    return math.sqrt(k2 / (math.pi * cfg.lambda_b)), max(EPS, math.exp(-K2_CAP * sigma))
 
 
 @dataclass
@@ -34,6 +54,7 @@ class McEstimate:
     half_width_95: float
     n_samples: int
     seed: int
+    omission_bound: float  # P(a station beyond the window would serve), from :func:`window`
 
 
 def _log(x: float) -> float:
@@ -84,6 +105,10 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
     the window reads high: on the baseline at 1e5 drops, a mean z of +0.56
     to +0.96 over seeds 0-23 at beta 0-3, and +40 at alpha = 2.5, beta = 3.
 
+    R comes from :func:`window`.  The serving station is the best one in
+    the window, which differs from the best in the plane with probability at
+    most ``omission_bound``; that omission biases ``mean`` by at most as much.
+
     Each drop adds that value, not a Bernoulli outcome, so ``mean``
     estimates the same success probability.  Its variance is the Bernoulli
     variance less the part due to fading, so the 95% half-width is 2-4
@@ -111,7 +136,7 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
     """
     if n_drops < 1:
         raise ValueError("need at least one drop")
-    r_sim = default_window(cfg)
+    r_sim, omission = window(cfg, level_marginals, bias)
     pi = np.asarray(level_marginals, dtype=float)
     b = np.asarray(bias.values if hasattr(bias, "values") else bias, dtype=float)
     # An occupancy a rounding error above 1 would make the idle mean negative.
@@ -212,4 +237,5 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
         half_width_95=1.96 * std / math.sqrt(n_drops),
         n_samples=n_drops,
         seed=seed,
+        omission_bound=omission,
     )

@@ -533,7 +533,11 @@ def _philox(*words: int) -> np.random.Generator:
 
 
 def _window(cfg, r_sim: float | None) -> float:
-    """The package's disc radius restated, or ``r_sim`` past an edge-effect guard."""
+    """A disc of 225 stations in mean, or ``r_sim`` past an edge-effect guard.
+
+    The oracles that call this leave out everything beyond the disc, so it
+    must be wide; the blockwise oracle carries the far field and sizes its own.
+    """
     if r_sim is None:
         r_sim = 15.0 / math.sqrt(math.pi * cfg.lambda_b)
     guard = 10.0 / math.sqrt(math.pi * cfg.lambda_b)
@@ -610,10 +614,19 @@ def estimate_success_blockwise(cfg, level_marginals, bias, p_occu, n_drops: int,
     over the (level, active/idle) candidates and multiplies its success
     probability out: noise, one 1 / (1 + tau (r_s/x)^alpha) per other active
     station, and the active stations beyond R by the far-field weight.
+
+    The default R holds K^2 = min(53 ln 2 / Sigma, 225) stations in mean,
+    Sigma = sum over levels with pi_i > 0 of pi_i (B_i / B_max)^(2/alpha) and
+    B_max the largest of their biases: the package's association certificate,
+    restated.  The far field is exact at any R, so no edge guard applies.
     """
-    r_sim = _window(cfg, r_sim)
     pi = np.asarray(level_marginals, dtype=float)
     b = _bias_array(bias)
+    if r_sim is None:
+        present = [i for i in range(pi.size) if pi[i] > 0.0]
+        b_max = max(b[i] for i in present)
+        sigma = sum(pi[i] * (b[i] / b_max) ** (2.0 / cfg.alpha) for i in present)
+        r_sim = math.sqrt(min(53.0 * math.log(2.0) / sigma, 225.0) / (math.pi * cfg.lambda_b))
     occ = np.clip(np.asarray(p_occu, dtype=float), 0.0, 1.0)
     area = cfg.lambda_b * math.pi * r_sim**2
     active_mean, idle_mean = area * pi * occ, area * pi * (1.0 - occ)

@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from greencell import cli, fixedpoint, optimizer
 from greencell.config import config_hash, load_config
-from greencell.montecarlo import default_window
+from greencell.montecarlo import EPS, window
 from greencell.numerics import NumericError
 from greencell.qbd import SolverError
 
@@ -256,7 +256,8 @@ class TestErrorPaths:
     def test_non_finite_ga_bound_or_window_is_a_config_error(self, cfg_path, tmp_path, capsys,
                                                              command, field):
         # The bound and the window are no longer flags: argparse refuses them with
-        # the config exit code before anything is written, and the fixed values are finite.
+        # the config exit code before anything is written.  The bound is a constant and
+        # the window is sized from the marginals and the bias; both are finite.
         out = str(tmp_path / "o")
         with pytest.raises(SystemExit) as exc:
             run([command[0], cfg_path, "--out", out, *command[1:]])
@@ -265,8 +266,10 @@ class TestErrorPaths:
         assert f"unrecognized arguments: {' '.join(command[-2:])}" in err
         assert "Traceback" not in err
         assert list(tmp_path.iterdir()) == []  # no CSV, no manifest
-        fixed = optimizer.B_MAX if field == "b_max" else default_window(load_config(cfg_path))
-        assert math.isfinite(fixed)
+        cfg = load_config(cfg_path)
+        flat = [1.0] * (cfg.t_levels + 1)
+        value = optimizer.B_MAX if field == "b_max" else window(cfg, flat, flat)[0]
+        assert math.isfinite(value)
 
     @pytest.mark.parametrize("flag, value", [("--eps", "1e-9"), ("--max-sweeps", "2")])
     def test_solver_flags_are_gone(self, cfg_path, tmp_path, capsys, flag, value):
@@ -592,7 +595,7 @@ class TestValidate:
                     "--drops", "400", "--seed", "3"]) == cli.EXIT_OK
         meta, fields, rows = read_csv(out)
         assert fields == ["beta", "analytic", "converged", "mc_mean", "ci_half_width",
-                          "n_drops", "seed"]
+                          "omission_bound", "n_drops", "seed"]
         assert meta["seed"] == "3"
         assert len(rows) == 2
         for row in rows:
@@ -601,6 +604,16 @@ class TestValidate:
             assert 0.0 <= float(row["mc_mean"]) <= 1.0
             # Loose agreement at 400 drops; the tight check is elsewhere.
             assert abs(float(row["analytic"]) - float(row["mc_mean"])) < 0.1
+
+    def test_baseline_windows_are_certified(self, tmp_path, capsys):
+        # At beta 0-2 the window is sized so that a station beyond it serves
+        # with probability at most 2^-53; the cap of 225 stations never binds.
+        out = str(tmp_path / "val.csv")
+        assert run(["validate", CONFIG_PATH, "--out", out, "--betas", "0,1,2",
+                    "--drops", "20"]) == cli.EXIT_OK
+        _, _, rows = read_csv(out)
+        assert len(rows) == 3
+        assert all(float(row["omission_bound"]) <= EPS for row in rows)
 
     def test_unconverged_point_is_flagged(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(fixedpoint, "MAX_CHAIN_SOLVES", 1)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from greencell.analytics import BiasVector, association_split, average_users
-from greencell.montecarlo import BLOCK, _poisson_table, default_window, estimate_success
+from greencell.montecarlo import BLOCK, EPS, K2_CAP, _poisson_table, estimate_success, window
 from greencell.numerics import stream
 from greencell.optimizer import evaluate_bias, power_law_bias
 from oracles import (
@@ -22,9 +22,51 @@ from oracles import (
 
 
 def test_window_formulas(small_cfg):
-    assert default_window(small_cfg) == pytest.approx(15.0 / math.sqrt(math.pi))
+    # Flat bias: Sigma = 1, so the window holds 53 ln 2 stations in mean.
+    flat = [1.0] * 4
+    pi = np.full(4, 0.25)
+    r, bound = window(small_cfg, pi, flat)
+    assert math.pi * r**2 == pytest.approx(53.0 * math.log(2.0), rel=1e-14)
+    assert bound == EPS
     cfg4 = dataclasses.replace(small_cfg, lambda_b=4.0)
-    assert default_window(cfg4) == pytest.approx(default_window(small_cfg) / 2.0)
+    assert window(cfg4, pi, flat) == (pytest.approx(r / 2.0), EPS)
+    # Sigma = sum_i pi_i (B_i / B_max)^(2 / alpha), alpha = 4; a level with
+    # pi_i = 0 sets no B_max.
+    pi = np.array([0.1, 0.2, 0.7, 0.0])
+    r, bound = window(small_cfg, pi, [1.0, 2.0, 4.0, 100.0])
+    sigma = 0.1 * 0.5 + 0.2 * math.sqrt(0.5) + 0.7
+    assert math.pi * r**2 == pytest.approx(53.0 * math.log(2.0) / sigma, rel=1e-14)
+    # Sigma = 0.10009 would need 367 stations: the cap binds and the bound
+    # is exp(-225 Sigma).
+    pi = np.array([0.1, 0.1, 0.4, 0.4])
+    r, bound = window(small_cfg, pi, [1.0, 1e8, 1.0, 1.0])
+    assert math.pi * r**2 == pytest.approx(K2_CAP, rel=1e-14)
+    assert bound == pytest.approx(math.exp(-K2_CAP * (0.1 + 0.9e-4)), rel=1e-12)
+
+
+@pytest.mark.parametrize("beta", [0.0, 2.0])
+def test_certificate_counts_undecided_drops(small_cfg, beta):
+    # Explicit station patterns in the oracle's 225-station window.  A drop is
+    # undecided at radius R when no station scores r^2 B^(-2/alpha) at most
+    # R^2 B_max^(-2/alpha); the certificate puts that at exp(-K^2 Sigma),
+    # K^2 = pi lambda_b R^2.  Sigma is read back from window's own radius,
+    # and R set so that K^2 Sigma = 3, where the event has probability 5%.
+    cfg = dataclasses.replace(small_cfg, lambda_u1=0.0, lambda_p=0.0)  # stations only
+    pi = np.array([0.1, 0.2, 0.3, 0.4])
+    bias = power_law_bias(beta, cfg.t_levels).as_array()
+    r_w, bound = window(cfg, pi, bias)
+    assert bound == EPS
+    sigma = -math.log(EPS) / (math.pi * cfg.lambda_b * r_w**2)
+    threshold = 3.0 / sigma / (math.pi * cfg.lambda_b) * bias.max() ** (-2.0 / cfg.alpha)
+    n = 4000
+    undecided = 0
+    for d in range(n):
+        real = sample_realization(cfg, pi, seed=d)
+        score = (real.bs_xy**2).sum(axis=1) * bias[real.bs_levels] ** (-2.0 / cfg.alpha)
+        undecided += not (score <= threshold).any()
+    # Binomial(n, e^-3): 4 standard deviations either way.
+    p = math.exp(-3.0)
+    assert abs(undecided - n * p) <= 4.0 * math.sqrt(n * p * (1.0 - p))
 
 
 def test_window_guard_raises(small_cfg):
@@ -65,7 +107,7 @@ def test_sample_counts_track_intensities(small_cfg):
     # Aggregate counts over drops stay within 4 sigma of the Poisson mean.
     pi = np.full(4, 0.25)
     n_drops = 40
-    area = math.pi * default_window(small_cfg) ** 2
+    area = 225.0 / small_cfg.lambda_b  # the oracle's window holds 225 stations in mean
     totals = {"bs": 0, "hot": 0, "uni": 0, "cl": 0}
     for d in range(n_drops):
         real = sample_realization(small_cfg, pi, seed=100 + d)
@@ -189,6 +231,21 @@ class TestEstimateSuccess:
                                100_000, seed=0)
         assert abs(est.mean - metrics.p_succ) <= 3.0 * est.half_width_95
 
+    def test_capped_window_reports_its_bound(self, baseline_cfg):
+        # alpha = 2.05 with level 1 at B = 64: the certificate would need
+        # about 767 stations per drop, so the cap of 225 binds and the
+        # omission, exp(-225 Sigma), is reported.
+        cfg = dataclasses.replace(baseline_cfg, alpha=2.05)
+        bias = BiasVector((1.0, 64.0) + (1.0,) * (cfg.t_levels - 1))
+        _, fp = evaluate_bias(cfg, bias)
+        sigma = float(fp.level_marginals @ (bias.as_array() / 64.0) ** (2.0 / cfg.alpha))
+        assert -math.log(EPS) / sigma == pytest.approx(767.0, abs=1.0)
+        est = estimate_success(cfg, fp.level_marginals, bias, fp.chain_metrics.p_occu,
+                               2 * BLOCK, seed=0)
+        assert est.omission_bound == pytest.approx(math.exp(-K2_CAP * sigma), rel=1e-12)
+        assert est.omission_bound == pytest.approx(2.1e-5, rel=0.01)
+        assert 0.0 < est.mean < 1.0 and math.isfinite(est.half_width_95)
+
     @pytest.mark.parametrize("alpha", [2.05, 300.0, 1000.0])
     @pytest.mark.parametrize("tau, noise", [(0.1, 1e-7), (1e-300, 1e-7), (0.0, 1e-7), (0.1, 0.0)])
     def test_extreme_parameters_are_finite_and_warning_free(self, small_cfg, alpha, tau, noise):
@@ -253,7 +310,8 @@ class TestPoissonTable:
         # The estimator's own draws: 200 blocks of the baseline at beta = 1.
         bias = power_law_bias(1.0, baseline_cfg.t_levels)
         _, fp = evaluate_bias(baseline_cfg, bias)
-        means = (baseline_cfg.lambda_b * math.pi * default_window(baseline_cfg) ** 2
+        r_sim, _ = window(baseline_cfg, fp.level_marginals, bias)
+        means = (baseline_cfg.lambda_b * math.pi * r_sim**2
                  * fp.level_marginals * np.clip(fp.chain_metrics.p_occu, 0.0, 1.0))
         table, first = _poisson_table(means)
         shift = np.arange(means.size)
