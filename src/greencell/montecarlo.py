@@ -5,12 +5,15 @@ typical user at the origin and adds the user's success probability given
 those stations; the interference from beyond the window enters in closed
 form.  :func:`window` sizes the window per call so that a station beyond
 it would serve with probability at most ``EPS``, or the bound it reports
-where the cap of ``K2_CAP`` stations binds.  Drops are simulated in blocks
-of ``BLOCK``; block k draws from the counter-based stream keyed (seed, k),
-so results are reproducible and independent of evaluation order.  The
-block size is part of that stream layout: changing it changes every
-estimate.  Active-station counts come from inverting a Poisson CDF table,
-one uniform per (drop, level).
+where the cap of ``K2_CAP`` stations binds.  Drops are drawn in blocks of
+``BLOCK``; block k draws from the counter-based stream keyed (seed, k), so
+results are reproducible and independent of evaluation order.  The block
+size is part of that stream layout: changing it changes every estimate.
+The arithmetic runs over passes of ``PASS`` drops, whole blocks drawn into
+arrays the call reuses; the pass size is not part of the stream layout,
+and the moments are still taken block by block.  Active-station counts come
+from inverting a Poisson CDF table, one uniform per (drop, level), through a
+guide table of ``GUIDE`` buckets per level.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ from .analytics import interference_factor
 from .numerics import stream
 
 BLOCK = 256
+PASS = 4 * BLOCK  # drops whose arithmetic runs as one batch
+GUIDE = 256  # guide-table buckets per level of the count tables
 EPS = 2.0**-53  # the omission bound the window is sized for
 K2_CAP = 225.0  # the most stations per drop in mean
 
@@ -61,8 +66,8 @@ def _log(x: float) -> float:
     return math.log(x) if x > 0.0 else -math.inf
 
 
-def _poisson_table(means) -> tuple[np.ndarray, np.ndarray]:
-    """Poisson CDF tables of the given means, for counts by inversion.
+def _poisson_table(means) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Poisson CDF tables of the given means, for counts by inversion, and their guide.
 
     Level i's CDF F_i(c), c = 0 .. ceil(m_i + 14 sqrt(m_i) + 40), is shifted up
     by i, and the tables are laid end to end; ``first[i]`` is the index of
@@ -72,6 +77,14 @@ def _poisson_table(means) -> tuple[np.ndarray, np.ndarray]:
     The shift costs log2(T + 1) bits: each CDF step is resolved to about
     (T + 1) 2^-53 (1.2e-15 at T = 10).  The last entry of each table is 1,
     so no count exceeds the table, and a zero mean always gives 0.
+
+    ``guide`` turns that search into a lookup (Chen & Asau, 1974): bucket q
+    holds the keys in [q, q + 1) / ``GUIDE`` and the number of entries at or
+    below its left edge, or -1 where :func:`_search` must still search: where
+    two or more entries lie inside the bucket, and in the last bucket, whose
+    edge is the table's last entry.  The buckets run across levels, so a key
+    U + i that rounds to i + 1 falls on level i + 1's first edge, which counts
+    every entry equal to i + 1, as the search does.
     """
     parts = []
     for level, mean in enumerate(np.asarray(means, dtype=float)):
@@ -82,7 +95,26 @@ def _poisson_table(means) -> tuple[np.ndarray, np.ndarray]:
             cdf[:-1] = np.minimum(np.cumsum(np.exp(c * math.log(mean) - mean - log_fact)), 1.0)
         parts.append(cdf + level)
     first = np.cumsum([0] + [part.size for part in parts[:-1]])
-    return np.concatenate(parts), first
+    table = np.concatenate(parts)
+    edges = np.arange(len(parts) * GUIDE + 1) / GUIDE
+    guide = np.searchsorted(table, edges, side="right")
+    inside = np.searchsorted(table, edges[1:], side="left") - guide[:-1]
+    guide[np.append(inside >= 2, True)] = -1
+    return table, first, guide
+
+
+def _search(table: np.ndarray, guide: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(table, keys, side="right")`` for keys in [0, levels], by the guide.
+
+    A key in a bucket with at most one entry inside is above the entries at
+    or below the bucket's edge, and above the next one iff that is <= key;
+    the buckets marked -1 by :func:`_poisson_table` are searched.
+    """
+    at = guide[(keys * GUIDE).astype(np.intp)]  # exact: GUIDE is a power of two
+    slow = at < 0
+    at += table[at] <= keys
+    at[slow] = np.searchsorted(table, keys[slow], side="right")
+    return at
 
 
 def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
@@ -129,6 +161,12 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
        level within a drop, at r^2 = R^2 exp(-E), i.e. g = -(alpha / 2) E:
        the law of r^2 = R^2 (1 - U), a uniform point in the disc.
 
+    The arithmetic runs once per pass of ``PASS`` drops: each block draws
+    its uniforms and idle Exp(1)s into its rows of the pass's arrays, and,
+    once the pass's counts are known, its station Exp(1)s into its span of
+    the station buffer; each stream is its own, so the estimate does not
+    depend on the pass size.
+
     The candidates for serving are, per level, the nearest active station
     and the nearest idle one; ties go to the lower level, and to the active
     station within a level.  Ranks and interference terms are taken on
@@ -160,76 +198,96 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
     far_mass = float(active_mean.sum())  # lambda_act pi R^2
     n_lev = pi.size
 
-    table, table_start = _poisson_table(active_mean)
+    table, table_start, guide = _poisson_table(active_mean)
     level_shift = np.arange(n_lev)
-    # The stations of a block and one pad slot, in a buffer that every block
-    # of this call reuses, so the nearest station per (drop, level) and the
-    # sum per drop are reductions over its segments.
+    # Arrays that every pass of this call reuses, so memory does not grow
+    # with the number of drops: the uniforms and idle draws of a pass, its
+    # candidates, and its stations with one pad slot, so the nearest station
+    # per (drop, level) and the sum per drop are reductions over segments of
+    # ``buf``.
+    rows = min(PASS, n_drops)
+    u = np.empty((rows, n_lev))
+    idle = np.empty((rows, n_lev))
+    cand = np.empty((rows, n_lev, 2))
     buf = np.empty(0)
 
-    def block_moments(rng: np.random.Generator, m: int) -> tuple[float, float]:
-        """Sum and sum of squared deviations of ``m`` drops' success probabilities.
-
-        Only one block's arrays live at a time, so memory does not grow with
-        the number of drops.
-        """
+    def pass_values(first: int, m: int) -> np.ndarray:
+        """Success probabilities of drops first .. first + m - 1, whole blocks of them."""
         nonlocal buf
-        u = rng.random((m, n_lev)) + level_shift
-        counts = np.searchsorted(table, u, side="right") - table_start
-        with np.errstate(divide="ignore"):  # E = 0 puts a station at the origin
-            idle = np.log(rng.standard_exponential((m, n_lev)))
+        blocks = [(stream(seed, (first + a) // BLOCK), slice(a, min(a + BLOCK, m)))
+                  for a in range(0, m, BLOCK)]
+        for rng, drops in blocks:
+            rng.random(out=u[drops])
+            rng.standard_exponential(out=idle[drops])
+        keys = u[:m]
+        keys += level_shift
+        counts = _search(table, guide, keys) - table_start
         seg = counts.ravel()
-        n = int(seg.sum())
-        if n >= buf.size:  # room for twice the stations: later blocks rarely need more
+        per_drop = counts.sum(axis=1)
+        bounds = np.concatenate(([0], np.cumsum(per_drop)))  # each drop's first station
+        n = int(bounds[-1])
+        if n >= buf.size:  # room for twice the stations: later passes rarely need more
             buf = np.empty(2 * n + 1)
+        for rng, drops in blocks:
+            rng.standard_exponential(out=buf[bounds[drops.start]:bounds[drops.stop]])
         g = buf[:n]
-        rng.standard_exponential(out=g)
         g *= -half_alpha  # r^2 = R^2 exp(-E)
 
         buf[n] = np.inf  # the pad
         starts = np.cumsum(seg) - seg
         nearest = np.minimum.reduceat(buf[:n + 1], starts)
         nearest[seg == 0] = np.inf  # reduceat reads an empty segment as the element after it
-        idle -= log_idle_mean
-        idle[(idle >= 0.0) | no_idle] = np.inf  # E >= m_i: no idle station in the window
-        cand = np.stack((nearest.reshape(m, n_lev), idle * half_alpha), axis=2).reshape(m, -1)
-        best = (cand - log_bias).argmin(axis=1)
-        g_s = cand[np.arange(m), best]
+        log_e = idle[:m]
+        with np.errstate(divide="ignore"):  # E = 0 puts a station at the origin
+            np.log(log_e, out=log_e)
+        log_e -= log_idle_mean
+        log_e[(log_e >= 0.0) | no_idle] = np.inf  # E >= m_i: no idle station in the window
+        both = cand[:m]
+        both[:, :, 0] = nearest.reshape(m, n_lev)
+        np.multiply(log_e, half_alpha, out=both[:, :, 1])
+        both = both.reshape(m, -1)
+        best = (both - log_bias).argmin(axis=1)
+        g_s = both[np.arange(m), best]
         served = g_s < np.inf
         g_s[~served] = 0.0
 
         # log(1 + tau (r_s / x_k)^alpha) over every active station, less the
         # serving station's own term.  A term past exp's range gives a drop
         # whose value is below 1e-308, i.e. 0.
-        per_drop = counts.sum(axis=1)
         np.subtract(np.repeat(log_tau + g_s, per_drop), g, out=g)
         with np.errstate(over="ignore"):
             np.exp(g, out=g)
         np.log1p(g, out=g)
         buf[n] = 0.0  # the pad
-        log_p = np.add.reduceat(buf[:n + 1], starts[::n_lev])
+        log_p = np.add.reduceat(buf[:n + 1], bounds[:-1])
         log_p[per_drop == 0] = 0.0  # as above, for a drop with no active station
         log_p[served & (best % 2 == 0)] -= own_term
         with np.errstate(over="ignore"):  # a huge exponent means a factor of 0
             log_p += np.exp(noise_log + g_s)
-            log_p += far_mass * np.exp(g_s / half_alpha) * interference_factor(
-                cfg.tau, cfg.alpha, np.exp(-g_s))
+            far = np.exp(-g_s)
+            # Block by block: the series kernel at alpha != 4 sizes its degree
+            # by the largest argument it is given.
+            for _, drops in blocks:
+                far[drops] = interference_factor(cfg.tau, cfg.alpha, far[drops])
+            log_p += far_mass * np.exp(g_s / half_alpha) * far
         p = np.exp(-log_p)
         p[~served] = 0.0
-        total = float(p.sum())
-        p -= total / m
-        return total, float(p @ p)
+        return p
 
     # Per-block moments pooled as they come (Chan, Golub & LeVeque, 1979).
     total, m2 = 0.0, 0.0
-    for k, first in enumerate(range(0, n_drops, BLOCK)):
-        m = min(BLOCK, n_drops - first)
-        block_total, block_m2 = block_moments(stream(seed, k), m)
-        if first:
-            delta = block_total / m - total / first
-            m2 += delta * delta * first * m / (first + m)
-        total += block_total
-        m2 += block_m2
+    for first in range(0, n_drops, PASS):
+        p = pass_values(first, min(PASS, n_drops - first))
+        for a in range(0, p.size, BLOCK):
+            block, done = p[a:a + BLOCK], first + a
+            m = block.size
+            block_total = float(block.sum())
+            block -= block_total / m
+            if done:
+                delta = block_total / m - total / done
+                m2 += delta * delta * done * m / (done + m)
+            total += block_total
+            m2 += float(block @ block)
 
     std = math.sqrt(m2 / (n_drops - 1)) if n_drops > 1 else 0.0
     return McEstimate(

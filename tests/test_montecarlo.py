@@ -6,7 +6,17 @@ import numpy as np
 import pytest
 
 from greencell.analytics import BiasVector, association_split, average_users
-from greencell.montecarlo import BLOCK, EPS, K2_CAP, _poisson_table, estimate_success, window
+from greencell.montecarlo import (
+    BLOCK,
+    EPS,
+    GUIDE,
+    K2_CAP,
+    PASS,
+    _poisson_table,
+    _search,
+    estimate_success,
+    window,
+)
 from greencell.numerics import stream
 from greencell.optimizer import evaluate_bias, power_law_bias
 from oracles import (
@@ -182,6 +192,7 @@ class TestEstimateSuccess:
         ((1.0, 2.0, 4.0, 8.0), (0.0, 0.0, 0.0, 0.0), 40),
         ((1.0, 3.0, 9.0, 27.0), (1.0, 1.0, 1.0, 1.0), 1),
         ((1.0, 2.0, 4.0, 8.0), (0.002, 0.0, 0.001, 0.003), BLOCK + 9),  # most drops empty
+        ((1.0, 2.0, 4.0, 8.0), (0.1, 0.3, 0.5, 0.9), PASS + 1),  # a pass and one drop
     ])
     def test_matches_blockwise_oracle(self, small_cfg, bias, occ, n_drops):
         # Same draws, each drop's success probability multiplied out in a
@@ -205,7 +216,8 @@ class TestEstimateSuccess:
         assert est.mean == pytest.approx(estimate_success_blockwise(
             small_cfg, pi, bias, occ, n_drops, seed=13, block=BLOCK), rel=1e-12)
 
-    @pytest.mark.parametrize("n_drops", [1, BLOCK - 1, BLOCK, BLOCK + 1, 300])
+    @pytest.mark.parametrize("n_drops", [1, BLOCK - 1, BLOCK, BLOCK + 1, 300,
+                                         PASS - 1, PASS, PASS + 1, 2 * PASS + 17])
     def test_block_edges(self, small_cfg, n_drops):
         pi = np.full(4, 0.25)
         bias = BiasVector((1.0, 1.5, 2.0, 3.0))
@@ -220,6 +232,22 @@ class TestEstimateSuccess:
             # n p (1 - p) / (n - 1), the Bernoulli case.
             p = est.mean
             assert 0.0 < est.half_width_95 <= 1.96 * math.sqrt(p * (1 - p) / (n_drops - 1))
+
+    @pytest.mark.parametrize("n_drops, mean, half_width", [
+        (1025, 0.9472204089532937, 0.0044741595519954495),
+        (10_000, 0.9469617446350023, 0.0013987287475353799),
+    ])
+    def test_stream_is_pinned(self, small_cfg, n_drops, mean, half_width):
+        # The reprs were printed by the one-block-at-a-time kernel that
+        # preceded passes and the guide table, on an x86-64 machine with
+        # AVX-512 and numpy 2.4.6, where the pass kernel reproduces them to
+        # the last bit.  The tolerance admits only the last-bit differences of
+        # numpy's vectorized exp and log between CPUs; a change to the stream
+        # moves the mean by about a half-width.
+        pi = np.full(4, 0.25)
+        bias = BiasVector((1.0, 1.5, 2.0, 3.0))
+        est = estimate_success(small_cfg, pi, bias, np.full(4, 0.5), n_drops, seed=3)
+        assert (est.mean, est.half_width_95) == pytest.approx((mean, half_width), rel=1e-12)
 
     def test_far_field_removes_window_bias(self, baseline_cfg):
         # At alpha = 2.5 a quarter of the interference comes from beyond the
@@ -273,12 +301,21 @@ class TestEstimateSuccess:
             estimate_success(small_cfg, np.full(4, 0.25), flat_bias(3), np.zeros(4), 0)
 
 
+def _active_means(cfg, beta: float) -> np.ndarray:
+    """The estimator's active-station mean per level at a power-law beta."""
+    bias = power_law_bias(beta, cfg.t_levels)
+    _, fp = evaluate_bias(cfg, bias)
+    r_sim, _ = window(cfg, fp.level_marginals, bias)
+    return (cfg.lambda_b * math.pi * r_sim**2
+            * fp.level_marginals * np.clip(fp.chain_metrics.p_occu, 0.0, 1.0))
+
+
 class TestPoissonTable:
     @pytest.mark.parametrize("mean", [0.0, 1e-3, 0.5, 9.0, 99.0, 225.0])
     def test_counts_match_sequential_inversion(self, mean):
         # On a grid of uniforms and just either side of every CDF step the
         # oracle's recurrence takes.
-        table, first = _poisson_table([mean])
+        table, first, guide = _poisson_table([mean])
         assert first.tolist() == [0] and table[-1] == 1.0
         steps, cdf, pmf, c = [], math.exp(-mean), math.exp(-mean), 0
         while cdf < 1.0 - 1e-9:
@@ -289,41 +326,63 @@ class TestPoissonTable:
         u = np.concatenate((np.arange(10_000) / 10_000,
                             np.array(steps) - 1e-9, np.array(steps) + 1e-9))
         u = u[(u >= 0.0) & (u < 1.0)]
-        counts = np.searchsorted(table, u, side="right")
+        counts = _search(table, guide, u)
         np.testing.assert_array_equal(counts, [poisson_inverse(x, mean) for x in u])
         if mean == 0.0:
             assert not counts.any()
 
     def test_shifted_levels(self):
         means = np.array([0.0, 0.5, 9.0, 0.0, 99.0])
-        table, first = _poisson_table(means)
+        table, first, guide = _poisson_table(means)
         # Shifted by 4, F(c) below 4.4e-16 rounds to 4: a U that small would
         # count those steps, a resolution the docstring states.
         u = (np.arange(1000) + 0.5) / 1000
         ends = np.append(first[1:], table.size)
         for level, mean in enumerate(means):
             assert table[ends[level] - 1] == level + 1.0
-            counts = np.searchsorted(table, u + level, side="right") - first[level]
+            counts = _search(table, guide, u + level) - first[level]
             np.testing.assert_array_equal(counts, [poisson_inverse(x, mean) for x in u])
 
     def test_block_counts_track_means(self, baseline_cfg):
         # The estimator's own draws: 200 blocks of the baseline at beta = 1.
-        bias = power_law_bias(1.0, baseline_cfg.t_levels)
-        _, fp = evaluate_bias(baseline_cfg, bias)
-        r_sim, _ = window(baseline_cfg, fp.level_marginals, bias)
-        means = (baseline_cfg.lambda_b * math.pi * r_sim**2
-                 * fp.level_marginals * np.clip(fp.chain_metrics.p_occu, 0.0, 1.0))
-        table, first = _poisson_table(means)
+        means = _active_means(baseline_cfg, 1.0)
+        table, first, guide = _poisson_table(means)
         shift = np.arange(means.size)
         counts = np.concatenate([
-            np.searchsorted(table, stream(0, k).random((BLOCK, means.size)) + shift,
-                            side="right") - first
+            _search(table, guide, stream(0, k).random((BLOCK, means.size)) + shift) - first
             for k in range(200)])
         n = counts.shape[0]
         # Poisson: Var(sample mean) = m / n, Var(sample variance) ~ (m + 2 m^2) / n.
         assert (abs(counts.mean(axis=0) - means) < 4.0 * np.sqrt(means / n)).all()
         assert (abs(counts.var(axis=0, ddof=1) - means)
                 < 4.0 * np.sqrt((means + 2.0 * means**2) / n)).all()
+
+    @pytest.mark.parametrize("means", [
+        [0.0], [1e-3], [0.5], [9.0], [99.0], [225.0],
+        [0.0, 0.5, 9.0, 0.0, 99.0],  # test_shifted_levels' table
+        "t40",
+    ])
+    def test_search_is_exact(self, baseline_cfg, means):
+        # Adversarial keys: every entry and its neighbours either side, every
+        # bucket edge and its neighbours, and each level's U + i at U = 0 and
+        # at the rounded-up i + 1, the last level's included.
+        if means == "t40":
+            means = _active_means(dataclasses.replace(baseline_cfg, t_levels=40), 1.0)
+            assert means.size == 41
+        table, first, guide = _poisson_table(means)
+        levels = len(means)
+        assert guide.size == levels * GUIDE + 1
+        assert (guide < 0).any() and guide[-1] == -1
+        edges = np.arange(guide.size) / GUIDE
+        near = np.concatenate((table, edges))
+        keys = np.concatenate((near, np.nextafter(near, -np.inf), np.nextafter(near, np.inf),
+                               np.arange(levels + 1.0)))
+        for level in range(levels):
+            x = keys[(keys >= level) & (keys <= level + 1)]
+            assert level + 1.0 in x
+            np.testing.assert_array_equal(
+                _search(table, guide, x) - first[level],
+                np.searchsorted(table, x, side="right") - first[level])
 
 
 class TestEstimateShares:
