@@ -11,7 +11,6 @@ by :func:`optimizer.compare_schemes`, the others here.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import dataclasses
 import errno
 import json
@@ -27,7 +26,6 @@ from . import __version__
 from .analytics import BiasVector
 from .config import ConfigError, NetworkConfig, _is_real, config_hash, load_config
 from .csvio import header_lines, indexed, metric_columns, write_csv, write_manifest
-from .montecarlo import estimate_success
 from .numerics import NumericError
 from .optimizer import (POWER_GRID_DEFAULT, Evaluator, GaConfig, compare_schemes, evaluate_bias,
                         power_law_bias)
@@ -83,6 +81,7 @@ def _map(fn, tasks) -> list:
     """``fn`` over ``tasks`` in order, on worker processes when worth it."""
     workers = worker_count()
     if workers > 1 and len(tasks) > 1:
+        import concurrent.futures
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]
@@ -145,6 +144,12 @@ def cmd_sweep(args, cfg: NetworkConfig) -> tuple[dict, int]:
             print(f"warning: sweep point beta={row['beta']:g} nu={row['nu']:g} failed: {error}",
                   file=sys.stderr)
     return {args.out: [row for row, _ in pairs]}, EXIT_OK
+
+
+def estimate_success(*args, **kwargs):
+    """:func:`montecarlo.estimate_success`, imported on first use: only ``validate`` samples."""
+    from . import montecarlo
+    return montecarlo.estimate_success(*args, **kwargs)
 
 
 def _validate_task(task) -> dict:
@@ -237,53 +242,68 @@ def run_command(args, command: str) -> int:
     return code
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="greencell",
-        description="Battery-aware cellular network analysis and bias optimization.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser, handler, out_help: str = "output CSV path") -> None:
-        # One CSV at --out, with its manifest at <stem>.manifest.json; optimize overrides both.
-        p.set_defaults(handler=handler, outputs=lambda out: [out],
-                       manifest=lambda out: os.path.splitext(out)[0] + ".manifest.json")
-        p.add_argument("config", help="JSON config file")
-        p.add_argument("--out", required=True, help=out_help)
-        p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("analyze", help="metrics for one bias vector")
-    common(p, cmd_analyze)
+def _analyze_args(p: argparse.ArgumentParser, out_arg: argparse.Action) -> None:
     p.add_argument("--beta", type=float, default=None, help="power-law exponent")
     p.add_argument("--bias-file", default=None, help="JSON array of per-level biases")
 
-    default_grid = ",".join(f"{b:g}" for b in POWER_GRID_DEFAULT)
-    p = sub.add_parser("sweep", help="grid over bias exponents and recharge rates")
-    common(p, cmd_sweep)
-    p.add_argument("--betas", default=default_grid)
+
+def _sweep_args(p: argparse.ArgumentParser, out_arg: argparse.Action) -> None:
+    p.add_argument("--betas", default=",".join(f"{b:g}" for b in POWER_GRID_DEFAULT))
     p.add_argument("--nus", default="", help="comma list; defaults to the config value")
 
-    p = sub.add_parser("validate", help="Monte-Carlo check of the coverage analysis")
-    common(p, cmd_validate)
+
+def _validate_args(p: argparse.ArgumentParser, out_arg: argparse.Action) -> None:
     p.add_argument("--betas", default="0,1,2")
     p.add_argument("--drops", type=int, default=10000)
 
-    p = sub.add_parser("optimize", help="genetic bias search plus scheme comparison")
-    common(p, cmd_optimize, out_help="output file prefix (_best/_history/_comparison CSVs)")
+
+def _optimize_args(p: argparse.ArgumentParser, out_arg: argparse.Action) -> None:
+    out_arg.help = "output file prefix (_best/_history/_comparison CSVs)"
     # The prefix is kept whole, dots included: --out ga.v2 gives ga.v2_manifest.json.
     p.set_defaults(manifest=lambda out: out + "_manifest.json",
                    outputs=lambda out: [out + table for table in ("_best.csv", "_history.csv", "_comparison.csv")])
     p.add_argument("--pop", type=int, default=50)
     p.add_argument("--iters", type=int, default=100)
-    return parser
+
+
+def build_parser(argv: list[str]) -> tuple[argparse.ArgumentParser, list[str]]:
+    """The parser for ``argv`` and the arguments it reads: the parser of the command
+    ``argv[0]`` names, alone, for the rest; else the top-level parser, holding only the
+    command names and help, for -h, --version or a missing or unknown command (all exit).
+    """
+    # Each command's help, handler and the function that adds its own flags (and may
+    # reword --out); built per call, so the handlers are looked up when main runs.
+    commands = {
+        "analyze": ("metrics for one bias vector", cmd_analyze, _analyze_args),
+        "sweep": ("grid over bias exponents and recharge rates", cmd_sweep, _sweep_args),
+        "validate": ("Monte-Carlo check of the coverage analysis", cmd_validate, _validate_args),
+        "optimize": ("genetic bias search plus scheme comparison", cmd_optimize, _optimize_args),
+    }
+    if argv and argv[0] in commands:
+        _, handler, add_args = commands[argv[0]]
+        parser = argparse.ArgumentParser(prog=f"greencell {argv[0]}")
+        # One CSV at --out, with its manifest at <stem>.manifest.json; optimize overrides both.
+        parser.set_defaults(handler=handler, outputs=lambda out: [out],
+                            manifest=lambda out: os.path.splitext(out)[0] + ".manifest.json")
+        parser.add_argument("config", help="JSON config file")
+        out_arg = parser.add_argument("--out", required=True, help="output CSV path")
+        parser.add_argument("--seed", type=int, default=0)
+        add_args(parser, out_arg)
+        return parser, argv[1:]
+    parser = argparse.ArgumentParser(
+        prog="greencell", description="Battery-aware cellular network analysis and bias optimization.")
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, _, _) in commands.items():
+        sub.add_parser(name, help=help_text)
+    return parser, argv
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    parser, rest = build_parser(argv)
+    args = parser.parse_args(rest)
     command = shlex.join(["greencell"] + list(argv))
     try:
         return run_command(args, command)
