@@ -11,9 +11,11 @@ results are reproducible and independent of evaluation order.  The block
 size is part of that stream layout: changing it changes every estimate.
 The arithmetic runs over passes of ``PASS`` drops, whole blocks drawn into
 arrays the call reuses; the pass size is not part of the stream layout,
-and the moments are still taken block by block.  Active-station counts come
-from inverting a Poisson CDF table, one uniform per (drop, level), through a
-guide table of ``GUIDE`` buckets per level.
+and the moments are still taken block by block.  The far field is one call
+per pass: its series kernel takes its degree from its domain bound, so each
+drop's value does not depend on the drops evaluated with it.
+Active-station counts come from inverting a Poisson CDF table, one uniform
+per (drop, level), through a guide table of ``GUIDE`` buckets per level.
 """
 
 from __future__ import annotations
@@ -165,7 +167,9 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
     its uniforms and idle Exp(1)s into its rows of the pass's arrays, and,
     once the pass's counts are known, its station Exp(1)s into its span of
     the station buffer; each stream is its own, so the estimate does not
-    depend on the pass size.
+    depend on the pass size.  The nearest active station per (drop, level)
+    is an indexed minimum over the pass's stations, and the far field one
+    call of ``interference_factor``, elementwise at every alpha.
 
     The candidates for serving are, per level, the nearest active station
     and the nearest idle one; ties go to the lower level, and to the active
@@ -202,9 +206,8 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
     level_shift = np.arange(n_lev)
     # Arrays that every pass of this call reuses, so memory does not grow
     # with the number of drops: the uniforms and idle draws of a pass, its
-    # candidates, and its stations with one pad slot, so the nearest station
-    # per (drop, level) and the sum per drop are reductions over segments of
-    # ``buf``.
+    # candidates, and its stations with one pad slot, so the sum per drop is
+    # a reduction over segments of ``buf``.
     rows = min(PASS, n_drops)
     u = np.empty((rows, n_lev))
     idle = np.empty((rows, n_lev))
@@ -233,10 +236,9 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
         g = buf[:n]
         g *= -half_alpha  # r^2 = R^2 exp(-E)
 
-        buf[n] = np.inf  # the pad
-        starts = np.cumsum(seg) - seg
-        nearest = np.minimum.reduceat(buf[:n + 1], starts)
-        nearest[seg == 0] = np.inf  # reduceat reads an empty segment as the element after it
+        # The nearest station per (drop, level), inf where there is none.
+        nearest = np.full(seg.size, np.inf)
+        np.minimum.at(nearest, np.repeat(np.arange(seg.size), seg), g)
         log_e = idle[:m]
         with np.errstate(divide="ignore"):  # E = 0 puts a station at the origin
             np.log(log_e, out=log_e)
@@ -264,11 +266,7 @@ def estimate_success(cfg, level_marginals, bias, p_occu, n_drops: int,
         log_p[served & (best % 2 == 0)] -= own_term
         with np.errstate(over="ignore"):  # a huge exponent means a factor of 0
             log_p += np.exp(noise_log + g_s)
-            far = np.exp(-g_s)
-            # Block by block: the series kernel at alpha != 4 sizes its degree
-            # by the largest argument it is given.
-            for _, drops in blocks:
-                far[drops] = interference_factor(cfg.tau, cfg.alpha, far[drops])
+            far = interference_factor(cfg.tau, cfg.alpha, np.exp(-g_s))
             log_p += far_mass * np.exp(g_s / half_alpha) * far
         p = np.exp(-log_p)
         p[~served] = 0.0

@@ -69,11 +69,14 @@ def _series_one_one(c: float, x: np.ndarray) -> np.ndarray:
 
     The coefficients a_n = n! / (c)_n do not increase for c >= 1, so the tail
     after degree N is at most a_N xmax^N / (1 - xmax), and the sum is at
-    least 1.  The degree is the first N where that bound, at the largest
-    argument, falls below ``_SERIES_TOL``; the polynomial is then evaluated
-    by Horner's rule, two array passes per degree and no convergence test.
+    least 1.  The degree is the first N where that bound, at the domain bound
+    xmax = 0.5 (or a larger argument, for which the cap may bind), falls below
+    ``_SERIES_TOL``; the polynomial is then evaluated by Horner's rule, two
+    array passes per degree and no convergence test.  So for arguments in the
+    domain the degree depends on c alone, and each element's value does not
+    depend on the other elements of its batch.
     """
-    xmax = float(x.max(initial=0.0))
+    xmax = max(0.5, float(x.max(initial=0.0)))
     coefs = [1.0]
     while coefs[-1] * xmax ** (len(coefs) - 1) > _SERIES_TOL * (1.0 - xmax):
         if len(coefs) > _SERIES_CAP:

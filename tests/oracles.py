@@ -92,9 +92,17 @@ def z_defining_integral(tau: float, alpha: float, b_ratio: float,
 def interference_weight(tau: float, alpha: float, b_ratio: float) -> float:
     """:func:`z_defining_integral` at n = 2e4 and 4e4, Richardson-extrapolated.
 
-    The midpoint error is a series in even powers of the step, so the
-    combination (4 Z_2n - Z_n) / 3 cancels its leading term: about 1e-15
-    relative at alpha = 4, tau = 1.
+    For a smooth integrand the midpoint error is a series in even powers of
+    the step h, so the combination (4 Z_2n - Z_n) / 3 cancels its leading
+    term: about 1e-15 relative at alpha = 4, tau = 1, and at alpha = 8.  The
+    mapped integrand is q^s g(q), s = 3 alpha - 7 and g smooth with g(0) = 1,
+    and for non-integer s the error also has an endpoint term
+    zeta(-s, 1/2) h^(s+1) that the combination only scales by
+    (2^(1-s) - 1) / 3.  At alpha = 2.5 (s = 1/2, h = 1/2e4) that leaves
+    0.0609 * 0.138 * 3.54e-7 = 3.0e-9 against an integral of at least
+    1 / (1.5 (1 + tau / b_ratio)), 0.606 for tau / b_ratio <= 0.1: at most
+    4.9e-9 relative (4.5e-9 measured at tau = 0.1, b_ratio = 1).  Near
+    alpha = 2 the term decays as h^(3 alpha - 6), and the rule is useless.
     """
     coarse = z_defining_integral(tau, alpha, b_ratio, n=20_000)
     fine = z_defining_integral(tau, alpha, b_ratio, n=40_000)

@@ -138,6 +138,23 @@ def test_sample_counts_track_intensities(small_cfg):
         assert abs(totals[key] - mean) < 4.0 * math.sqrt(var), key
 
 
+_ORACLE_CASES = [  # bias, occ, n_drops, alpha
+    ((1.0, 1.0, 1.0, 1.0), (0.5, 0.5, 0.5, 0.5), 300, 4.0),
+    ((1.0, 2.0, 4.0, 8.0), (0.1, 0.3, 0.5, 0.9), 2 * BLOCK + 7, 4.0),
+    ((1.0, 64.0, 1.5, 3.0), (1.0, 0.0, 1.0, 0.2), BLOCK + 1, 4.0),
+    ((1.0, 2.0, 4.0, 8.0), (0.0, 0.0, 0.0, 0.0), 40, 4.0),  # no station at all
+    ((1.0, 3.0, 9.0, 27.0), (1.0, 1.0, 1.0, 1.0), 1, 4.0),
+    ((1.0, 2.0, 4.0, 8.0), (0.002, 0.0, 0.001, 0.003), BLOCK + 9, 4.0),  # most drops empty
+    ((1.0, 2.0, 4.0, 8.0), (0.1, 0.3, 0.5, 0.9), PASS + 1, 4.0),  # a pass and one drop
+    # One far-field call per pass, over its four blocks.
+    ((1.0, 2.0, 4.0, 8.0), (0.1, 0.3, 0.5, 0.9), PASS + 1, 2.5),
+    ((1.0, 64.0, 1.5, 3.0), (1.0, 0.0, 1.0, 0.2), 2 * BLOCK + 7, 8.0),
+    # The last level has no active station, so every pass ends on an empty
+    # (drop, level) segment.
+    ((1.0, 2.0, 4.0, 8.0), (0.1, 0.3, 0.5, 0.0), PASS + 1, 4.0),
+]
+
+
 class TestEstimateSuccess:
     def test_determinism_and_ci_fields(self, small_cfg):
         pi = np.full(4, 0.25)
@@ -185,23 +202,24 @@ class TestEstimateSuccess:
         assert 0.1 < mean < 0.9
         assert abs(est.mean - mean) < 3.0 * math.hypot(est.half_width_95, half_width)
 
-    @pytest.mark.parametrize("bias, occ, n_drops", [
-        ((1.0, 1.0, 1.0, 1.0), (0.5, 0.5, 0.5, 0.5), 300),
-        ((1.0, 2.0, 4.0, 8.0), (0.1, 0.3, 0.5, 0.9), 2 * BLOCK + 7),
-        ((1.0, 64.0, 1.5, 3.0), (1.0, 0.0, 1.0, 0.2), BLOCK + 1),
-        ((1.0, 2.0, 4.0, 8.0), (0.0, 0.0, 0.0, 0.0), 40),
-        ((1.0, 3.0, 9.0, 27.0), (1.0, 1.0, 1.0, 1.0), 1),
-        ((1.0, 2.0, 4.0, 8.0), (0.002, 0.0, 0.001, 0.003), BLOCK + 9),  # most drops empty
-        ((1.0, 2.0, 4.0, 8.0), (0.1, 0.3, 0.5, 0.9), PASS + 1),  # a pass and one drop
-    ])
-    def test_matches_blockwise_oracle(self, small_cfg, bias, occ, n_drops):
+    @pytest.mark.parametrize("bias, occ, n_drops, alpha", _ORACLE_CASES, ids=[
+        f"bias{i}-occ{i}-{n}" + ("" if alpha == 4.0 else f"-alpha{alpha:g}")
+        for i, (_, _, n, alpha) in enumerate(_ORACLE_CASES)])
+    def test_matches_blockwise_oracle(self, small_cfg, bias, occ, n_drops, alpha):
         # Same draws, each drop's success probability multiplied out in a
-        # plain loop: equal up to rounding.
+        # plain loop: equal up to rounding, and at alpha != 4 up to the
+        # relative error eps of the oracle's far-field weight
+        # (oracles.interference_weight): at most 4.9e-9 at alpha = 2.5, and
+        # rounding, taken as 1e-15, at alpha = 8.  A drop's value v has the far
+        # field F in its exponent, so v <= exp(-F), and eps F moves v by at
+        # most eps F exp(-F) <= eps / e; the mean moves by no more.
+        cfg = dataclasses.replace(small_cfg, alpha=alpha)
+        eps = {4.0: 0.0, 2.5: 4.9e-9, 8.0: 1e-15}[alpha]
         pi = np.array([0.05, 0.15, 0.3, 0.5])
-        est = estimate_success(small_cfg, pi, BiasVector(bias), np.array(occ), n_drops, seed=6)
+        est = estimate_success(cfg, pi, BiasVector(bias), np.array(occ), n_drops, seed=6)
         assert est.mean == pytest.approx(estimate_success_blockwise(
-            small_cfg, pi, BiasVector(bias), np.array(occ), n_drops, seed=6, block=BLOCK),
-            rel=1e-12)
+            cfg, pi, BiasVector(bias), np.array(occ), n_drops, seed=6, block=BLOCK),
+            rel=1e-12, abs=eps / math.e)
 
     @pytest.mark.parametrize("levels, occ, n_drops", [
         (41, 0.3, BLOCK + 5),  # level 40's CDF table sits at +40

@@ -82,7 +82,7 @@ def test_hyp_at_zero_and_array_input():
 
 
 # y = 1 is w = 0.5, where the direct and the connection branch meet; mixing
-# arguments checks that the degree picked at the largest one serves them all.
+# arguments checks that the one degree serves them all.
 @given(alpha=st.floats(2.2, 8.0),
        ys=st.lists(st.one_of(st.sampled_from([0.0, 1e-12, 1.0]), st.floats(1e-12, 1e14)),
                    min_size=1, max_size=6))
@@ -93,6 +93,26 @@ def test_hyp_matches_series_oracle(alpha, ys):
     got = hyp_one_one_neg(alpha, np.array(ys))
     ref = [hyp_from_series(alpha, y) for y in ys]
     np.testing.assert_allclose(got, ref, rtol=1e-15, atol=0)
+
+
+# The series degree comes from the domain bound w <= 0.5, not from the batch,
+# so an element's value does not depend on what is evaluated with it.  Sized
+# by the batch maximum, appending y = 0.99 moved 38 of these 10 000 values.
+def test_hyp_value_does_not_depend_on_its_batch():
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        ys = rng.uniform(0.0, 0.3, 50)
+        np.testing.assert_array_equal(hyp_one_one_neg(2.5, np.append(ys, 0.99))[:-1],
+                                      hyp_one_one_neg(2.5, ys))
+
+
+@pytest.mark.parametrize("alpha", [2.05, 2.5, 3.5, 8.0])
+def test_hyp_batch_equals_lone_evaluations(alpha):
+    # Both branches and the w = 0.5 seam between them (y = 1).
+    ys = np.concatenate([[0.0, 5e-324, 1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0)],
+                         np.geomspace(1e-12, 1e14, 261)])
+    lone = [hyp_one_one_neg(alpha, np.array([y]))[0] for y in ys]
+    np.testing.assert_array_equal(hyp_one_one_neg(alpha, ys), lone)
 
 
 @given(alpha=st.floats(2.2, 8.0), y=st.floats(0, 1e6))
